@@ -17,8 +17,7 @@ import time
 
 from . import __version__
 from .dsl import Command, Session, parse_session
-from .errors import (FormringError, ParseError, SaturationLimitError,
-                     StabilizationError)
+from .errors import FormringError, ParseError, SaturationLimitError
 from .graded import GradedQuotientRing
 from .groebner import Ideal, initial_forms_ideal
 from .koszul import KoszulComplexSpec, cochain_dim, koszul_cohomology_piece
@@ -66,8 +65,6 @@ def build_parser() -> _ArgumentParser:
                         help="default trailing-isomorphism run length")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format (default json)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; the core is deterministic")
     parser.add_argument("--timing", action="store_true",
                         help="report real elapsed milliseconds (off by "
                              "default so reruns are byte-identical)")
@@ -247,7 +244,7 @@ def run_session(session: Session, config: RunConfig | None = None) -> dict:
             started = time.monotonic()
             try:
                 outcome = _run_instance(session, ring, instance, r, config)
-            except (StabilizationError, SaturationLimitError) as exc:
+            except SaturationLimitError as exc:
                 outcome = {"status": "guard",
                            "data": {"message": str(exc),
                                     "kind": type(exc).__name__},
@@ -345,7 +342,6 @@ def main(argv: list[str] | None = None) -> int:
         "char": session.characteristic,
         "format": args.format,
         "margin": args.margin,
-        "seed": args.seed,
         "timing": args.timing,
         "tmax": args.tmax,
         "window": list(window) if window else None,

@@ -293,29 +293,22 @@ class LocalH0Report:
         }
 
 
-def _span_dims(ideal: Ideal, reps: list[Polynomial], p: int):
-    """Rank and by-order histogram of the normal-form classes of reps."""
-    forms = []
-    for g in reps:
-        nf = ideal.normal_form(g)
-        if nf:
-            forms.append(nf)
+def _coefficient_matrix(forms: list[Polynomial]) -> np.ndarray:
+    """One column per form: its coefficients over all monomials in use."""
     monomials = sorted({m for f in forms for m in f.terms})
     index = {m: r for r, m in enumerate(monomials)}
-    cols = []
-    for f in forms:
-        col = [0] * len(monomials)
-        for m, c in f.terms.items():
-            col[index[m]] = c
-        cols.append((f, col))
-    chosen: list[Polynomial] = []
-    mat = np.zeros((len(monomials), 0), dtype=np.int64)
-    for f, col in cols:
-        vec = np.array(col, dtype=np.int64).reshape(-1, 1)
-        cand = np.hstack([mat, vec])
-        if linalg.rank(cand, p) > mat.shape[1]:
-            mat = cand
-            chosen.append(f)
+    mat = linalg.zeros(len(monomials), len(forms))
+    for c, f in enumerate(forms):
+        for m, coeff in f.terms.items():
+            mat[index[m], c] = coeff
+    return mat
+
+
+def _span_dims(ideal: Ideal, reps: list[Polynomial], p: int):
+    """Rank and by-order histogram of the normal-form classes of reps."""
+    forms = [nf for nf in (ideal.normal_form(g) for g in reps) if nf]
+    # the pivot columns keep the first form of each new direction
+    chosen = [forms[c] for c in linalg.rref(_coefficient_matrix(forms), p)[1]]
     return len(chosen), _order_histogram(ideal, chosen, p), chosen
 
 
@@ -338,15 +331,7 @@ def _order_histogram(ideal: Ideal, basis: list[Polynomial],
             ring.monomial(m) for m in monomials_of_degree(ring, j)]
         layer = Ideal(ring, gens)
         forms = [layer.normal_form(g) for g in basis]
-        monomials = sorted({m for f in forms for m in f.terms})
-        if not monomials:
-            return k
-        index = {m: r for r, m in enumerate(monomials)}
-        mat = np.zeros((len(monomials), k), dtype=np.int64)
-        for c, f in enumerate(forms):
-            for m, coeff in f.terms.items():
-                mat[index[m], c] = coeff
-        return k - linalg.rank(mat, p)
+        return k - linalg.rank(_coefficient_matrix(forms), p)
 
     hist: dict[int, int] = {}
     prev = k  # every class lies in the 0-th filtration step

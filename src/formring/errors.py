@@ -29,10 +29,6 @@ class SaturationLimitError(FormringError):
         self.cap = cap
 
 
-class StabilizationError(FormringError):
-    """A colimit or difference table did not stabilize within its window."""
-
-
 class ParseError(FormringError):
     """Malformed session or polynomial text."""
 

@@ -9,12 +9,13 @@ under the interpreter lock.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import linalg
-from .errors import NotHomogeneousError, StabilizationError, ZeroRingError
-from .groebner import (DEGREVLEX, GroebnerBasis, Ideal, hilbert_function,
-                       standard_monomials)
+from .errors import NotHomogeneousError, ZeroRingError
+from .groebner import DEGREVLEX, GroebnerBasis, Ideal, standard_monomials
 from .poly import Monomial, PolyRing, Polynomial, require_homogeneous
 
 
@@ -91,9 +92,6 @@ class GradedQuotientRing:
     def dim(self, n: int) -> int:
         return len(self.graded_basis(n))
 
-    def hilbert_function(self, n: int) -> int:
-        return self.dim(n)
-
     def coordinates(self, f: Polynomial, n: int) -> np.ndarray:
         """Coordinate column of the class of homogeneous f in [G]_n."""
         nf = self.gb.normal_form(f)
@@ -143,42 +141,20 @@ class GradedQuotientRing:
         return self.gb.max_degree()
 
     def krull_dimension(self) -> int:
-        """1 + degree of the Hilbert polynomial, via difference stabilization.
-
-        The Hilbert function is evaluated on a window starting past the
-        generator degrees; successive finite differences must become constant
-        inside the window, extending the window a few times before giving up.
-        """
+        """dim S/in(I), which equals dim S/I: the size of a largest set of
+        variables that contains the support of no lead monomial."""
         if self._dim_cache is not None:
             return self._dim_cache
         if self.is_zero_ring():
             raise ZeroRingError("the zero ring has no Krull dimension")
-        v = self.ring.nvars
-        n0 = self.max_generator_degree()
-        width = 2 * v + 1
-        for attempt in range(4):
-            window = [self.dim(n) for n in range(n0, n0 + width + 1)]
-            d = self._difference_dimension(window)
-            if d is not None:
-                self._dim_cache = d
-                return d
-            n0 += width
-        raise StabilizationError(
-            "Hilbert difference table did not stabilize; widen the window")
-
-    @staticmethod
-    def _difference_dimension(values: list[int]) -> int | None:
-        # a single zero value forces all later ones to zero: Artinian
-        if values[-1] == 0:
-            return 0
-        row = values
-        depth = 0
-        while len(row) >= 3:
-            if all(x == row[0] for x in row):
-                return depth + 1 if row[0] != 0 else None
-            row = [b - a for a, b in zip(row, row[1:])]
-            depth += 1
-        return None
+        nvars = self.ring.nvars
+        supports = [{v for v, e in enumerate(lead) if e}
+                    for lead in self.gb.leading_monomials()]
+        self._dim_cache = max(
+            size for size in range(nvars + 1)
+            for free in itertools.combinations(range(nvars), size)
+            if not any(s <= set(free) for s in supports))
+        return self._dim_cache
 
     def top_degree(self) -> int:
         """Largest n with [G]_n != 0 (only for 0-dimensional rings)."""

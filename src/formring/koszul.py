@@ -111,7 +111,10 @@ def _cached(spec: KoszulComplexSpec, kind: str, key, build):
 
 
 def differential(spec: KoszulComplexSpec, p: int, n: int) -> np.ndarray:
-    """Matrix of d: [K^p]_n -> [K^(p+1)]_n."""
+    """Matrix of d: [K^p]_n -> [K^(p+1)]_n.
+
+    At p = -1 this is the map from the zero space: a matrix with no columns.
+    """
     return _cached(spec, "diff", (p, n), lambda: _build_differential(spec, p, n))
 
 
@@ -148,19 +151,17 @@ def koszul_cohomology_piece(spec: KoszulComplexSpec, i: int, n: int) -> Cohomolo
 
 def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
     p = spec.G.p
-    dim_here = cochain_dim(spec, i, n)
     d_out = differential(spec, i, n)
-    if i >= 1:
-        d_in = differential(spec, i - 1, n)
-        if d_in.shape[1] and d_out.shape[0]:
-            assert not linalg.matmul(d_out, d_in, p).any(), "d o d != 0"
-    else:
-        d_in = linalg.zeros(dim_here, 0)
-    ker = linalg.kernel(d_out, p) if d_out.shape[0] else linalg.identity(dim_here)
-    image = linalg.column_space(d_in, p)
-    reps = linalg.quotient_representatives(image, ker, p)
+    d_in = differential(spec, i - 1, n)
+    if d_in.shape[1] and d_out.shape[0]:
+        assert not linalg.matmul(d_out, d_in, p).any(), "d o d != 0"
+    ker = linalg.kernel(d_out, p)
+    # kernel columns at pivots of [d_in | ker]: a basis of ker modulo image
+    _, pivots = linalg.rref(np.hstack([d_in, ker]), p)
+    off = d_in.shape[1]
+    reps = ker[:, [c - off for c in pivots if c >= off]]
     return CohomologyPiece(i=i, n=n, t=spec.t, dim=reps.shape[1],
-                           representatives=reps, cochain_dim=dim_here)
+                           representatives=reps, cochain_dim=d_out.shape[1])
 
 
 def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int) -> np.ndarray:
@@ -206,28 +207,27 @@ def chain_multiplication(spec: KoszulComplexSpec, i: int, n: int,
 
 
 def express_in_cohomology(spec: KoszulComplexSpec, piece: CohomologyPiece,
-                          vec: np.ndarray) -> np.ndarray | None:
-    """Coordinates of a cocycle's class in the piece's representative basis."""
-    p = spec.G.p
-    if piece.dim == 0:
-        return np.zeros(0, dtype=np.int64)
-    if piece.i >= 1:
-        image = linalg.column_space(differential(spec, piece.i - 1, piece.n), p)
-    else:
-        image = linalg.zeros(piece.cochain_dim, 0)
-    stacked = np.hstack([image, piece.representatives])
-    sol = linalg.solve(stacked, vec, p)
+                          vecs: np.ndarray) -> np.ndarray | None:
+    """Coordinates of cocycle classes in the piece's representative basis.
+
+    `vecs` is one cocycle or a block of cocycle columns; the answer has the
+    same shape with one row per representative.  The coordinates are unique
+    because the representatives are independent modulo the coboundaries.
+    """
+    if piece.dim == 0 or vecs.size == 0:
+        return np.zeros((piece.dim,) + vecs.shape[1:], dtype=np.int64)
+    d_in = differential(spec, piece.i - 1, piece.n)
+    sol = linalg.solve(np.hstack([d_in, piece.representatives]), vecs,
+                       spec.G.p)
     if sol is None:
         return None
-    return sol[image.shape[1]:]
+    return sol[d_in.shape[1]:]
 
 
 def is_coboundary(spec: KoszulComplexSpec, i: int, n: int,
                   vec: np.ndarray) -> bool:
-    if i == 0:
-        return not (vec % spec.G.p).any()
-    image = differential(spec, i - 1, n)
-    return linalg.in_span(image, vec, spec.G.p)
+    return linalg.solve(differential(spec, i - 1, n), vec,
+                        spec.G.p) is not None
 
 
 def transition_map(G: GradedQuotientRing, t: int, i: int, n: int,
@@ -243,14 +243,11 @@ def _build_transition_map(G: GradedQuotientRing, spec: KoszulComplexSpec,
     nxt = KoszulComplexSpec(G, spec.t + 1, spec.sequence)
     src = koszul_cohomology_piece(spec, i, n)
     tgt = koszul_cohomology_piece(nxt, i, n)
-    phi = transition_cochain(spec, i, n)
-    mat = linalg.zeros(tgt.dim, src.dim)
-    for col in range(src.dim):
-        moved = linalg.matmul(phi, src.representatives[:, col:col + 1], G.p)
-        coords = express_in_cohomology(nxt, tgt, moved[:, 0])
-        if coords is None:
-            raise FormringError("transition image is not a cocycle class")
-        mat[:, col] = coords
+    moved = linalg.matmul(transition_cochain(spec, i, n),
+                          src.representatives, G.p)
+    mat = express_in_cohomology(nxt, tgt, moved)
+    if mat is None:
+        raise FormringError("transition image is not a cocycle class")
     return GradedVectorSpaceMap(n, n, mat, G.p)
 
 

@@ -43,7 +43,13 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
+    """Reduced row echelon form and pivot column indices.
+
+    Column j is a pivot exactly when it is not in the span of the columns
+    left of it.  So the pivots of [sub | vecs] that fall in the vecs block
+    pick the columns a left-to-right greedy scan would admit: a basis of
+    span(sub + vecs) modulo span(sub).
+    """
     r = np.array(a, dtype=np.int64) % p
     nrows, ncols = r.shape
     pivots: list[int] = []
@@ -92,14 +98,6 @@ def kernel(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def column_space(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns of `a` at the pivot positions: a deterministic basis of the image."""
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return zeros(a.shape[0], 0)
-    _, pivots = rref(a, p)
-    return a[:, pivots].copy()
-
-
 def solve(a: np.ndarray, b: np.ndarray, p: int):
     """One solution x of a @ x = b (columns of b solved jointly), or None."""
     if b.ndim == 1:
@@ -116,26 +114,3 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
     for i, pc in enumerate(pivots):
         x[pc] = r[i, ncols:]
     return x[:, 0] if squeeze else x
-
-
-def in_span(basis: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Is the column vector v in the column span of `basis`?"""
-    return solve(basis, v, p) is not None
-
-
-def quotient_representatives(sub: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
-    """Columns of `vecs` forming a basis of span(sub + vecs) / span(sub).
-
-    Deterministic: columns of `vecs` are admitted left to right whenever they
-    enlarge the span.
-    """
-    picked: list[int] = []
-    current = sub
-    base_rank = rank(sub, p)
-    for j in range(vecs.shape[1]):
-        cand = np.hstack([current, vecs[:, j : j + 1]])
-        if rank(cand, p) > base_rank:
-            current = cand
-            base_rank += 1
-            picked.append(j)
-    return vecs[:, picked].copy()

@@ -30,7 +30,6 @@ class StabilizationConfig:
     n_hi: int
     t_max: int = 12
     margin: int = 2
-    saturation_cap: int = 50
 
     def __post_init__(self):
         if self.n_lo > self.n_hi:

@@ -11,6 +11,8 @@ tautology:
   multiplication-by-variable maps, never touching colon ideals.
 * ``quotient_h0_dims`` computes ``(I : M)/I`` dimensions from ideal
   arithmetic, never touching Koszul complexes.
+* ``greedy_quotient_columns`` admits columns one at a time by recomputing
+  the rank, never reading pivot positions.
 """
 
 from __future__ import annotations
@@ -100,3 +102,23 @@ def saturation_h0_dims(G: GradedQuotientRing, degrees,
         n: len(standard_monomials(I, n)) - len(standard_monomials(current, n))
         for n in degrees
     }
+
+
+def greedy_quotient_columns(sub: np.ndarray, vecs: np.ndarray,
+                            p: int) -> list[int]:
+    """Indices of the columns of ``vecs`` that enlarge span(sub + earlier).
+
+    Scans left to right and keeps a column when appending it raises the
+    rank: a basis of span(sub + vecs) modulo span(sub).
+    """
+
+    picked: list[int] = []
+    current = sub
+    base_rank = linalg.rank(sub, p)
+    for j in range(vecs.shape[1]):
+        cand = np.hstack([current, vecs[:, j : j + 1]])
+        if linalg.rank(cand, p) > base_rank:
+            current = cand
+            base_rank += 1
+            picked.append(j)
+    return picked

@@ -115,6 +115,10 @@ class TestInvariants:
             ((("x", "y"), lambda x, y: [x**2, x * y, y**3]), 0),
             ((("x", "y", "z"), lambda x, y, z: [x * y]), 2),
             ((("x", "y", "z"), lambda x, y, z: []), 3),
+            # pure powers whose Hilbert function is still growing far past
+            # the generator degree
+            ((("x", "y", "z"), lambda x, y, z: [x**10, y**10]), 1),
+            ((("x", "y", "z"), lambda x, y, z: [x**8, y**8]), 1),
         ]
         for (names, builder), want in cases:
             assert quotient(names, builder).krull_dimension() == want

@@ -134,6 +134,14 @@ class TestCohomology:
         d0 = differential(spec, 0, 0)
         shifted = (rep + d0[:, 0]) % P
         assert express_in_cohomology(spec, piece, shifted).tolist() == [1, 0]
+        # a block of columns gives the one-column answers side by side
+        other = (piece.representatives[:, 1] + 2 * rep) % P
+        block = express_in_cohomology(spec, piece,
+                                      np.column_stack([shifted, other]))
+        singles = [express_in_cohomology(spec, piece, v)
+                   for v in (shifted, other)]
+        assert block.tolist() == np.column_stack(singles).tolist()
+        assert block.tolist() == [[1, 2], [0, 1]]
 
 
 class TestComparisonMaps:

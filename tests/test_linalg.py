@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formring import linalg
+from oracles import greedy_quotient_columns
 
 PRIMES = [2, 3, 5, 32003]
 
@@ -33,6 +34,14 @@ class TestRref:
         # first column reduces to (0,1): pivot found by row swap
         assert pivots == [0, 1]
         assert np.array_equal(r, linalg.identity(2))
+
+    def test_pivots_pick_quotient_columns(self):
+        sub = np.array([[1], [0], [0]], dtype=np.int64)
+        vecs = np.array([[1, 0, 0], [1, 1, 1], [0, 0, 1]], dtype=np.int64)
+        _, pivots = linalg.rref(np.hstack([sub, vecs]), 7)
+        # the first and third vecs columns enlarge the span; the second is
+        # redundant after the first
+        assert pivots == [0, 1, 3]
 
     def test_rref_idempotent(self):
         rng = np.random.default_rng(7)
@@ -67,14 +76,6 @@ class TestRankKernel:
                     assert not linalg.matmul(a, ker, p).any()
                 # kernel basis columns are independent
                 assert linalg.rank(ker, p) == ker.shape[1]
-
-    def test_column_space_spans(self):
-        rng = np.random.default_rng(13)
-        a = random_matrix(rng, 6, 9, 32003)
-        cs = linalg.column_space(a, 32003)
-        assert cs.shape[1] == linalg.rank(a, 32003)
-        for j in range(a.shape[1]):
-            assert linalg.in_span(cs, a[:, j], 32003)
 
 
 class TestMatmulSolve:
@@ -112,14 +113,6 @@ class TestMatmulSolve:
         b = np.array([0, 1], dtype=np.int64)
         assert linalg.solve(a, b, 5) is None
 
-    def test_quotient_representatives_deterministic(self):
-        sub = np.array([[1], [0], [0]], dtype=np.int64)
-        vecs = np.array([[1, 0, 0], [1, 1, 1], [0, 0, 1]], dtype=np.int64)
-        reps = linalg.quotient_representatives(sub, vecs, 7)
-        # first and third columns enlarge the span; second is redundant
-        # after the first
-        assert reps.tolist() == [[1, 0], [1, 1], [0, 1]]
-
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
@@ -133,3 +126,17 @@ def test_kernel_property(rows, cols, data):
     assert linalg.rank(a, p) + ker.shape[1] == cols
     if rows and ker.shape[1]:
         assert not linalg.matmul(a, ker, p).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 4), st.data())
+def test_pivots_match_greedy_rank_loop(rows, nsub, nvecs, data):
+    p = data.draw(st.sampled_from([2, 5, 97]))
+    entries = data.draw(st.lists(st.integers(0, p - 1),
+                                 min_size=rows * (nsub + nvecs),
+                                 max_size=rows * (nsub + nvecs)))
+    a = np.array(entries, dtype=np.int64).reshape(rows, nsub + nvecs)
+    sub, vecs = a[:, :nsub], a[:, nsub:]
+    _, pivots = linalg.rref(a, p)
+    picked = [c - nsub for c in pivots if c >= nsub]
+    assert picked == greedy_quotient_columns(sub, vecs, p)
