@@ -20,7 +20,11 @@ from .poly import Monomial, PolyRing, Polynomial, require_homogeneous
 
 
 class GradedVectorSpaceMap:
-    """A map between two graded pieces, stored as a (target x source) matrix."""
+    """A map between two graded pieces, stored as a (target x source) matrix.
+
+    The matrix is never modified after construction, so the rank is computed
+    once and kept.
+    """
 
     def __init__(self, source_degree: int, target_degree: int,
                  matrix: np.ndarray, p: int):
@@ -28,6 +32,7 @@ class GradedVectorSpaceMap:
         self.target_degree = target_degree
         self.matrix = matrix
         self.p = p
+        self._rank: int | None = None
 
     @property
     def source_dim(self) -> int:
@@ -38,7 +43,9 @@ class GradedVectorSpaceMap:
         return self.matrix.shape[0]
 
     def rank(self) -> int:
-        return linalg.rank(self.matrix, self.p)
+        if self._rank is None:
+            self._rank = linalg.rank(self.matrix, self.p)
+        return self._rank
 
     def is_surjective(self) -> bool:
         return self.rank() == self.target_dim

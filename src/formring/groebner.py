@@ -1,14 +1,25 @@
 """Buchberger's algorithm and the ideal operations built on it.
 
-Everything here is deterministic: the pair queue is ordered by lcm total
-degree with ties broken by pair index, reduction always uses the first
+Everything here is deterministic: the pair queue is a heap ordered by lcm
+total degree with ties broken by pair index, reduction always uses the first
 applicable divisor in the stored basis order, and reduced bases are sorted by
 (degree, term-order key) ascending.  Reduced Groebner bases are unique, so
 ideal equality is tested by comparing them.
+
+Each new basis element goes through the pair criteria of the
+Gebauer-Moeller update (Gebauer and Moeller 1988): of its new pairs, one
+whose lcm is a multiple of another new pair's lcm is dropped, and so is one
+with coprime leads (product criterion); an old pair is dropped when the new
+lead divides its lcm and the two lcms through the new element both differ
+from it (chain criterion).  Every element stays a reducer and a pair
+partner.  The full update also retires the elements whose lead the new lead
+divides; that changes which divisor reduces first, and under lex it made
+some small random ideals run for minutes.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Iterable, Sequence
 
@@ -28,6 +39,10 @@ def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def _monomial_quot(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
+
+
+def _coprime(a: Monomial, b: Monomial) -> bool:
+    return not any(x and y for x, y in zip(a, b))
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -81,8 +96,8 @@ def buchberger(generators: Sequence[Polynomial],
                order: TermOrder | None = None) -> list[Polynomial]:
     """Reduced Groebner basis (monic, tail-reduced, sorted ascending).
 
-    Pair selection: smallest lcm total degree first, ties by pair index.
-    Coprime-lead pairs are skipped (product criterion).
+    Pair selection: smallest lcm total degree first, ties by pair index,
+    from a heap.  Pairs are pruned by the Gebauer-Moeller update.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -94,28 +109,42 @@ def buchberger(generators: Sequence[Polynomial],
     order = order or ring.order
 
     basis: list[Polynomial] = []
+    leads: list[Monomial] = []
+    queue: list[tuple[int, int, int, Monomial]] = []  # (deg lcm, i, j, lcm)
+
+    def update(h: Polynomial) -> None:
+        """Gebauer-Moeller: add h and its useful pairs, prune old pairs."""
+        nonlocal queue
+        new = len(basis)
+        lh = h.leading_monomial(order)
+        fresh = [(g, _monomial_lcm(lg, lh)) for g, lg in enumerate(leads)]
+        basis.append(h)
+        leads.append(lh)
+        # drop a new pair whose lcm is a multiple of another new pair's lcm
+        # (of equal lcms the last survives), then the coprime ones
+        kept: list[tuple[int, Monomial]] = []
+        for k, (g, lcm) in enumerate(fresh):
+            if _coprime(leads[g], lh) or not any(
+                    _monomial_divides(other, lcm)
+                    for _, other in itertools.chain(fresh[k + 1:], kept)):
+                kept.append((g, lcm))
+        # an old pair is covered when lh divides its lcm and both lcms
+        # through h differ from it
+        queue = [(d, i, j, lcm) for d, i, j, lcm in queue
+                 if not (_monomial_divides(lh, lcm)
+                         and _monomial_lcm(leads[i], lh) != lcm
+                         and _monomial_lcm(leads[j], lh) != lcm)]
+        queue.extend((sum(lcm), g, new, lcm) for g, lcm in kept
+                     if not _coprime(leads[g], lh))
+        heapq.heapify(queue)
+
     for g in gens:
-        basis.append(g.monic(order))
-
-    def lm(i: int) -> Monomial:
-        return basis[i].leading_monomial(order)
-
-    pairs: list[tuple[int, int]] = [
-        (i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-
-    while pairs:
-        pairs.sort(key=lambda ij: (sum(_monomial_lcm(lm(ij[0]), lm(ij[1]))),
-                                   ij[0], ij[1]))
-        i, j = pairs.pop(0)
-        a, b = lm(i), lm(j)
-        if _monomial_lcm(a, b) == tuple(x + y for x, y in zip(a, b)):
-            continue  # coprime leads: S-polynomial reduces to zero
+        update(g.monic(order))
+    while queue:
+        _, i, j, _ = heapq.heappop(queue)
         s = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if s.is_zero():
-            continue
-        basis.append(s.monic(order))
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
+        if not s.is_zero():
+            update(s.monic(order))
 
     return _reduce_basis(basis, order)
 

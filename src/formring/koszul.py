@@ -50,7 +50,9 @@ class KoszulComplexSpec:
 
     def generator(self, j: int) -> Polynomial:
         """The j-th sequence element x_seq[j]^t."""
-        return self.G.ring.variable(self.sequence[j]) ** self.t
+        exps = [0] * self.m
+        exps[self.sequence[j]] = self.t
+        return self.G.ring.monomial(exps)
 
     def multiplier(self, subset: tuple[int, ...]) -> Polynomial:
         """prod of the plain variables indexed by the subset (degree-1 each)."""

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
 from .graded import GradedQuotientRing
 from .groebner import Ideal, saturate, standard_monomials
-from .koszul import (KoszulComplexSpec, chain_multiplication, is_coboundary,
+from .koszul import (KoszulComplexSpec, chain_multiplication, differential,
                      koszul_cohomology_piece, transition_map)
 
 
@@ -257,12 +259,18 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
             t_star = max(t_star, target.power)
         spec = KoszulComplexSpec(G, t_star, sequence)
         piece = koszul_cohomology_piece(spec, i, entry.n)
+        d_in = differential(spec, i - 1, entry.n + 1)
+        off = d_in.shape[1]
         for j, name in enumerate(G.ring.variables):
             mult = chain_multiplication(spec, i, entry.n, j)
+            moved = linalg.matmul(mult, piece.representatives, G.p)
+            # a moved column is a coboundary exactly when its rref column
+            # vanishes in every row whose pivot lies in the moved block
+            r, pivots = linalg.rref(np.hstack([d_in, moved]), G.p)
+            rows = [k for k, c in enumerate(pivots) if c >= off]
             for col in range(piece.dim):
-                vec = piece.representatives[:, col]
-                moved = linalg.matmul(mult, vec.reshape(-1, 1), G.p)[:, 0]
-                if not is_coboundary(spec, i, entry.n + 1, moved):
+                if r[rows, off + col].any():
+                    vec = piece.representatives[:, col]
                     witnesses.append(
                         (name, entry.n, [int(c) for c in vec]))
     if witnesses:

@@ -152,7 +152,9 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; do not mutate the term dict."""
 
-    __slots__ = ("ring", "terms")
+    # _lead: (order, leading monomial) of the last leading_monomial lookup;
+    # valid forever because the terms never change
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: Mapping[Monomial, int]):
         p = ring.characteristic
@@ -167,6 +169,7 @@ class Polynomial:
                 clean[exps] = c
         self.ring = ring
         self.terms = clean
+        self._lead = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -282,7 +285,10 @@ class Polynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         order = order or self.ring.order
-        return max(self.terms, key=order.key)
+        lead = self._lead
+        if lead is None or lead[0] != order:
+            lead = self._lead = (order, max(self.terms, key=order.key))
+        return lead[1]
 
     def leading_coefficient(self, order: TermOrder | None = None) -> int:
         return self.terms[self.leading_monomial(order)]

@@ -13,14 +13,22 @@ tautology:
   arithmetic, never touching Koszul complexes.
 * ``greedy_quotient_columns`` admits columns one at a time by recomputing
   the rank, never reading pivot positions.
+* ``naive_buchberger`` re-sorts every pair on every pop and prunes only by
+  the product criterion, never using the Gebauer-Moeller update.
+* ``annihilator_witnesses_per_column`` asks ``is_coboundary`` once per
+  moved representative column, never sharing an elimination.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from formring import GradedQuotientRing, Ideal, ideal_quotient, standard_monomials
+from formring import (GradedQuotientRing, Ideal, KoszulComplexSpec,
+                      chain_multiplication, ideal_quotient, is_coboundary,
+                      koszul_cohomology_piece, normal_form, s_polynomial,
+                      standard_monomials)
 from formring import linalg
+from formring.groebner import _reduce_basis
 
 
 def _degree_ideal(ideal: Ideal, k: int) -> Ideal:
@@ -122,3 +130,67 @@ def greedy_quotient_columns(sub: np.ndarray, vecs: np.ndarray,
             base_rank += 1
             picked.append(j)
     return picked
+
+
+def naive_buchberger(generators, order, max_spolys=None):
+    """Reduced Groebner basis by the textbook pair loop.
+
+    All pairs are kept in one list that is re-sorted by (lcm total degree,
+    i, j) before every pop; only coprime-lead pairs are skipped.  Returns
+    None once more than ``max_spolys`` S-polynomials would be reduced: on a
+    few small random ideals this loop runs for minutes.
+    """
+
+    basis = [g.monic(order) for g in generators if not g.is_zero()]
+    if not basis:
+        return []
+
+    def lm(i):
+        return max(basis[i].terms, key=order.key)
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        pairs.sort(key=lambda ij: (sum(lcm(lm(ij[0]), lm(ij[1]))), ij))
+        i, j = pairs.pop(0)
+        a, b = lm(i), lm(j)
+        if lcm(a, b) == tuple(x + y for x, y in zip(a, b)):
+            continue
+        if max_spolys is not None:
+            if max_spolys == 0:
+                return None
+            max_spolys -= 1
+        s = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        if s.is_zero():
+            continue
+        basis.append(s.monic(order))
+        new = len(basis) - 1
+        pairs.extend((k, new) for k in range(new))
+    return _reduce_basis(basis, order)
+
+
+def annihilator_witnesses_per_column(G, i, table, sequence=()):
+    """The witnesses of ``annihilator_is_irrelevant``, one solve per column.
+
+    Assumes every consulted entry is stabilized.
+    """
+
+    witnesses = []
+    for entry in table.row(i):
+        if entry.dim == 0:
+            continue
+        target = table.entry(i, entry.n + 1)
+        t_star = entry.power if target is None else max(entry.power,
+                                                        target.power)
+        spec = KoszulComplexSpec(G, t_star, sequence)
+        piece = koszul_cohomology_piece(spec, i, entry.n)
+        for j, name in enumerate(G.ring.variables):
+            mult = chain_multiplication(spec, i, entry.n, j)
+            for col in range(piece.dim):
+                vec = piece.representatives[:, col]
+                moved = linalg.matmul(mult, vec.reshape(-1, 1), G.p)[:, 0]
+                if not is_coboundary(spec, i, entry.n + 1, moved):
+                    witnesses.append((name, entry.n, [int(c) for c in vec]))
+    return witnesses

@@ -13,6 +13,7 @@ from formring import (
     ZeroRingError,
     degree_gap_check,
     descent_verdict,
+    initial_forms_ideal,
     length_comparison_check,
     local_coh_table,
     local_h0_report,
@@ -206,6 +207,19 @@ class TestLocalH0Report:
         certs = {c["generator"]: c["exponent"] for c in rep.certificates}
         assert certs.get("x") == 2
         assert certs.get("y^3") == 1
+
+    @pytest.mark.parametrize("r", [6, 7])
+    def test_family_large_r(self, r):
+        I = A_ideal(("x", "y", "z"),
+                    lambda x, y, z: [x**2, x * y, x * z - y**r, y ** (r + 1),
+                                     x * z**2])
+        cone = initial_forms_ideal(I)
+        assert sorted(str(g) for g in cone.groebner_basis().elements) == \
+            sorted(["x^2", "x*y", "x*z", f"y^{r + 1}", f"y^{r}*z"])
+        rep = local_h0_report(I)
+        assert rep.f0_surjective is False
+        certs = {c["generator"]: c["exponent"] for c in rep.certificates}
+        assert certs.get("x") == 2
 
     def test_cm_parabola_vacuous(self):
         I = A_ideal(("x", "y"), lambda x, y: [y - x**2])

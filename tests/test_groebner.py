@@ -1,9 +1,13 @@
 """Buchberger engine, ideal operations, and initial-forms computation."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from formring import (
     DEGREVLEX,
+    ELIM_LAST,
     LEX,
     GroebnerBasis,
     Ideal,
@@ -218,3 +222,56 @@ class TestInitialForms:
         cone = initial_forms_ideal(I)
         got = [hilbert_function(cone, n) for n in range(8)]
         assert got == oracles.cone_dims_oracle(I, 7)
+
+
+# --- independent Groebner routes --------------------------------------------
+
+@st.composite
+def small_ideals(draw):
+    """A ring over GF(p) with a few sparse generators of low degree."""
+    p = draw(st.sampled_from([2, 5, 32003]))
+    nv = draw(st.integers(2, 3))
+    R = PolyRing(tuple("xyz"[:nv]), p)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = tuple(draw(st.integers(0, 2)) for _ in range(nv))
+            terms[exps] = draw(st.integers(1, p - 1))
+        gens.append(R.from_terms(terms))
+    return gens
+
+
+def _terms(basis):
+    return [sorted(g.terms.items()) for g in basis]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(), st.sampled_from([DEGREVLEX, LEX, ELIM_LAST]))
+def test_buchberger_matches_naive_pair_loop(gens, order):
+    # the naive loop exceeds this budget on about one ideal in a hundred;
+    # the sympy comparison below has no budget
+    expected = oracles.naive_buchberger(gens, order, max_spolys=100)
+    assume(expected is not None)
+    assert _terms(buchberger(gens, order)) == _terms(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals(), st.sampled_from([(DEGREVLEX, "grevlex"),
+                                        (LEX, "lex")]))
+def test_buchberger_matches_sympy(gens, orders):
+    sympy = pytest.importorskip("sympy")
+    order, sympy_order = orders
+    R = gens[0].ring
+    p = R.characteristic
+    syms = sympy.symbols(R.variables)
+
+    def to_sympy(f):
+        return sum((c * sympy.prod([s**e for s, e in zip(syms, exps)])
+                    for exps, c in f.terms.items()), sympy.Integer(0))
+
+    theirs = sympy.groebner([to_sympy(g) for g in gens], *syms,
+                            order=sympy_order, modulus=p)
+    expected = sorted(sorted((m, int(c) % p) for m, c in poly.terms())
+                      for poly in theirs.polys)
+    assert sorted(_terms(buchberger(gens, order))) == expected

@@ -4,6 +4,7 @@ import pytest
 
 import corpus
 import oracles
+from formring import linalg
 from formring import (
     CohomologyTable,
     GradedQuotientRing,
@@ -138,6 +139,24 @@ class TestTables:
             got = {n: table.dim(0, n) for n in oracle}
             assert got == oracle, case.name
 
+    def test_second_build_reuses_cached_ranks(self, monkeypatch):
+        # every transition map comes from the ring's cache the second time,
+        # and each map keeps its rank
+        G = quotient(("x", "y", "z"),
+                     lambda x, y, z: [x**2, x * y, x * z, y**4, y**3 * z])
+        first = local_coh_table(G)
+        calls = []
+        real_rank = linalg.rank
+
+        def counting_rank(a, p):
+            calls.append(a.shape)
+            return real_rank(a, p)
+
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        second = local_coh_table(G)
+        assert calls == []
+        assert second.as_rows() == first.as_rows()
+
     def test_positions_row_shifts_by_index(self):
         table = corpus.full_table("cone-r3")
         pos = dict(table.positions_row(1))
@@ -226,6 +245,14 @@ class TestAnnihilator:
         degrees = {w[1] for w in witnesses}
         assert "y" in names
         assert 2 in degrees
+
+    def test_witnesses_match_per_column_solves(self):
+        G = corpus.graded("thick-line")
+        table = corpus.full_table("thick-line")
+        ok, witnesses = annihilator_is_irrelevant(G, 0, table)
+        assert ok is False
+        assert witnesses == oracles.annihilator_witnesses_per_column(
+            G, 0, table)
 
     def test_inconclusive_on_unstable_row(self):
         G = free(("x", "y"))
