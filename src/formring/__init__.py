@@ -8,10 +8,9 @@ from .errors import (AmbientMismatchError, FormringError, NotHomogeneousError,
                      ZeroRingError)
 from .poly import (DEGREVLEX, ELIM_LAST, LEX, MAX_CHARACTERISTIC, PolyRing,
                    Polynomial, TermOrder, is_prime)
-from .groebner import (GroebnerBasis, Ideal, buchberger, hilbert_function,
-                       ideal_quotient, initial_forms_ideal, intersect,
-                       monomials_of_degree, normal_form, s_polynomial,
-                       saturate, standard_monomials)
+from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_quotient,
+                       initial_forms_ideal, intersect, monomials_of_degree,
+                       normal_form, s_polynomial, saturate, standard_monomials)
 from .graded import GradedQuotientRing, GradedVectorSpaceMap
 from .koszul import (CohomologyPiece, KoszulComplexSpec, cochain_dim,
                      chain_multiplication, differential, f_map, is_coboundary,
@@ -34,10 +33,9 @@ __all__ = [
     "ZeroRingError",
     "DEGREVLEX", "ELIM_LAST", "LEX", "MAX_CHARACTERISTIC",
     "PolyRing", "Polynomial", "TermOrder", "is_prime",
-    "GroebnerBasis", "Ideal", "buchberger", "hilbert_function",
-    "ideal_quotient", "initial_forms_ideal", "intersect",
-    "monomials_of_degree", "normal_form", "s_polynomial", "saturate",
-    "standard_monomials",
+    "GroebnerBasis", "Ideal", "buchberger", "ideal_quotient",
+    "initial_forms_ideal", "intersect", "monomials_of_degree",
+    "normal_form", "s_polynomial", "saturate", "standard_monomials",
     "GradedQuotientRing", "GradedVectorSpaceMap",
     "CohomologyPiece", "KoszulComplexSpec", "cochain_dim",
     "chain_multiplication", "differential", "f_map", "is_coboundary",

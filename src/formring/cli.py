@@ -21,7 +21,7 @@ from .errors import FormringError, ParseError, SaturationLimitError
 from .graded import GradedQuotientRing
 from .groebner import Ideal, initial_forms_ideal
 from .koszul import KoszulComplexSpec, cochain_dim, koszul_cohomology_piece
-from .localcoh import (CohomologyTable, StabilizationConfig, local_coh_table)
+from .localcoh import CohomologyTable, StabilizationConfig, local_coh_table
 from .descent import (degree_gap_check, descent_verdict, local_h0_report,
                       quasi_buchsbaum_test, stuckrad_test, two_diagonal_check)
 from .poly import PolyRing, is_prime
@@ -100,48 +100,40 @@ def _instance_command(cmd: Command, r: int | None) -> Command:
 
 def _stabilization_config(G: GradedQuotientRing, cmd: Command,
                           config: RunConfig) -> StabilizationConfig:
-    t_max = cmd.option("tmax", config.t_max)
-    margin = cmd.option("margin", config.margin)
-    base = StabilizationConfig.default_for(
-        G,
-        t_max=t_max if t_max is not None else 12,
-        margin=margin if margin is not None else 2)
-    window = cmd.option("window", config.window)
-    if window is not None:
-        base = dataclasses.replace(base, n_lo=window[0], n_hi=window[1])
-    return base
+    """The ring's defaults, overridden by each option the command or a flag
+    sets; the command's own option wins."""
+    window = cmd.option("window", config.window) or (None, None)
+    overrides = {"t_max": cmd.option("tmax", config.t_max),
+                 "margin": cmd.option("margin", config.margin),
+                 "n_lo": window[0], "n_hi": window[1]}
+    return dataclasses.replace(
+        StabilizationConfig.default_for(G),
+        **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _graded(ideal: Ideal) -> GradedQuotientRing:
-    return GradedQuotientRing(initial_forms_ideal(ideal))
+def _outcome(status: str, data: dict, witnesses: list | None = None,
+             window: list | None = None) -> dict:
+    return {"status": status, "data": data, "witnesses": witnesses or [],
+            "window": window}
 
 
-def _verdict_result(verdict) -> tuple[str, dict, list]:
+def _verdict_outcome(verdict, table: CohomologyTable) -> dict:
     data = dict(verdict.data)
     data["detail"] = verdict.detail
     data["scope"] = verdict.scope
-    return verdict.status, data, verdict.witnesses
+    return _outcome(verdict.status, data, verdict.witnesses,
+                    [table.cfg.n_lo, table.cfg.n_hi])
 
 
 def _run_instance(session: Session, ring: PolyRing | None, cmd: Command,
                   r: int | None, config: RunConfig) -> dict:
     """One materialized command -> (status, data, witnesses, window)."""
-    window: list | None = None
-    witnesses: list = []
-
     if cmd.target in session.tables:
         table = CohomologyTable.synthetic_from(
             session.tables[cmd.target].as_dict())
-        t = cmd.option("t", table.i_max + 1)
-        window = [table.cfg.n_lo, table.cfg.n_hi]
-        if cmd.name == "gap":
-            status, data, witnesses = _verdict_result(
-                degree_gap_check(table, t))
-        else:
-            status, data, witnesses = _verdict_result(
-                two_diagonal_check(table, t))
-        return {"status": status, "data": data,
-                "witnesses": witnesses, "window": window}
+        checker = degree_gap_check if cmd.name == "gap" else two_diagonal_check
+        return _verdict_outcome(
+            checker(table, cmd.option("t", table.i_max + 1)), table)
 
     if ring is None:
         raise FormringError(
@@ -150,85 +142,63 @@ def _run_instance(session: Session, ring: PolyRing | None, cmd: Command,
     gens = [p.materialize(ring, r) for p in decl.polynomials]
     ideal = Ideal(ring, tuple(g for g in gens if not g.is_zero()))
 
-    if cmd.name == "tangent_cone":
-        cone = initial_forms_ideal(ideal)
-        data = {"input_generators": [str(g) for g in ideal.generators],
-                "cone_generators": [str(g) for g in cone.generators]}
-        return {"status": "ok", "data": data, "witnesses": [],
-                "window": None}
-
+    # ahead of the cone, so the irrelevant-ideal error keeps localh0's wording
     if cmd.name == "localh0":
-        report = local_h0_report(ideal)
-        return {"status": "ok", "data": report.to_dict(), "witnesses": [],
-                "window": None}
+        return _outcome("ok", local_h0_report(ideal).to_dict())
 
+    cone = initial_forms_ideal(ideal)
+    if cmd.name == "tangent_cone":
+        return _outcome("ok", {
+            "input_generators": [str(g) for g in ideal.generators],
+            "cone_generators": [str(g) for g in cone.generators]})
+
+    G = GradedQuotientRing(cone)
     if cmd.name == "koszul":
-        G = _graded(ideal)
         i = cmd.option("i")
         n = cmd.option("n")
         t = cmd.option("t", 1)
         spec = KoszulComplexSpec(G, t)
-        piece = koszul_cohomology_piece(spec, i, n)
-        data = {"i": i, "n": n, "t": t, "dim": piece.dim,
-                "cochain_dim": cochain_dim(spec, i, n)}
-        return {"status": "ok", "data": data, "witnesses": [],
-                "window": None}
+        return _outcome("ok", {"i": i, "n": n, "t": t,
+                               "dim": koszul_cohomology_piece(spec, i, n).dim,
+                               "cochain_dim": cochain_dim(spec, i, n)})
 
-    if cmd.name == "table":
-        G = _graded(ideal)
-        cfg = _stabilization_config(G, cmd, config)
-        i_max = cmd.option("imax", G.ring.nvars)
-        table = local_coh_table(G, i_max=i_max, cfg=cfg)
-        data = {"dims": table.as_rows(),
-                "nonzero": table.nonzero_rows(),
-                "unstable": sorted([e.i, e.n] for e in
-                                   table.entries.values()
-                                   if not e.stabilized),
-                "i_max": table.i_max}
-        status = "ok" if not data["unstable"] else "inconclusive"
-        return {"status": status, "data": data, "witnesses": [],
-                "window": [cfg.n_lo, cfg.n_hi]}
-
-    if cmd.name in ("gap", "diag"):
-        G = _graded(ideal)
-        t = cmd.option("t", G.krull_dimension())
-        cfg = _stabilization_config(G, cmd, config)
-        table = local_coh_table(G, i_max=min(t, G.ring.nvars), cfg=cfg)
-        window = [cfg.n_lo, cfg.n_hi]
-        checker = degree_gap_check if cmd.name == "gap" else two_diagonal_check
-        status, data, witnesses = _verdict_result(checker(table, t))
-        data["t"] = t
-        return {"status": status, "data": data, "witnesses": witnesses,
-                "window": window}
-
-    if cmd.name == "stuckrad":
-        G = _graded(ideal)
-        cfg = _stabilization_config(G, cmd, config)
-        status, data, witnesses = _verdict_result(stuckrad_test(G, cfg=cfg))
-        return {"status": status, "data": data, "witnesses": witnesses,
-                "window": [cfg.n_lo, cfg.n_hi]}
-
-    if cmd.name == "quasibuchsbaum":
-        G = _graded(ideal)
-        cfg = _stabilization_config(G, cmd, config)
-        status, data, witnesses = _verdict_result(
-            quasi_buchsbaum_test(G, cfg=cfg))
-        return {"status": status, "data": data, "witnesses": witnesses,
-                "window": [cfg.n_lo, cfg.n_hi]}
-
+    cfg = _stabilization_config(G, cmd, config)
+    window = [cfg.n_lo, cfg.n_hi]
     if cmd.name == "cor41":
-        G = _graded(ideal)
-        cfg = _stabilization_config(G, cmd, config)
         report = descent_verdict(ideal, cfg=cfg)
-        data = report.to_dict()
         inner = [report.two_diagonal, report.gap, report.g_buchsbaum,
                  report.g_quasi_buchsbaum, report.length_0]
         status = ("inconclusive"
                   if any(v.inconclusive for v in inner) else "ok")
-        return {"status": status, "data": data, "witnesses": [],
-                "window": [cfg.n_lo, cfg.n_hi]}
+        return _outcome(status, report.to_dict(), window=window)
 
-    raise FormringError(f"unhandled command {cmd.name!r}")
+    m = G.ring.nvars
+    if cmd.name == "table":
+        i_max = cmd.option("imax", m)
+    elif cmd.name in ("gap", "diag"):
+        t = cmd.option("t", G.krull_dimension())
+        i_max = min(t, m)
+    elif cmd.name in ("stuckrad", "quasibuchsbaum"):
+        i_max = max(G.krull_dimension() - 1, 0)
+    else:
+        raise FormringError(f"unhandled command {cmd.name!r}")
+    table = local_coh_table(G, i_max, cfg)
+
+    if cmd.name == "table":
+        unstable = sorted([e.i, e.n] for e in table.entries.values()
+                          if not e.stabilized)
+        return _outcome("inconclusive" if unstable else "ok",
+                        {"dims": table.as_rows(),
+                         "nonzero": table.nonzero_rows(),
+                         "unstable": unstable, "i_max": table.i_max},
+                        window=window)
+    if cmd.name in ("stuckrad", "quasibuchsbaum"):
+        test = stuckrad_test if cmd.name == "stuckrad" else quasi_buchsbaum_test
+        return _verdict_outcome(test(G, table), table)
+    checker = degree_gap_check if cmd.name == "gap" else two_diagonal_check
+    outcome = _verdict_outcome(checker(table, t), table)
+    outcome["data"]["t"] = t
+    return outcome
 
 
 def run_session(session: Session, config: RunConfig | None = None) -> dict:
@@ -244,16 +214,11 @@ def run_session(session: Session, config: RunConfig | None = None) -> dict:
             started = time.monotonic()
             try:
                 outcome = _run_instance(session, ring, instance, r, config)
-            except SaturationLimitError as exc:
-                outcome = {"status": "guard",
-                           "data": {"message": str(exc),
-                                    "kind": type(exc).__name__},
-                           "witnesses": [], "window": None}
             except (FormringError, ValueError) as exc:
-                outcome = {"status": "error",
-                           "data": {"message": str(exc),
-                                    "kind": type(exc).__name__},
-                           "witnesses": [], "window": None}
+                status = ("guard" if isinstance(exc, SaturationLimitError)
+                          else "error")
+                outcome = _outcome(status, {"message": str(exc),
+                                            "kind": type(exc).__name__})
             elapsed_ms = int((time.monotonic() - started) * 1000)
             results.append({
                 "command": instance.render(),

@@ -16,8 +16,8 @@ import numpy as np
 from . import linalg
 from .errors import NotInIrrelevantError, SaturationLimitError, ZeroRingError
 from .graded import GradedQuotientRing
-from .groebner import (Ideal, ideal_quotient, initial_forms_ideal,
-                       monomials_of_degree, saturate)
+from .groebner import (SATURATION_CAP, Ideal, ideal_quotient,
+                       initial_forms_ideal, monomials_of_degree, saturate)
 from .koszul import f_map
 from .localcoh import (CohomologyTable, StabilizationConfig,
                        annihilator_is_irrelevant, local_coh_table)
@@ -183,9 +183,7 @@ def degree_gap_check(table: CohomologyTable, t: int) -> Verdict:
                    data=data, scope=_scope(table))
 
 
-def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable | None = None,
-                  cfg: StabilizationConfig | None = None,
-                  sequence: tuple[int, ...] = ()) -> Verdict:
+def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable) -> Verdict:
     """Is every comparison map into stabilized cohomology surjective below d?
 
     Surjectivity of [K-cohomology at power 1] -> [stabilized value] in every
@@ -194,9 +192,6 @@ def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable | None = None,
     if G.is_zero_ring():
         raise ZeroRingError("the quotient ring is zero")
     d = G.krull_dimension()
-    if table is None:
-        cfg = cfg or StabilizationConfig.default_for(G)
-        table = local_coh_table(G, i_max=max(d - 1, 0), cfg=cfg, sequence=sequence)
     unstable = _unstable_rows(table, d - 1)
     if unstable:
         return Verdict("inconclusive", witnesses=[],
@@ -209,7 +204,7 @@ def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable | None = None,
             if entry.dim == 0:
                 surjectivity.append([i, entry.n, 1])
                 continue
-            fmap = f_map(G, i, entry.n, entry.power, sequence)
+            fmap = f_map(G, i, entry.n, entry.power)
             ok = fmap.rank() == entry.dim
             surjectivity.append([i, entry.n, 1 if ok else 0])
             if not ok:
@@ -226,19 +221,14 @@ def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable | None = None,
 
 
 def quasi_buchsbaum_test(G: GradedQuotientRing,
-                         table: CohomologyTable | None = None,
-                         cfg: StabilizationConfig | None = None,
-                         sequence: tuple[int, ...] = ()) -> Verdict:
+                         table: CohomologyTable) -> Verdict:
     """Does every variable annihilate the stabilized cohomology below d?"""
     if G.is_zero_ring():
         raise ZeroRingError("the quotient ring is zero")
     d = G.krull_dimension()
-    if table is None:
-        cfg = cfg or StabilizationConfig.default_for(G)
-        table = local_coh_table(G, i_max=max(d - 1, 0), cfg=cfg, sequence=sequence)
     witnesses = []
     for i in range(d):
-        ok, extra = annihilator_is_irrelevant(G, i, table, sequence)
+        ok, extra = annihilator_is_irrelevant(G, i, table)
         if ok is None:
             return Verdict("inconclusive", witnesses=[],
                            detail="; ".join(extra), scope=_scope(table))
@@ -313,7 +303,7 @@ def _span_dims(ideal: Ideal, reps: list[Polynomial], p: int):
 
 
 def _order_histogram(ideal: Ideal, basis: list[Polynomial],
-                     p: int, cap: int = 50) -> dict[int, int]:
+                     p: int) -> dict[int, int]:
     """Dimensions of the induced order filtration on span(basis).
 
     The order of a class is the largest j with some representative inside
@@ -335,15 +325,14 @@ def _order_histogram(ideal: Ideal, basis: list[Polynomial],
 
     hist: dict[int, int] = {}
     prev = k  # every class lies in the 0-th filtration step
-    for j in range(1, cap + 2):
+    for j in range(1, SATURATION_CAP + 2):
         cur = filtration_dim(j)
         if prev - cur:
             hist[j - 1] = prev - cur
         prev = cur
         if cur == 0:
             return hist
-    raise SaturationLimitError(
-        f"order filtration did not reach zero within {cap} steps")
+    raise SaturationLimitError(SATURATION_CAP)
 
 
 def _minimal_annihilating_exponent(ideal: Ideal, g: Polynomial,
@@ -356,7 +345,7 @@ def _minimal_annihilating_exponent(ideal: Ideal, g: Polynomial,
     return None
 
 
-def local_h0_report(A_ideal: Ideal, max_exponent: int = 50) -> LocalH0Report:
+def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
     """Socle and full torsion of the irrelevant ideal on R/A_ideal."""
     ring = A_ideal.ring
     if not A_ideal.in_irrelevant():
@@ -364,7 +353,7 @@ def local_h0_report(A_ideal: Ideal, max_exponent: int = 50) -> LocalH0Report:
             "the input ideal must lie inside the irrelevant ideal")
     irrelevant = Ideal(ring, ring.gens())
     socle_ideal = ideal_quotient(A_ideal, irrelevant)
-    torsion_ideal, s = saturate(A_ideal, irrelevant, max_exponent)
+    torsion_ideal, s = saturate(A_ideal, irrelevant)
     f0 = socle_ideal.equals(torsion_ideal)
 
     socle_reps = [g for g in socle_ideal.generators]
@@ -466,8 +455,7 @@ class DescentReport:
 
 
 def descent_verdict(A_ideal: Ideal,
-                    cfg: StabilizationConfig | None = None,
-                    max_exponent: int = 50) -> DescentReport:
+                    cfg: StabilizationConfig | None = None) -> DescentReport:
     """Full pipeline: cone, table, checkers, and the transfer of verdicts.
 
     The A-side Buchsbaum answer is only asserted when it is actually decided:
@@ -487,7 +475,7 @@ def descent_verdict(A_ideal: Ideal,
     gap = degree_gap_check(table, d)
     g_b = stuckrad_test(G, table)
     g_qb = quasi_buchsbaum_test(G, table)
-    a_h0 = local_h0_report(A_ideal, max_exponent)
+    a_h0 = local_h0_report(A_ideal)
     length_0 = length_comparison_check(table, a_h0)
 
     if d == 0:

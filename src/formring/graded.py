@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .errors import NotHomogeneousError, ZeroRingError
 from .groebner import DEGREVLEX, GroebnerBasis, Ideal, standard_monomials
-from .poly import Monomial, PolyRing, Polynomial, require_homogeneous
+from .poly import Monomial, Polynomial, require_homogeneous
 
 
 class GradedVectorSpaceMap:
@@ -26,10 +26,7 @@ class GradedVectorSpaceMap:
     once and kept.
     """
 
-    def __init__(self, source_degree: int, target_degree: int,
-                 matrix: np.ndarray, p: int):
-        self.source_degree = source_degree
-        self.target_degree = target_degree
+    def __init__(self, matrix: np.ndarray, p: int):
         self.matrix = matrix
         self.p = p
         self._rank: int | None = None
@@ -61,12 +58,7 @@ class GradedVectorSpaceMap:
         if inner.target_dim != self.source_dim:
             raise ValueError("composition dimension mismatch")
         return GradedVectorSpaceMap(
-            inner.source_degree, self.target_degree,
             linalg.matmul(self.matrix, inner.matrix, self.p), self.p)
-
-    def __repr__(self) -> str:
-        return (f"GradedVectorSpaceMap({self.source_degree}->"
-                f"{self.target_degree}, {self.matrix.shape})")
 
 
 class GradedQuotientRing:
@@ -135,7 +127,7 @@ class GradedQuotientRing:
             prod = self.gb.normal_form(f * self.ring.monomial(mono))
             for exps, c in prod.terms.items():
                 mat[index[exps], j] = c
-        out = GradedVectorSpaceMap(n, target_degree, mat, self.p)
+        out = GradedVectorSpaceMap(mat, self.p)
         self._mult_cache[key] = out
         return out
 
@@ -173,10 +165,6 @@ class GradedQuotientRing:
             last = n
             n += 1
         return last
-
-    def variable_classes(self) -> list[Polynomial]:
-        """The classes of the ring variables: generators of the irrelevant ideal."""
-        return self.ring.gens()
 
     def __repr__(self) -> str:
         return f"GradedQuotientRing({self.ring} / {self.ideal!r})"

@@ -23,8 +23,8 @@ import heapq
 import itertools
 from typing import Iterable, Sequence
 
-from .errors import (AmbientMismatchError, NotHomogeneousError,
-                     NotInIrrelevantError, SaturationLimitError)
+from .errors import (AmbientMismatchError, NotInIrrelevantError,
+                     SaturationLimitError)
 from .poly import (DEGREVLEX, ELIM_LAST, Monomial, PolyRing, Polynomial,
                    TermOrder)
 
@@ -300,7 +300,7 @@ def initial_forms_ideal(ideal: Ideal) -> Ideal:
 
 # -- elimination, intersection, quotient, saturation ------------------------
 
-def _eliminate_last(gens: Sequence[Polynomial], ext: PolyRing,
+def _eliminate_last(gens: Sequence[Polynomial],
                     ring: PolyRing) -> list[Polynomial]:
     gb = buchberger(gens, ELIM_LAST)
     kept = [g for g in gb if all(e[-1] == 0 for e in g.terms)]
@@ -319,7 +319,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     gens += [(ext.one() - t) * lift(g) for g in b.generators if not g.is_zero()]
     if not gens:
         return Ideal(ring, ())
-    return Ideal(ring, _eliminate_last(gens, ext, ring))
+    return Ideal(ring, _eliminate_last(gens, ring))
 
 
 def _divide_exact(f: Polynomial, d: Polynomial, order: TermOrder) -> Polynomial:
@@ -367,18 +367,22 @@ def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
     return result
 
 
-def saturate(a: Ideal, b: Ideal, max_exponent: int = 50) -> tuple[Ideal, int]:
+# steps `saturate` and the order filtration may take before they give up
+SATURATION_CAP = 50
+
+
+def saturate(a: Ideal, b: Ideal) -> tuple[Ideal, int]:
     """(a : b^inf) and the stabilization exponent s with (a:b^s) = (a:b^(s+1))."""
     current = a
-    for s in range(max_exponent + 1):
+    for s in range(SATURATION_CAP + 1):
         nxt = ideal_quotient(current, b)
         if nxt.equals(current):
             return current, s
         current = nxt
-    raise SaturationLimitError(max_exponent)
+    raise SaturationLimitError(SATURATION_CAP)
 
 
-# -- Hilbert function -------------------------------------------------------
+# -- standard monomials ----------------------------------------------------
 
 def monomials_of_degree(ring: PolyRing, n: int) -> list[Monomial]:
     """All degree-n exponent tuples, sorted descending by the ring order."""
@@ -396,20 +400,6 @@ def monomials_of_degree(ring: PolyRing, n: int) -> list[Monomial]:
         out.append(tuple(exps))
     out.sort(key=ring.order.key, reverse=True)
     return out
-
-
-def hilbert_function(ideal: Ideal, n: int) -> int:
-    """dim_k [S/I]_n for homogeneous I: the count of standard monomials."""
-    if not ideal.is_homogeneous():
-        raise NotHomogeneousError("Hilbert function needs a homogeneous ideal")
-    if n < 0:
-        return 0
-    leads = ideal.groebner_basis(DEGREVLEX).leading_monomials()
-    count = 0
-    for mono in monomials_of_degree(ideal.ring, n):
-        if not any(_monomial_divides(lm, mono) for lm in leads):
-            count += 1
-    return count
 
 
 def standard_monomials(ideal: Ideal, n: int) -> list[Monomial]:

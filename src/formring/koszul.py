@@ -17,7 +17,7 @@ canonical comparison map into the colimit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +72,8 @@ class CohomologyPiece:
 
     i: int
     n: int
-    t: int
     dim: int
     representatives: np.ndarray
-    cochain_dim: int
 
 
 def _subsets(m: int, p: int) -> list[tuple[int, ...]]:
@@ -162,8 +160,7 @@ def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
     _, pivots = linalg.rref(np.hstack([d_in, ker]), p)
     off = d_in.shape[1]
     reps = ker[:, [c - off for c in pivots if c >= off]]
-    return CohomologyPiece(i=i, n=n, t=spec.t, dim=reps.shape[1],
-                           representatives=reps, cochain_dim=d_out.shape[1])
+    return CohomologyPiece(i=i, n=n, dim=reps.shape[1], representatives=reps)
 
 
 def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int) -> np.ndarray:
@@ -232,17 +229,17 @@ def is_coboundary(spec: KoszulComplexSpec, i: int, n: int,
                         spec.G.p) is not None
 
 
-def transition_map(G: GradedQuotientRing, t: int, i: int, n: int,
-                   sequence: tuple[int, ...] = ()) -> GradedVectorSpaceMap:
+def transition_map(G: GradedQuotientRing, t: int, i: int,
+                   n: int) -> GradedVectorSpaceMap:
     """Induced map [H^i(x^t)]_n -> [H^i(x^(t+1))]_n on representative bases."""
-    spec = KoszulComplexSpec(G, t, sequence)
+    spec = KoszulComplexSpec(G, t)
     return _cached(spec, "hmap", (i, n),
                    lambda: _build_transition_map(G, spec, i, n))
 
 
 def _build_transition_map(G: GradedQuotientRing, spec: KoszulComplexSpec,
                           i: int, n: int) -> GradedVectorSpaceMap:
-    nxt = KoszulComplexSpec(G, spec.t + 1, spec.sequence)
+    nxt = KoszulComplexSpec(G, spec.t + 1)
     src = koszul_cohomology_piece(spec, i, n)
     tgt = koszul_cohomology_piece(nxt, i, n)
     moved = linalg.matmul(transition_cochain(spec, i, n),
@@ -250,11 +247,11 @@ def _build_transition_map(G: GradedQuotientRing, spec: KoszulComplexSpec,
     mat = express_in_cohomology(nxt, tgt, moved)
     if mat is None:
         raise FormringError("transition image is not a cocycle class")
-    return GradedVectorSpaceMap(n, n, mat, G.p)
+    return GradedVectorSpaceMap(mat, G.p)
 
 
-def f_map(G: GradedQuotientRing, i: int, n: int, power: int,
-          sequence: tuple[int, ...] = ()) -> GradedVectorSpaceMap:
+def f_map(G: GradedQuotientRing, i: int, n: int,
+          power: int) -> GradedVectorSpaceMap:
     """Composite comparison map [H^i(x; G)]_n -> [H^i(x^power; G)]_n.
 
     `power` should be a stabilization power produced by the colimit layer, so
@@ -262,8 +259,8 @@ def f_map(G: GradedQuotientRing, i: int, n: int, power: int,
     """
     if power < 1:
         raise ValueError("power must be >= 1")
-    start = koszul_cohomology_piece(KoszulComplexSpec(G, 1, sequence), i, n)
-    acc = GradedVectorSpaceMap(n, n, linalg.identity(start.dim), G.p)
+    start = koszul_cohomology_piece(KoszulComplexSpec(G, 1), i, n)
+    acc = GradedVectorSpaceMap(linalg.identity(start.dim), G.p)
     for t in range(1, power):
-        acc = transition_map(G, t, i, n, sequence).compose(acc)
+        acc = transition_map(G, t, i, n).compose(acc)
     return acc

@@ -42,13 +42,12 @@ class StabilizationConfig:
             raise ValueError("t_max must exceed margin")
 
     @classmethod
-    def default_for(cls, G: GradedQuotientRing, t_max: int = 12,
-                    margin: int = 2) -> "StabilizationConfig":
+    def default_for(cls, G: GradedQuotientRing) -> "StabilizationConfig":
         if G.is_zero_ring():
-            return cls(-1, 1, t_max=t_max, margin=margin)
+            return cls(-1, 1)
         dim = G.krull_dimension()
         maxdeg = max(G.max_generator_degree(), 1)
-        return cls(-(dim + 3), 2 * maxdeg + 3, t_max=t_max, margin=margin)
+        return cls(-(dim + 3), 2 * maxdeg + 3)
 
     def degrees(self) -> range:
         return range(self.n_lo, self.n_hi + 1)
@@ -83,15 +82,13 @@ def _effective_t_max(G: GradedQuotientRing, cfg: StabilizationConfig) -> int:
 
 
 def local_coh_piece(G: GradedQuotientRing, i: int, n: int,
-                    cfg: StabilizationConfig,
-                    sequence: tuple[int, ...] = ()) -> StabilizedEntry:
+                    cfg: StabilizationConfig) -> StabilizedEntry:
     """Stabilized colimit entry for [H^i_M(G)]_n."""
     t_max = _effective_t_max(G, cfg)
     dims = []
     for t in range(1, t_max + 1):
-        dims.append(koszul_cohomology_piece(
-            KoszulComplexSpec(G, t, sequence), i, n).dim)
-    iso = [transition_map(G, t, i, n, sequence).is_isomorphism()
+        dims.append(koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n).dim)
+    iso = [transition_map(G, t, i, n).is_isomorphism()
            for t in range(1, t_max)]
     start = t_max
     while start > 1 and iso[start - 2]:
@@ -122,8 +119,8 @@ class CohomologyTable:
         self.complete = synthetic or complete
 
     @classmethod
-    def synthetic_from(cls, literal: dict[tuple[int, int], int],
-                       t_hint: int = 1) -> "CohomologyTable":
+    def synthetic_from(cls,
+                       literal: dict[tuple[int, int], int]) -> "CohomologyTable":
         """A fully specified table: absent entries are genuinely zero."""
         if literal:
             i_max = max(i for i, _ in literal)
@@ -131,7 +128,7 @@ class CohomologyTable:
             hi = max(n for _, n in literal) + 1
         else:
             i_max, lo, hi = 0, -1, 1
-        cfg = StabilizationConfig(lo, hi, t_max=max(3, t_hint + 1), margin=1)
+        cfg = StabilizationConfig(lo, hi, t_max=3, margin=1)
         entries = {}
         for i in range(i_max + 1):
             for n in range(lo, hi + 1):
@@ -146,9 +143,6 @@ class CohomologyTable:
     def dim(self, i: int, n: int) -> int | None:
         e = self.entry(i, n)
         return None if e is None else e.dim
-
-    def in_window(self, n: int) -> bool:
-        return self.cfg.n_lo <= n <= self.cfg.n_hi
 
     def row(self, i: int) -> list[StabilizedEntry]:
         return [self.entries[(i, n)] for n in self.cfg.degrees()
@@ -191,8 +185,7 @@ class CohomologyTable:
 
 
 def local_coh_table(G: GradedQuotientRing, i_max: int | None = None,
-                    cfg: StabilizationConfig | None = None,
-                    sequence: tuple[int, ...] = ()) -> CohomologyTable:
+                    cfg: StabilizationConfig | None = None) -> CohomologyTable:
     """Table of stabilized [H^i_M(G)]_n for 0 <= i <= i_max, n in the window."""
     cfg = cfg or StabilizationConfig.default_for(G)
     m = G.ring.nvars
@@ -203,12 +196,11 @@ def local_coh_table(G: GradedQuotientRing, i_max: int | None = None,
     entries = {}
     for i in range(i_max + 1):
         for n in cfg.degrees():
-            entries[(i, n)] = local_coh_piece(G, i, n, cfg, sequence)
+            entries[(i, n)] = local_coh_piece(G, i, n, cfg)
     return CohomologyTable(entries, i_max, cfg, complete=(i_max == m))
 
 
-def h0_via_saturation(G: GradedQuotientRing,
-                      max_exponent: int = 50) -> dict[int, int]:
+def h0_via_saturation(G: GradedQuotientRing) -> dict[int, int]:
     """Graded dimensions of (I : M^inf)/I: the independent route to row 0.
 
     Every generator g of the saturation satisfies M^s g inside I, so the
@@ -218,7 +210,7 @@ def h0_via_saturation(G: GradedQuotientRing,
     if G.is_zero_ring():
         return {}
     irrelevant = Ideal(G.ring, G.ring.gens())
-    sat, s = saturate(G.ideal, irrelevant, max_exponent)
+    sat, s = saturate(G.ideal, irrelevant)
     bound = sat.groebner_basis().max_degree() + max(s, 1)
     dims: dict[int, int] = {}
     for n in range(bound + 1):
@@ -228,15 +220,14 @@ def h0_via_saturation(G: GradedQuotientRing,
     return dims
 
 
-def saturation_exponent(G: GradedQuotientRing, max_exponent: int = 50) -> int:
+def saturation_exponent(G: GradedQuotientRing) -> int:
     irrelevant = Ideal(G.ring, G.ring.gens())
-    _, s = saturate(G.ideal, irrelevant, max_exponent)
+    _, s = saturate(G.ideal, irrelevant)
     return s
 
 
 def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
-                              table: CohomologyTable,
-                              sequence: tuple[int, ...] = ()):
+                              table: CohomologyTable):
     """Does every variable multiply [H^i_M(G)] to zero?
 
     Returns (True, []), (False, witnesses) or (None, reasons) when some entry
@@ -257,7 +248,7 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
         t_star = entry.power
         if target is not None:
             t_star = max(t_star, target.power)
-        spec = KoszulComplexSpec(G, t_star, sequence)
+        spec = KoszulComplexSpec(G, t_star)
         piece = koszul_cohomology_piece(spec, i, entry.n)
         d_in = differential(spec, i - 1, entry.n + 1)
         off = d_in.shape[1]

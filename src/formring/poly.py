@@ -138,14 +138,13 @@ class PolyRing:
     def from_terms(self, terms: Mapping[Monomial, int]) -> "Polynomial":
         return Polynomial(self, dict(terms))
 
-    def extended(self, extra: str | None = None) -> "PolyRing":
+    def extended(self) -> "PolyRing":
         """Ring with one fresh variable appended (for homogenizer/aux tricks)."""
-        if extra is None:
-            k = 0
-            extra = "h0"
-            while extra in self.variables:
-                k += 1
-                extra = f"h{k}"
+        k = 0
+        extra = "h0"
+        while extra in self.variables:
+            k += 1
+            extra = f"h{k}"
         return PolyRing(self.variables + (extra,), self.characteristic, self.order)
 
 

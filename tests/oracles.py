@@ -69,7 +69,7 @@ def socle_dims_oracle(G: GradedQuotientRing, degrees) -> dict[int, int]:
         if dim == 0:
             out[n] = 0
             continue
-        blocks = [G.mult_matrix(v, n).matrix for v in G.variable_classes()]
+        blocks = [G.mult_matrix(v, n).matrix for v in G.ring.gens()]
         stacked = np.vstack(blocks) if blocks else linalg.zeros(0, dim)
         out[n] = dim - linalg.rank(stacked, G.p)
     return out
@@ -171,7 +171,7 @@ def naive_buchberger(generators, order, max_spolys=None):
     return _reduce_basis(basis, order)
 
 
-def annihilator_witnesses_per_column(G, i, table, sequence=()):
+def annihilator_witnesses_per_column(G, i, table):
     """The witnesses of ``annihilator_is_irrelevant``, one solve per column.
 
     Assumes every consulted entry is stabilized.
@@ -184,7 +184,7 @@ def annihilator_witnesses_per_column(G, i, table, sequence=()):
         target = table.entry(i, entry.n + 1)
         t_star = entry.power if target is None else max(entry.power,
                                                         target.power)
-        spec = KoszulComplexSpec(G, t_star, sequence)
+        spec = KoszulComplexSpec(G, t_star)
         piece = koszul_cohomology_piece(spec, i, entry.n)
         for j, name in enumerate(G.ring.variables):
             mult = chain_multiplication(spec, i, entry.n, j)

@@ -106,6 +106,17 @@ class TestExitCodes:
         assert entry["status"] == "inconclusive"
         assert entry["data"]["unstable"] == [[2, -8]]
 
+    def test_saturation_cap_is_guard_two(self, capsys, monkeypatch):
+        # saturating (x^51) by (x) takes 51 quotient steps, one past the cap
+        text = "char 7; vars x; ideal I = x^51; localh0 I;"
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 2
+        (entry,) = json.loads(out)["results"]
+        assert entry["status"] == "guard"
+        assert entry["data"]["kind"] == "SaturationLimitError"
+        assert entry["window"] is None
+
     def test_usage_error_bad_window(self, capsys):
         code, _, err = run_cli(capsys, ["--window", "apples", "-"])
         assert code == 1

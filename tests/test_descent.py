@@ -9,6 +9,7 @@ from formring import (
     Ideal,
     NotInIrrelevantError,
     PolyRing,
+    SaturationLimitError,
     StabilizationConfig,
     ZeroRingError,
     degree_gap_check,
@@ -21,6 +22,7 @@ from formring import (
     stuckrad_test,
     two_diagonal_check,
 )
+from formring import descent
 
 P = 32003
 
@@ -153,7 +155,7 @@ class TestStuckrad:
         R = PolyRing(("x",), P)
         G = GradedQuotientRing(Ideal(R, [R.one()]))
         with pytest.raises(ZeroRingError):
-            stuckrad_test(G)
+            stuckrad_test(G, CohomologyTable.synthetic_from({}))
 
     def test_unstable_rows_above_dimension_do_not_poison(self):
         # row 2 is unstable in this tight configuration, but only rows
@@ -255,6 +257,20 @@ class TestLocalH0Report:
         R = PolyRing(("x",), P)
         with pytest.raises(NotInIrrelevantError):
             local_h0_report(Ideal(R, [R.one() + R.variable("x")]))
+
+    def test_order_filtration_cap(self, monkeypatch):
+        I = A_ideal(("x", "y", "z"),
+                    lambda x, y, z: [x**2, x * y, x * z - y**3, y**4,
+                                     x * z**2])
+        x, y, _ = I.ring.gens()
+        # the class of y^3 has order 3, so the filtration needs 4 steps
+        assert descent._order_histogram(I, [y**3, x], P) == {1: 1, 3: 1}
+        monkeypatch.setattr(descent, "SATURATION_CAP", 1)
+        with pytest.raises(SaturationLimitError) as info:
+            descent._order_histogram(I, [y**3, x], P)
+        assert str(info.value) == (
+            "saturation did not stabilize within 1 quotient steps")
+        assert info.value.cap == 1
 
 
 class TestLengthComparison:

@@ -9,7 +9,6 @@ from formring import (
     NotHomogeneousError,
     PolyRing,
     ZeroRingError,
-    hilbert_function,
 )
 
 P = 32003
@@ -45,8 +44,8 @@ class TestConstruction:
 
     def test_dim_matches_hilbert_function(self):
         G = quotient(("x", "y", "z"), lambda x, y, z: [x * z, y * z])
-        for n in range(6):
-            assert G.dim(n) == hilbert_function(G.ideal, n)
+        # dim [S/(xz, yz)]_n = n + 2 for n >= 1
+        assert [G.dim(n) for n in range(6)] == [1, 3, 4, 5, 6, 7]
 
 
 class TestCoordinates:
@@ -130,7 +129,3 @@ class TestInvariants:
     def test_max_generator_degree(self):
         G = quotient(("x", "y"), lambda x, y: [x**2, y**3])
         assert G.max_generator_degree() == 3
-
-    def test_variable_classes(self):
-        G = quotient(("x", "y"), lambda x, y: [x**2])
-        assert [str(v) for v in G.variable_classes()] == ["x", "y"]

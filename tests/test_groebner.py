@@ -14,7 +14,6 @@ from formring import (
     NotInIrrelevantError,
     PolyRing,
     buchberger,
-    hilbert_function,
     ideal_quotient,
     initial_forms_ideal,
     intersect,
@@ -154,9 +153,9 @@ class TestHilbert:
         R = ring("x", "y", "z")
         x, y, z = R.gens()
         I = Ideal(R, [x * z, y * z])
-        assert hilbert_function(I, 0) == 1
+        assert len(standard_monomials(I, 0)) == 1
         for n in range(1, 6):
-            assert hilbert_function(I, n) == n + 2
+            assert len(standard_monomials(I, n)) == n + 2
 
     def test_standard_monomials_match_count(self):
         R = ring("x", "y")
@@ -164,7 +163,6 @@ class TestHilbert:
         I = Ideal(R, [x**2, x * y, y**3])
         dims = [len(standard_monomials(I, n)) for n in range(4)]
         assert dims == [1, 2, 1, 0]
-        assert all(hilbert_function(I, n) == dims[n] for n in range(4))
 
 
 class TestInitialForms:
@@ -220,7 +218,7 @@ class TestInitialForms:
         x, y, z = R.gens()
         I = Ideal(R, [x**2, x * y, x * z - y**3, y**4, x * z**2])
         cone = initial_forms_ideal(I)
-        got = [hilbert_function(cone, n) for n in range(8)]
+        got = [len(standard_monomials(cone, n)) for n in range(8)]
         assert got == oracles.cone_dims_oracle(I, 7)
 
 
