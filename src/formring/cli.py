@@ -128,6 +128,9 @@ def _verdict_outcome(verdict, table: CohomologyTable) -> dict:
 def _run_instance(session: Session, ring: PolyRing | None, cmd: Command,
                   r: int | None, config: RunConfig) -> dict:
     """One materialized command -> (status, data, witnesses, window)."""
+    if cmd.name in ("gap", "diag") and cmd.option("t", 0) < 0:
+        # ahead of any table, whose rows would only garble the message
+        raise ValueError(f"row bound t={cmd.option('t')} is negative")
     if cmd.target in session.tables:
         table = CohomologyTable.synthetic_from(
             session.tables[cmd.target].as_dict())

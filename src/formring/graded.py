@@ -71,6 +71,8 @@ class GradedQuotientRing:
         self.ring = ideal.ring
         self.p = self.ring.characteristic
         self.gb: GroebnerBasis = ideal.groebner_basis(DEGREVLEX)
+        # a monomial cone: its Koszul complexes split into multidegree blocks
+        self.monomial = all(len(g.terms) == 1 for g in self.gb)
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._index_cache: dict[int, dict[Monomial, int]] = {}
         self._mult_cache: dict = {}

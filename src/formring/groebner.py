@@ -19,6 +19,7 @@ some small random ideals run for minutes.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from typing import Iterable, Sequence
@@ -384,11 +385,16 @@ def saturate(a: Ideal, b: Ideal) -> tuple[Ideal, int]:
 
 # -- standard monomials ----------------------------------------------------
 
-def monomials_of_degree(ring: PolyRing, n: int) -> list[Monomial]:
+def monomials_of_degree(ring: PolyRing, n: int) -> tuple[Monomial, ...]:
     """All degree-n exponent tuples, sorted descending by the ring order."""
+    return _monomials_of_degree(ring.nvars, ring.order, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials_of_degree(v: int, order: TermOrder,
+                         n: int) -> tuple[Monomial, ...]:
     if n < 0:
-        return []
-    v = ring.nvars
+        return ()
     out: list[Monomial] = []
     for bars in itertools.combinations(range(n + v - 1), v - 1):
         exps = []
@@ -398,8 +404,8 @@ def monomials_of_degree(ring: PolyRing, n: int) -> list[Monomial]:
             prev = b
         exps.append(n + v - 2 - prev)
         out.append(tuple(exps))
-    out.sort(key=ring.order.key, reverse=True)
-    return out
+    out.sort(key=order.key, reverse=True)
+    return tuple(out)
 
 
 def standard_monomials(ideal: Ideal, n: int) -> list[Monomial]:

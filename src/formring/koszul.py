@@ -12,6 +12,13 @@ Transition to power t+1 is the cochain map e_J -> (prod_{j in J} x_j) e_J,
 which commutes with both differentials and induces the comparison maps on
 cohomology; their composite from t=1 to a stabilization power is the
 canonical comparison map into the colimit.
+
+Two routes give the same bytes.  A monomial cone in the plain variable
+order is computed by `multigraded`, one multidegree block at a time, and
+its pieces and transition matrices are scattered into the storage order
+above.  Every other cone, and every permuted sequence, takes the dense
+route: the matrices of a whole internal degree, built from graded normal
+forms, and eliminated at once.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, multigraded
 from .errors import FormringError
 from .graded import GradedQuotientRing, GradedVectorSpaceMap
 from .poly import Polynomial
@@ -149,7 +156,21 @@ def koszul_cohomology_piece(spec: KoszulComplexSpec, i: int, n: int) -> Cohomolo
     return _cached(spec, "piece", (i, n), lambda: _build_piece(spec, i, n))
 
 
+def _blockwise(spec: KoszulComplexSpec) -> bool:
+    """Monomial cone in the plain variable order: take the block route."""
+    return spec.G.monomial and spec.sequence == tuple(range(spec.m))
+
+
 def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
+    if _blockwise(spec):
+        reps = multigraded.representatives(spec.G, spec.t, i, n)
+    else:
+        reps = _dense_representatives(spec, i, n)
+    return CohomologyPiece(i=i, n=n, dim=reps.shape[1], representatives=reps)
+
+
+def _dense_representatives(spec: KoszulComplexSpec, i: int,
+                           n: int) -> np.ndarray:
     p = spec.G.p
     d_out = differential(spec, i, n)
     d_in = differential(spec, i - 1, n)
@@ -159,8 +180,7 @@ def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
     # kernel columns at pivots of [d_in | ker]: a basis of ker modulo image
     _, pivots = linalg.rref(np.hstack([d_in, ker]), p)
     off = d_in.shape[1]
-    reps = ker[:, [c - off for c in pivots if c >= off]]
-    return CohomologyPiece(i=i, n=n, dim=reps.shape[1], representatives=reps)
+    return ker[:, [c - off for c in pivots if c >= off]]
 
 
 def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int) -> np.ndarray:
@@ -239,15 +259,25 @@ def transition_map(G: GradedQuotientRing, t: int, i: int,
 
 def _build_transition_map(G: GradedQuotientRing, spec: KoszulComplexSpec,
                           i: int, n: int) -> GradedVectorSpaceMap:
-    nxt = KoszulComplexSpec(G, spec.t + 1)
-    src = koszul_cohomology_piece(spec, i, n)
-    tgt = koszul_cohomology_piece(nxt, i, n)
-    moved = linalg.matmul(transition_cochain(spec, i, n),
-                          src.representatives, G.p)
+    if _blockwise(spec):
+        mat = multigraded.transition_matrix(G, spec.t, i, n)
+    else:
+        mat = _dense_transition_matrix(
+            spec, koszul_cohomology_piece(spec, i, n),
+            koszul_cohomology_piece(KoszulComplexSpec(G, spec.t + 1), i, n))
+    return GradedVectorSpaceMap(mat, G.p)
+
+
+def _dense_transition_matrix(spec: KoszulComplexSpec, src: CohomologyPiece,
+                             tgt: CohomologyPiece) -> np.ndarray:
+    """The transition from src at power t to tgt at t + 1, in coordinates."""
+    nxt = KoszulComplexSpec(spec.G, spec.t + 1)
+    moved = linalg.matmul(transition_cochain(spec, src.i, src.n),
+                          src.representatives, spec.G.p)
     mat = express_in_cohomology(nxt, tgt, moved)
     if mat is None:
         raise FormringError("transition image is not a cocycle class")
-    return GradedVectorSpaceMap(mat, G.p)
+    return mat
 
 
 def f_map(G: GradedQuotientRing, i: int, n: int,

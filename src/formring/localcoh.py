@@ -9,6 +9,12 @@ makes the answer exact there.  In general this is a windowed heuristic: a
 run of isomorphisms longer than margin that breaks beyond t_max would be
 trusted wrongly, so entries always carry their power and stabilized flag and
 nothing downstream consumes an unstable value silently.
+
+The dimensions and isomorphism flags come from one of two routes: for a
+monomial cone, `multigraded` reads them off the multidegree blocks without
+assembling any Koszul matrix; every other cone takes the dense route
+through `koszul_cohomology_piece` and `transition_map`.  The detector is
+the same for both.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, multigraded
 from .graded import GradedQuotientRing
 from .groebner import Ideal, saturate, standard_monomials
 from .koszul import (KoszulComplexSpec, chain_multiplication, differential,
@@ -85,11 +91,13 @@ def local_coh_piece(G: GradedQuotientRing, i: int, n: int,
                     cfg: StabilizationConfig) -> StabilizedEntry:
     """Stabilized colimit entry for [H^i_M(G)]_n."""
     t_max = _effective_t_max(G, cfg)
-    dims = []
-    for t in range(1, t_max + 1):
-        dims.append(koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n).dim)
-    iso = [transition_map(G, t, i, n).is_isomorphism()
-           for t in range(1, t_max)]
+    if G.monomial:
+        dims, iso = multigraded.history(G, i, n, t_max)
+    else:
+        dims = [koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n).dim
+                for t in range(1, t_max + 1)]
+        iso = [transition_map(G, t, i, n).is_isomorphism()
+               for t in range(1, t_max)]
     start = t_max
     while start > 1 and iso[start - 2]:
         start -= 1

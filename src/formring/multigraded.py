@@ -1,0 +1,269 @@
+"""Koszul cohomology of monomial cones, one multidegree block at a time.
+
+When the DEGREVLEX Groebner basis of G = S/J is all monomials, K(x^t; G)
+splits into Z^m-graded blocks, Takayama's degree complexes (Takayama 2005;
+Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 13).  In
+multidegree a, the degree-p cochains have the basis e_L * x^b for the subsets
+L of size p with b = a + t*1_L >= 0 and x^b outside J.  The differential
+sends it to the sum over j outside L of sign(j, L) e_(L+j) * x^(b + t e_j),
+so its entries are 0/±1 lookups, and the transition to power t + 1 sends
+(L, b) to (L, b + 1_L) inside the same multidegree.
+
+Whether x^b lies in J depends only on min(b_j, rho_j), where rho_j is the
+largest exponent of x_j among the generators of J.  Hence:
+
+* a block with some a_j >= rho_j is acyclic (x_j^t pairs L with L + j), so
+  only multidegrees with a_j < rho_j are visited;
+* a block is empty for t < -min(a), and once also t >= max_j(rho_j - a_j)
+  it no longer changes with t and its transition map is the identity;
+* a block is fixed by its signature: per variable, the capped exponent
+  outside L and inside L.  Each signature is eliminated once per ring.
+
+Every dense cochain basis element and every matrix row is multihomogeneous.
+So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
+blockwise ones, and scattering the block results into the dense order
+(subsets in combinations order, then monomials descending) reproduces the
+dense path's representatives and transition matrices entry for entry.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from . import linalg
+from .errors import FormringError
+
+_ENGINE = ("multigraded",)  # the engine's key in the ring's Koszul cache
+
+
+class _Block:
+    """The degree complex of one signature: basis per degree, cohomology."""
+
+    def __init__(self, eng: "_Engine", sig: tuple):
+        outside, inside = sig
+        m = eng.m
+        self.eng = eng
+        self.basis = [[L for L in eng.subsets[q]
+                       if eng.standard(tuple(inside[j] if j in L
+                                             else outside[j]
+                                             for j in range(m)))]
+                      for q in range(m + 1)]
+        self._cohomology: dict[int, tuple[np.ndarray, list[int]]] = {}
+
+    def size(self, q: int) -> int:
+        return len(self.basis[q]) if 0 <= q <= self.eng.m else 0
+
+    def differential(self, q: int) -> np.ndarray:
+        """d: degree q -> degree q + 1 in block coordinates."""
+        mat = linalg.zeros(self.size(q + 1), self.size(q))
+        if mat.size:
+            row = {L: k for k, L in enumerate(self.basis[q + 1])}
+            for c, L in enumerate(self.basis[q]):
+                for j in range(self.eng.m):
+                    r = None if j in L else row.get(tuple(sorted(L + (j,))))
+                    if r is not None:
+                        below = sum(1 for l in L if l < j)
+                        mat[r, c] = self.eng.p - 1 if below % 2 else 1
+        return mat
+
+    def cohomology(self, q: int) -> tuple[np.ndarray, list[int]]:
+        """Representative columns of H^q and the free column of each."""
+        hit = self._cohomology.get(q)
+        if hit is None:
+            hit = self._cohomology[q] = self._build_cohomology(q)
+        return hit
+
+    def _build_cohomology(self, q: int):
+        p = self.eng.p
+        if self.size(q) == 0:
+            return linalg.zeros(0, 0), []
+        ker = linalg.kernel(self.differential(q), p)
+        d_in = self.differential(q - 1)
+        if ker.shape[1] and d_in.shape[1]:
+            _, pivots = linalg.rref(np.hstack([d_in, ker]), p)
+            off = d_in.shape[1]
+            ker = ker[:, [c - off for c in pivots if c >= off]]
+        # a kernel vector's free column is its last nonzero entry
+        free = [int(np.nonzero(col)[0][-1]) for col in ker.T]
+        return ker, free
+
+    def dim(self, q: int) -> int:
+        return len(self.cohomology(q)[1])
+
+
+class _Engine:
+    """Per-ring blocks, block maps and assembled answers, each built once."""
+
+    def __init__(self, G):
+        m = G.ring.nvars
+        self.G, self.m, self.p = G, m, G.p
+        self.leads = G.gb.leading_monomials()
+        self.rho = tuple(max((lead[j] for lead in self.leads), default=0)
+                         for j in range(m))
+        self.subsets = [list(itertools.combinations(range(m), q))
+                        for q in range(m + 1)]
+        self._cache: dict[tuple, object] = {}
+
+    def _memo(self, key: tuple, build):
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = self._cache[key] = build()
+        return hit
+
+    def standard(self, exps: tuple[int, ...]) -> bool:
+        """x^exps is a nonzero standard monomial (capped exponents suffice)."""
+        return min(exps) >= 0 and not any(
+            all(l <= e for l, e in zip(lead, exps)) for lead in self.leads)
+
+    def multidegrees(self, n: int, lowest: int):
+        """Multidegrees of total degree n with lowest <= a_j < rho_j."""
+        rho = self.rho
+        for head in itertools.product(*(range(lowest, r) for r in rho[:-1])):
+            last = n - sum(head)
+            if lowest <= last < rho[-1]:
+                yield head + (last,)
+
+    def signature(self, a: tuple[int, ...], t: int):
+        """The block of multidegree a at power t, or None when it is empty."""
+        if t < -min(a):
+            return None
+        return (tuple(x if x >= 0 else -1 for x in a),
+                tuple(min(x + t, r) for x, r in zip(a, self.rho)))
+
+    def block(self, sig) -> _Block:
+        return self._memo(("block", sig), lambda: _Block(self, sig))
+
+    def block_map(self, q: int, sig, nxt) -> np.ndarray:
+        """Induced map on block H^q from power t (sig) to t + 1 (nxt)."""
+        return self._memo(("map", q, sig, nxt),
+                          lambda: self._build_block_map(q, sig, nxt))
+
+    def _build_block_map(self, q: int, sig, nxt) -> np.ndarray:
+        src, tgt = self.block(sig), self.block(nxt)
+        src_reps, _ = src.cohomology(q)
+        tgt_reps, _ = tgt.cohomology(q)
+        if sig == nxt:
+            return linalg.identity(src_reps.shape[1])
+        mat = linalg.zeros(tgt_reps.shape[1], src_reps.shape[1])
+        if mat.size == 0:
+            return mat
+        # (L, b) -> (L, b + 1_L): kept when it stays a standard monomial
+        row = {L: k for k, L in enumerate(tgt.basis[q])}
+        cochain = linalg.zeros(tgt.size(q), src.size(q))
+        for c, L in enumerate(src.basis[q]):
+            if L in row:
+                cochain[row[L], c] = 1
+        moved = linalg.matmul(cochain, src_reps, self.p)
+        d_in = tgt.differential(q - 1)
+        sol = linalg.solve(np.hstack([d_in, tgt_reps]), moved, self.p)
+        if sol is None:
+            raise FormringError("transition image is not a cocycle class")
+        return sol[d_in.shape[1]:]
+
+    def is_isomorphism(self, q: int, sig, nxt) -> bool:
+        """Is the transition into block nxt an isomorphism on H^q?"""
+        if sig == nxt:
+            return True
+        mat = self.block_map(q, sig, nxt)
+        return mat.shape[0] == mat.shape[1] and self._memo(
+            ("rank", q, sig, nxt), lambda: linalg.rank(mat, self.p)) == len(mat)
+
+    def runs(self, n: int, t_max: int) -> list:
+        """Per multidegree of degree n: its first nonempty power and its
+        (signature, block) at each power up to the settled one."""
+        def build():
+            out = []
+            for a in self.multidegrees(n, -t_max):
+                first = max(1, -min(a))
+                settled = max(first, max(r - x for x, r in zip(a, self.rho)))
+                sigs = [self.signature(a, t)
+                        for t in range(first, min(settled, t_max) + 1)]
+                out.append((first, [(sig, self.block(sig)) for sig in sigs]))
+            return out
+        return self._memo(("runs", n, t_max), build)
+
+    def history(self, i: int, n: int, t_max: int):
+        return self._memo(("history", i, n, t_max),
+                          lambda: self._build_history(i, n, t_max))
+
+    def _build_history(self, i: int, n: int, t_max: int):
+        # steps[t - 1] is the change of dim H^i from power t - 1 to t; a
+        # block keeps its dimension from its settled power on
+        steps = [0] * t_max
+        iso = [True] * (t_max - 1)
+        for first, run in self.runs(n, t_max):
+            prev, prev_dim = None, 0
+            for t, (sig, blk) in enumerate(run, start=first):
+                dim = blk.dim(i)
+                steps[t - 1] += dim - prev_dim
+                # an empty block (prev None) only appears before dim 0
+                if t > 1 and (dim != prev_dim or dim and
+                              not self.is_isomorphism(i, prev, sig)):
+                    iso[t - 2] = False
+                prev, prev_dim = sig, dim
+        return tuple(itertools.accumulate(steps)), tuple(iso)
+
+    def piece(self, t: int, i: int, n: int):
+        """Dense representatives of [H^i(x^t; G)]_n and each column's
+        (multidegree, block column)."""
+        return self._memo(("piece", t, i, n),
+                          lambda: self._build_piece(t, i, n))
+
+    def _build_piece(self, t: int, i: int, n: int):
+        degree = n + t * i
+        size = len(self.G.graded_basis(degree))
+        index = self.G._index_cache[degree]
+        position = {L: k * size for k, L in enumerate(self.subsets[i])}
+        columns = []
+        for a in self.multidegrees(n, -t):
+            sig = self.signature(a, t)
+            if sig is None:
+                continue
+            blk = self.block(sig)
+            reps, free = blk.cohomology(i)
+            if not free:
+                continue
+            rows = [position[L] + index[tuple(x + t if j in L else x
+                                              for j, x in enumerate(a))]
+                    for L in blk.basis[i]]
+            columns.extend((rows[f], rows, reps[:, k], a, k)
+                           for k, f in enumerate(free))
+        columns.sort(key=lambda col: col[0])
+        out = linalg.zeros(len(self.subsets[i]) * size, len(columns))
+        for c, (_, rows, vec, _, _) in enumerate(columns):
+            out[rows, c] = vec
+        return out, [(a, k) for _, _, _, a, k in columns]
+
+
+def _engine(G) -> _Engine:
+    eng = G._koszul_cache.get(_ENGINE)
+    if eng is None:
+        eng = G._koszul_cache[_ENGINE] = _Engine(G)
+    return eng
+
+
+def history(G, i: int, n: int, t_max: int):
+    """dim [H^i(x^t; G)]_n for t = 1..t_max, and for t = 1..t_max - 1
+    whether the transition map t -> t + 1 is an isomorphism."""
+    return _engine(G).history(i, n, t_max)
+
+
+def representatives(G, t: int, i: int, n: int) -> np.ndarray:
+    """The dense path's representative cocycles of [H^i(x^t; G)]_n."""
+    return _engine(G).piece(t, i, n)[0]
+
+
+def transition_matrix(G, t: int, i: int, n: int) -> np.ndarray:
+    """The dense path's matrix of [H^i(x^t)]_n -> [H^i(x^(t+1))]_n."""
+    eng = _engine(G)
+    src_reps, src = eng.piece(t, i, n)
+    tgt_reps, tgt = eng.piece(t + 1, i, n)
+    row = {owner: r for r, owner in enumerate(tgt)}
+    mat = linalg.zeros(tgt_reps.shape[1], src_reps.shape[1])
+    for c, (a, k) in enumerate(src):
+        block = eng.block_map(i, eng.signature(a, t), eng.signature(a, t + 1))
+        for k2 in np.nonzero(block[:, k])[0]:
+            mat[row[(a, int(k2))], c] = block[k2, k]
+    return mat

@@ -16,18 +16,25 @@ tautology:
 * ``naive_buchberger`` re-sorts every pair on every pop and prunes only by
   the product criterion, never using the Gebauer-Moeller update.
 * ``annihilator_witnesses_per_column`` asks ``is_coboundary`` once per
-  moved representative column, never sharing an elimination.
+  moved representative column of a dense piece, never sharing an
+  elimination.
+* ``dense_piece``, ``dense_transition_matrix``, ``dense_local_coh_piece``
+  and ``dense_f_map`` eliminate the whole Koszul matrices in internal degree
+  n, never splitting a monomial cone into multidegree blocks.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from formring import (GradedQuotientRing, Ideal, KoszulComplexSpec,
-                      chain_multiplication, ideal_quotient, is_coboundary,
-                      koszul_cohomology_piece, normal_form, s_polynomial,
+from formring import (CohomologyPiece, GradedQuotientRing,
+                      GradedVectorSpaceMap, Ideal, KoszulComplexSpec,
+                      StabilizedEntry, chain_multiplication, ideal_quotient,
+                      is_coboundary, normal_form, s_polynomial,
                       standard_monomials)
-from formring import linalg
+from formring import koszul, linalg, localcoh
 from formring.groebner import _reduce_basis
 
 
@@ -185,7 +192,7 @@ def annihilator_witnesses_per_column(G, i, table):
         t_star = entry.power if target is None else max(entry.power,
                                                         target.power)
         spec = KoszulComplexSpec(G, t_star)
-        piece = koszul_cohomology_piece(spec, i, entry.n)
+        piece = dense_piece(G, t_star, i, entry.n)
         for j, name in enumerate(G.ring.variables):
             mult = chain_multiplication(spec, i, entry.n, j)
             for col in range(piece.dim):
@@ -194,3 +201,49 @@ def annihilator_witnesses_per_column(G, i, table):
                 if not is_coboundary(spec, i, entry.n + 1, moved):
                     witnesses.append((name, entry.n, [int(c) for c in vec]))
     return witnesses
+
+
+@lru_cache(maxsize=None)
+def dense_piece(G, t, i, n):
+    """[H^i(x^t; G)]_n from the kernel and image of the dense differentials."""
+
+    reps = koszul._dense_representatives(KoszulComplexSpec(G, t), i, n)
+    return CohomologyPiece(i=i, n=n, dim=reps.shape[1], representatives=reps)
+
+
+@lru_cache(maxsize=None)
+def dense_transition_matrix(G, t, i, n):
+    """The transition map t -> t + 1 on the dense pieces, in coordinates."""
+
+    return koszul._dense_transition_matrix(
+        KoszulComplexSpec(G, t), dense_piece(G, t, i, n),
+        dense_piece(G, t + 1, i, n))
+
+
+def dense_f_map(G, i, n, power):
+    """The composite of the dense transition maps from t = 1 to ``power``."""
+
+    acc = GradedVectorSpaceMap(linalg.identity(dense_piece(G, 1, i, n).dim),
+                               G.p)
+    for t in range(1, power):
+        step = GradedVectorSpaceMap(dense_transition_matrix(G, t, i, n), G.p)
+        acc = step.compose(acc)
+    return acc
+
+
+def dense_local_coh_piece(G, i, n, cfg):
+    """The stabilized entry read off the dense pieces and transition maps."""
+
+    t_max = localcoh._effective_t_max(G, cfg)
+    dims = [dense_piece(G, t, i, n).dim for t in range(1, t_max + 1)]
+    iso = []
+    for t in range(1, t_max):
+        mat = dense_transition_matrix(G, t, i, n)
+        iso.append(mat.shape[0] == mat.shape[1]
+                   and linalg.rank(mat, G.p) == mat.shape[0])
+    start = t_max
+    while start > 1 and iso[start - 2]:
+        start -= 1
+    return StabilizedEntry(i=i, n=n, dim=dims[start - 1], power=start,
+                           stabilized=t_max - start >= cfg.margin,
+                           history=tuple(dims))

@@ -117,6 +117,24 @@ class TestExitCodes:
         assert entry["data"]["kind"] == "SaturationLimitError"
         assert entry["window"] is None
 
+    def test_negative_row_bound_rejected_before_cone(self, capsys,
+                                                     monkeypatch):
+        def no_cone(ideal):
+            raise AssertionError("cone built for a negative row bound")
+
+        monkeypatch.setattr("formring.cli.initial_forms_ideal", no_cone)
+        text = ("char 7; vars x,y; ideal I = x^2, x*y;"
+                " synthetic_table T = {(1,2): 10};"
+                " gap I t=-1; diag I t=-1; gap T t=-1; diag T t=-1;")
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert [r["status"] for r in results] == ["error"] * 4
+        assert {r["data"]["message"] for r in results} == {
+            "row bound t=-1 is negative"}
+        assert all(r["window"] is None for r in results)
+
     def test_usage_error_bad_window(self, capsys):
         code, _, err = run_cli(capsys, ["--window", "apples", "-"])
         assert code == 1
