@@ -24,7 +24,7 @@ from .koszul import KoszulComplexSpec, cochain_dim, koszul_cohomology_piece
 from .localcoh import CohomologyTable, StabilizationConfig, local_coh_table
 from .descent import (degree_gap_check, descent_verdict, local_h0_report,
                       quasi_buchsbaum_test, stuckrad_test, two_diagonal_check)
-from .poly import PolyRing, is_prime
+from .poly import PolyRing, check_characteristic
 
 
 class _UsageError(Exception):
@@ -93,9 +93,8 @@ def _expand_r(cmd: Command) -> list[int | None]:
 def _instance_command(cmd: Command, r: int | None) -> Command:
     if r is None or not isinstance(cmd.option("r"), tuple):
         return cmd
-    options = tuple((k, r if k == "r" else v) for k, v in cmd.options)
-    return Command(cmd.name, cmd.target, options, cmd.check,
-                   cmd.line, cmd.col)
+    return dataclasses.replace(cmd, options=tuple(
+        (k, r if k == "r" else v) for k, v in cmd.options))
 
 
 def _stabilization_config(G: GradedQuotientRing, cmd: Command,
@@ -133,7 +132,7 @@ def _run_instance(session: Session, ring: PolyRing | None, cmd: Command,
         raise ValueError(f"row bound t={cmd.option('t')} is negative")
     if cmd.target in session.tables:
         table = CohomologyTable.synthetic_from(
-            session.tables[cmd.target].as_dict())
+            session.tables[cmd.target].entries)
         checker = degree_gap_check if cmd.name == "gap" else two_diagonal_check
         return _verdict_outcome(
             checker(table, cmd.option("t", table.i_max + 1)), table)
@@ -273,8 +272,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.version:
             print(f"formring {__version__}")
             return 0
-        if args.char is not None and not is_prime(args.char):
-            raise _UsageError(f"--char {args.char} is not prime")
+        if args.char is not None:
+            try:
+                check_characteristic(args.char)
+            except ValueError as exc:
+                raise _UsageError(f"--char {exc}") from None
         window = _parse_window(args.window) if args.window else None
         if args.tmax is not None and args.tmax < 2:
             raise _UsageError("--tmax must be at least 2")

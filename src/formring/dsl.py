@@ -1,6 +1,7 @@
 """Input language: declarations plus commands, parsed with line/column
 diagnostics.
 
+Input is ASCII: integers are `[0-9]+`, identifiers `[A-Za-z_][A-Za-z0-9_]*`.
 Statements end with ';' and '#' starts a line comment.  Declarations:
 
     char 32003;
@@ -21,13 +22,11 @@ Exponents in ideal declarations are integers, the parameter `r`, or
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .poly import PolyRing, Polynomial, is_prime
-
-COMMANDS = ("tangent_cone", "table", "koszul", "stuckrad", "quasibuchsbaum",
-            "gap", "diag", "localh0", "cor41")
+from .poly import PolyRing, Polynomial, check_characteristic, render_terms
 
 # per command: (required option keys, allowed option keys)
 COMMAND_OPTIONS: dict[str, tuple[frozenset, frozenset]] = {
@@ -41,6 +40,7 @@ COMMAND_OPTIONS: dict[str, tuple[frozenset, frozenset]] = {
     "localh0": (frozenset(), frozenset({"r"})),
     "cor41": (frozenset(), frozenset({"window", "tmax", "margin", "r"})),
 }
+COMMANDS = tuple(COMMAND_OPTIONS)
 
 RANGE_KEYS = frozenset({"window", "r"})
 PARAMETER = "r"
@@ -56,58 +56,25 @@ class Token:
     col: int
 
 
-_PUNCT2 = ("..",)
-_PUNCT1 = ";,=^*+-(){}:"
+# ASCII only: a character outside these classes is an "unexpected character"
+_TOKEN = re.compile(r"(?P<newline>\n)|(?P<skip>[ \t\r]+|#[^\n]*)"
+                    r"|(?P<punct>\.\.|[;,=^*+\-(){}:])|(?P<int>[0-9]+)"
+                    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)")
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i:i + 2] in _PUNCT2:
-            tokens.append(Token("punct", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             line, col)
+        elif kind != "skip":
+            tokens.append(Token(kind, m.group(), line, col))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -166,29 +133,11 @@ class PolyTemplate:
         return result
 
     def render(self, variables: tuple[str, ...]) -> str:
-        parts: list[str] = []
-        for term in self.terms:
-            factors = []
-            for var_index, tmpl in term.factors:
-                name = variables[var_index]
-                if tmpl.parameterized or tmpl.value(None) != 1:
-                    factors.append(f"{name}^{tmpl.render()}")
-                else:
-                    factors.append(name)
-            coeff = term.coefficient
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts) if parts else "0"
+        return render_terms(
+            (term.coefficient,
+             [variables[v] if e == ExponentTemplate(1)
+              else f"{variables[v]}^{e.render()}" for v, e in term.factors])
+            for term in self.terms)
 
 
 @dataclass(frozen=True)
@@ -204,41 +153,26 @@ class IdealDecl:
 @dataclass(frozen=True)
 class TableDecl:
     name: str
-    entries: tuple[tuple[tuple[int, int], int], ...]  # ((i, n), dim) pairs
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.entries)
+    entries: dict[tuple[int, int], int]  # (i, n) -> dim, declaration order
 
 
 @dataclass(frozen=True)
 class Command:
     name: str
     target: str
-    options: tuple[tuple[str, object], ...]  # key -> int or (lo, hi)
+    options: tuple[tuple[str, object], ...]  # by key; int or (lo, hi)
     check: bool = False
-    line: int = 0
-    col: int = 0
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
     def option(self, key: str, default=None):
-        for k, v in self.options:
-            if k == key:
-                return v
-        return default
+        return dict(self.options).get(key, default)
 
     def render(self) -> str:
         head = ("check " if self.check else "") + self.name + " " + self.target
-        parts = []
-        for k, v in sorted(self.options):
-            if isinstance(v, tuple):
-                parts.append(f"{k}={v[0]}..{v[1]}")
-            else:
-                parts.append(f"{k}={v}")
-        return " ".join([head] + parts)
-
-
-def _commands_equal(a: Command, b: Command) -> bool:
-    return (a.name == b.name and a.target == b.target and a.check == b.check
-            and dict(a.options) == dict(b.options))
+        return " ".join([head] + [
+            f"{k}={v[0]}..{v[1]}" if isinstance(v, tuple) else f"{k}={v}"
+            for k, v in self.options])
 
 
 @dataclass
@@ -248,19 +182,6 @@ class Session:
     ideals: dict[str, IdealDecl] = field(default_factory=dict)
     tables: dict[str, TableDecl] = field(default_factory=dict)
     commands: tuple[Command, ...] = ()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Session):
-            return NotImplemented
-        if (self.characteristic != other.characteristic
-                or self.variables != other.variables
-                or self.ideals != other.ideals
-                or {k: v.as_dict() for k, v in self.tables.items()}
-                != {k: v.as_dict() for k, v in other.tables.items()}):
-            return False
-        return (len(self.commands) == len(other.commands)
-                and all(_commands_equal(a, b)
-                        for a, b in zip(self.commands, other.commands)))
 
 
 # -- Parser -----------------------------------------------------------------
@@ -286,35 +207,43 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def expect_punct(self, text: str) -> Token:
+    def at(self, *texts: str) -> bool:
         tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            self.fail(f"expected {text!r}, found {shown!r}", tok)
-        return self.advance()
+        return tok.kind == "punct" and tok.text in texts
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect(self, kind: str, what: str, text: str | None = None
+               ) -> Token:
+        """Consume a token of `kind` (and `text`, if given), else fail with
+        "expected <what>"."""
         tok = self.peek()
-        if tok.kind != "ident":
+        if tok.kind != kind or text not in (None, tok.text):
             shown = tok.text if tok.kind != "eof" else "end of input"
             self.fail(f"expected {what}, found {shown!r}", tok)
         return self.advance()
 
-    def expect_int(self) -> int:
-        tok = self.peek()
-        if tok.kind != "int":
-            shown = tok.text if tok.kind != "eof" else "end of input"
-            self.fail(f"expected integer, found {shown!r}", tok)
-        self.advance()
-        return int(tok.text)
+    def punct(self, text: str) -> Token:
+        return self.expect("punct", repr(text), text)
+
+    def integer(self) -> int:
+        return int(self.expect("int", "integer").text)
+
+    def sign(self) -> int:
+        """Consume an optional '+' or '-'; -1 after '-', else 1."""
+        if self.at("+", "-"):
+            return -1 if self.advance().text == "-" else 1
+        return 1
 
     def signed_int(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in "+-":
+        return self.sign() * self.integer()
+
+    def separated(self, item, sep: str) -> list:
+        """One or more `item()` results separated by the punctuation
+        `sep`."""
+        out = [item()]
+        while self.at(sep):
             self.advance()
-            sign = -1 if tok.text == "-" else 1
-        return sign * self.expect_int()
+            out.append(item())
+        return out
 
     # statement dispatch
     def parse(self) -> Session:
@@ -344,25 +273,24 @@ class _Parser:
         tok = self.advance()
         if self.explicit_char:
             self.fail("characteristic already declared", tok)
-        value = self.expect_int()
-        if not is_prime(value):
-            self.fail(f"{value} is not prime", tok)
-        self.session.characteristic = value
+        value = self.integer()
+        try:
+            self.session.characteristic = check_characteristic(value)
+        except ValueError as exc:
+            self.fail(str(exc), tok)
         self.explicit_char = True
-        self.expect_punct(";")
+        self.punct(";")
 
     def vars_statement(self):
         tok = self.advance()
         if self.session.variables:
             self.fail("variables already declared", tok)
-        names = [self.expect_ident("variable name").text]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
-            names.append(self.expect_ident("variable name").text)
+        names = [t.text for t in self.separated(
+            lambda: self.expect("ident", "variable name"), ",")]
         if len(set(names)) != len(names):
             self.fail("duplicate variable name", tok)
         self.session.variables = tuple(names)
-        self.expect_punct(";")
+        self.punct(";")
 
     def ideal_statement(self):
         tok = self.advance()
@@ -370,52 +298,43 @@ class _Parser:
             self.fail("characteristic not declared", tok)
         if not self.session.variables:
             self.fail("variables not declared", tok)
-        name_tok = self.expect_ident("ideal name")
+        name_tok = self.expect("ident", "ideal name")
         self.check_fresh_name(name_tok)
-        self.expect_punct("=")
-        polys = [self.polynomial()]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.advance()
-            polys.append(self.polynomial())
-        self.expect_punct(";")
+        self.punct("=")
+        polys = self.separated(self.polynomial, ",")
+        self.punct(";")
         self.session.ideals[name_tok.text] = IdealDecl(
             name_tok.text, tuple(polys))
 
     def table_statement(self):
         self.advance()
-        name_tok = self.expect_ident("table name")
+        name_tok = self.expect("ident", "table name")
         self.check_fresh_name(name_tok)
-        self.expect_punct("=")
-        self.expect_punct("{")
-        entries: list[tuple[tuple[int, int], int]] = []
-        seen: set[tuple[int, int]] = set()
-        if not (self.peek().kind == "punct" and self.peek().text == "}"):
-            while True:
-                entry_tok = self.peek()
-                self.expect_punct("(")
-                i = self.signed_int()
-                self.expect_punct(",")
-                n = self.signed_int()
-                self.expect_punct(")")
-                self.expect_punct(":")
-                dim = self.signed_int()
-                if i < 0:
-                    self.fail("cohomology index must be non-negative",
-                              entry_tok)
-                if dim < 0:
-                    self.fail("dimension must be non-negative", entry_tok)
-                if (i, n) in seen:
-                    self.fail(f"duplicate table entry ({i}, {n})", entry_tok)
-                seen.add((i, n))
-                entries.append(((i, n), dim))
-                if self.peek().kind == "punct" and self.peek().text == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect_punct("}")
-        self.expect_punct(";")
+        self.punct("=")
+        self.punct("{")
+        entries: dict[tuple[int, int], int] = {}
+        if not self.at("}"):
+            self.separated(lambda: self.table_entry(entries), ",")
+        self.punct("}")
+        self.punct(";")
         self.session.tables[name_tok.text] = TableDecl(
-            name_tok.text, tuple(entries))
+            name_tok.text, entries)
+
+    def table_entry(self, entries: dict[tuple[int, int], int]):
+        entry_tok = self.punct("(")
+        i = self.signed_int()
+        self.punct(",")
+        n = self.signed_int()
+        self.punct(")")
+        self.punct(":")
+        dim = self.signed_int()
+        if i < 0:
+            self.fail("cohomology index must be non-negative", entry_tok)
+        if dim < 0:
+            self.fail("dimension must be non-negative", entry_tok)
+        if (i, n) in entries:
+            self.fail(f"duplicate table entry ({i}, {n})", entry_tok)
+        entries[(i, n)] = dim
 
     def check_fresh_name(self, tok: Token):
         name = tok.text
@@ -436,7 +355,7 @@ class _Parser:
             self.fail(f"unknown command {tok.text!r} (expected one of {known})",
                       tok)
         name = self.advance().text
-        target_tok = self.expect_ident("target name")
+        target_tok = self.expect("ident", "target name")
         target = target_tok.text
         is_ideal = target in self.session.ideals
         is_table = target in self.session.tables
@@ -446,19 +365,18 @@ class _Parser:
             self.fail(f"command {name!r} needs an ideal, "
                       f"but {target!r} is a synthetic table", target_tok)
         required, allowed = COMMAND_OPTIONS[name]
-        options: list[tuple[str, object]] = []
-        keys: set[str] = set()
+        options: dict[str, object] = {}
         while self.peek().kind == "ident":
             key_tok = self.advance()
             key = key_tok.text
             if key not in allowed:
                 self.fail(f"option {key!r} not accepted by {name!r}", key_tok)
-            if key in keys:
+            if key in options:
                 self.fail(f"duplicate option {key!r}", key_tok)
-            self.expect_punct("=")
+            self.punct("=")
             lo = self.signed_int()
             value: object = lo
-            if self.peek().kind == "punct" and self.peek().text == "..":
+            if self.at(".."):
                 if key not in RANGE_KEYS:
                     self.fail(f"option {key!r} does not take a range", key_tok)
                 self.advance()
@@ -466,41 +384,30 @@ class _Parser:
                 if hi < lo:
                     self.fail(f"empty range {lo}..{hi}", key_tok)
                 value = (lo, hi)
-            keys.add(key)
-            options.append((key, value))
-        missing = required - keys
+            options[key] = value
+        missing = required - options.keys()
         if missing:
             self.fail(f"command {name!r} is missing option(s) "
                       + ", ".join(sorted(missing)), tok)
-        if is_table and "r" in keys:
+        if is_table and "r" in options:
             self.fail("option 'r' does not apply to a synthetic table", tok)
         if is_ideal and self.session.ideals[target].parameterized \
-                and "r" not in keys:
+                and "r" not in options:
             self.fail(f"ideal {target!r} is parameterized; "
                       f"supply {PARAMETER}=VALUE or {PARAMETER}=LO..HI", tok)
         if is_ideal and not self.session.ideals[target].parameterized \
-                and "r" in keys:
+                and "r" in options:
             self.fail(f"ideal {target!r} has no parameter", tok)
-        self.expect_punct(";")
+        self.punct(";")
         self.session.commands = self.session.commands + (
-            Command(name, target, tuple(options), check, tok.line, tok.col),)
+            Command(name, target, tuple(sorted(options.items())), check,
+                    tok.line, tok.col),)
 
     # polynomial templates
     def polynomial(self) -> PolyTemplate:
-        terms: list[TermTemplate] = []
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        terms.append(self.term(sign))
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in "+-":
-                self.advance()
-                terms.append(self.term(-1 if tok.text == "-" else 1))
-            else:
-                break
+        terms = [self.term(self.sign())]
+        while self.at("+", "-"):
+            terms.append(self.term(self.sign()))
         return PolyTemplate(tuple(terms))
 
     def term(self, sign: int) -> TermTemplate:
@@ -508,33 +415,26 @@ class _Parser:
         coeff = 1
         factors: list[tuple[int, ExponentTemplate]] = []
         if tok.kind == "int":
-            coeff = self.expect_int()
-            if self.peek().kind == "punct" and self.peek().text == "*":
+            coeff = self.integer()
+            if self.at("*"):
                 self.advance()
-                factors = self.factors()
+                factors = self.separated(self.factor, "*")
             elif self.peek().kind == "ident" \
                     and self.peek().text in self.session.variables:
-                factors = self.factors()
+                factors = self.separated(self.factor, "*")
         elif tok.kind == "ident":
-            factors = self.factors()
+            factors = self.separated(self.factor, "*")
         else:
             self.fail(f"expected a term, found {tok.text!r}", tok)
         return TermTemplate(sign * coeff, tuple(factors))
 
-    def factors(self) -> list[tuple[int, ExponentTemplate]]:
-        out = [self.factor()]
-        while self.peek().kind == "punct" and self.peek().text == "*":
-            self.advance()
-            out.append(self.factor())
-        return out
-
     def factor(self) -> tuple[int, ExponentTemplate]:
-        tok = self.expect_ident("variable")
+        tok = self.expect("ident", "variable")
         if tok.text not in self.session.variables:
             self.fail(f"undeclared variable {tok.text!r}", tok)
         var_index = self.session.variables.index(tok.text)
         exp = ExponentTemplate(1)
-        if self.peek().kind == "punct" and self.peek().text == "^":
+        if self.at("^"):
             self.advance()
             exp = self.exponent()
         return var_index, exp
@@ -542,23 +442,20 @@ class _Parser:
     def exponent(self) -> ExponentTemplate:
         tok = self.peek()
         if tok.kind == "int":
-            return ExponentTemplate(self.expect_int())
+            return ExponentTemplate(self.integer())
         if tok.kind == "ident" and tok.text == PARAMETER \
                 and PARAMETER not in self.session.variables:
             self.advance()
             return ExponentTemplate(0, parameterized=True)
-        if tok.kind == "punct" and tok.text == "(":
+        if self.at("("):
             self.advance()
-            head = self.expect_ident("parameter")
+            head = self.expect("ident", "parameter")
             if head.text != PARAMETER or PARAMETER in self.session.variables:
                 self.fail(f"unknown parameter {head.text!r}", head)
-            op = self.peek()
-            if op.kind != "punct" or op.text not in "+-":
-                self.fail("expected '+' or '-' in parameterized exponent", op)
-            self.advance()
-            value = self.expect_int()
-            self.expect_punct(")")
-            offset = value if op.text == "+" else -value
+            if not self.at("+", "-"):
+                self.fail("expected '+' or '-' in parameterized exponent")
+            offset = self.sign() * self.integer()
+            self.punct(")")
             return ExponentTemplate(offset, parameterized=True)
         self.fail("expected an exponent: integer, "
                   f"{PARAMETER!r}, or ({PARAMETER}+INT)", tok)
@@ -588,7 +485,8 @@ def pretty_print(session: Session) -> str:
                          for p in decl.polynomials)
         lines.append(f"ideal {decl.name} = {body};")
     for table in session.tables.values():
-        body = ", ".join(f"({i}, {n}): {d}" for (i, n), d in table.entries)
+        body = ", ".join(f"({i}, {n}): {d}"
+                         for (i, n), d in table.entries.items())
         lines.append(f"synthetic_table {table.name} = {{{body}}};")
     for cmd in session.commands:
         lines.append(cmd.render() + ";")

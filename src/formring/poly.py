@@ -31,6 +31,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_characteristic(p: int) -> int:
+    """`p` itself when it is a prime below 2**30, else ValueError.
+
+    The bound is tested first, so a huge `p` never reaches trial division.
+    """
+    if p >= MAX_CHARACTERISTIC:
+        raise ValueError(
+            f"{p} is not below 2**30, the bound for exact int64 arithmetic")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
+def render_terms(terms: Iterable[tuple[int, Sequence[str]]]) -> str:
+    """`c*f*g - d*h + ...` from (signed coefficient, factor strings) pairs.
+
+    A coefficient of magnitude 1 is left out unless the term has no factors.
+    """
+    text = ""
+    for coeff, factors in terms:
+        body = "*".join(([] if factors and abs(coeff) == 1
+                         else [str(abs(coeff))]) + list(factors))
+        if text:
+            text += f" {'-' if coeff < 0 else '+'} {body}"
+        else:
+            text = "-" + body if coeff < 0 else body
+    return text or "0"
+
+
 class TermOrder:
     """A global monomial order given by a sort key on exponent tuples.
 
@@ -90,11 +119,10 @@ class PolyRing:
         for v in variables:
             if not v.isidentifier():
                 raise ValueError(f"bad variable name {v!r}")
-        if not is_prime(characteristic):
-            raise ValueError(f"characteristic {characteristic} is not prime")
-        if characteristic >= MAX_CHARACTERISTIC:
-            raise ValueError(
-                f"characteristic must be < 2**30 for exact int64 arithmetic")
+        try:
+            check_characteristic(characteristic)
+        except ValueError as exc:
+            raise ValueError(f"characteristic {exc}") from None
         self.variables = variables
         self.characteristic = characteristic
         self.order = order
@@ -305,33 +333,13 @@ class Polynomial:
     # -- display -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         p = self.ring.characteristic
-        parts: list[str] = []
-        for exps, c in self.sorted_terms():
-            # balanced residue so small negatives print with a minus sign
-            signed = c if c <= p // 2 else c - p
-            sign = "-" if signed < 0 else "+"
-            mag = abs(signed)
-            factors = []
-            for name, e in zip(self.ring.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        # balanced residue so small negatives print with a minus sign
+        return render_terms(
+            (c if c <= p // 2 else c - p,
+             [name if e == 1 else f"{name}^{e}"
+              for name, e in zip(self.ring.variables, exps) if e])
+            for exps, c in self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"<{self} over {self.ring}>"

@@ -21,6 +21,14 @@ tautology:
 * ``dense_piece``, ``dense_transition_matrix``, ``dense_local_coh_piece``
   and ``dense_f_map`` eliminate the whole Koszul matrices in internal degree
   n, never splitting a monomial cone into multidegree blocks.
+* ``char_loop_tokenize`` scans session text one character at a time with
+  ``str.isdigit``/``str.isalpha``, never using a regular expression.  It
+  is the lexer's earlier form: it accepts non-ASCII letters and digits,
+  and its end-of-input column after a trailing comment is the comment's
+  first column, so it agrees with ``dsl.tokenize`` only on the rest of
+  ASCII input.
+* ``term_loop_str`` prints a polynomial with its own per-term loop, never
+  calling ``poly.render_terms``.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ from formring import (CohomologyPiece, GradedQuotientRing,
                       is_coboundary, normal_form, s_polynomial,
                       standard_monomials)
 from formring import koszul, linalg, localcoh
+from formring.dsl import Token
+from formring.errors import ParseError
 from formring.groebner import _reduce_basis
 
 
@@ -247,3 +257,83 @@ def dense_local_coh_piece(G, i, n, cfg):
     return StabilizedEntry(i=i, n=n, dim=dims[start - 1], power=start,
                            stabilized=t_max - start >= cfg.margin,
                            history=tuple(dims))
+
+
+def char_loop_tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text[i:i + 2] == "..":
+            tokens.append(Token("punct", "..", line, col))
+            i += 2
+            col += 2
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(Token("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c in ";,=^*+-(){}:":
+            tokens.append(Token("punct", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def term_loop_str(f) -> str:
+    if not f.terms:
+        return "0"
+    p = f.ring.characteristic
+    parts: list[tuple[str, str]] = []
+    for exps, c in f.sorted_terms():
+        signed = c if c <= p // 2 else c - p
+        sign = "-" if signed < 0 else "+"
+        mag = abs(signed)
+        factors = []
+        for name, e in zip(f.ring.variables, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text

@@ -145,6 +145,13 @@ class TestExitCodes:
         assert code == 1
         assert "not prime" in err
 
+    def test_non_ascii_input_is_parse_error(self, capsys, monkeypatch):
+        for text in ("char \u00b2;", "char 7; vars x; ideal I = x^\u00b9;",
+                     "char 7; vars x\u2081;"):
+            code, out, err = run_cli(capsys, ["-"], text, monkeypatch)
+            assert (code, out) == (1, "")
+            assert "unexpected character" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, ["/nonexistent/path.fr"])
         assert code == 1
@@ -282,3 +289,33 @@ class TestDeterminism:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["results"][0]["status"] == "ok"
+
+
+class TestCharacteristicBound:
+    """A characteristic at or above 2**30 is refused before any primality
+    test; the subprocess timeout turns a trial division that runs for
+    minutes into a failure."""
+
+    def run(self, args, stdin_text):
+        return subprocess.run(
+            [sys.executable, "-m", "formring.cli", *args, "-"],
+            input=stdin_text, capture_output=True, text=True, timeout=10)
+
+    def test_huge_char_statement(self):
+        proc = self.run([], "char 2305843009213693951; vars x;")
+        assert proc.returncode == 1
+        assert proc.stderr == ("<stdin>:1:1: error: 2305843009213693951 is "
+                               "not below 2**30, the bound for exact int64 "
+                               "arithmetic\n")
+
+    def test_huge_char_flag(self):
+        proc = self.run(["--char", "2305843009213693951"], "vars x;")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: --char 2305843009213693951 is "
+                                      "not below 2**30")
+
+    def test_prime_char_above_bound_is_parse_error(self):
+        proc = self.run([], "char 1073741827; vars x; ideal I = x^2; table I;")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("<stdin>:1:1: error: 1073741827 is not "
+                                      "below 2**30")

@@ -1,11 +1,14 @@
 """Input-language parser: grammar, diagnostics, templates, round-trips."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from formring import ParseError, PolyRing, parse_session, pretty_print
-from formring.dsl import Command, ExponentTemplate, Session
+from formring.dsl import Command, ExponentTemplate, Session, Token, tokenize
 
 
 FAMILY = ("char 32003; vars x,y,z;"
@@ -39,7 +42,7 @@ class TestValidSessions:
         s = parse_session(
             "char 7; vars x; synthetic_table T = {(1,2): 10, (2,0): 1};"
             " gap T t=5;")
-        assert s.tables["T"].as_dict() == {(1, 2): 10, (2, 0): 1}
+        assert s.tables["T"].entries == {(1, 2): 10, (2, 0): 1}
         assert s.commands[0].option("t") == 5
 
     def test_parameterized_ideal_with_ranges(self):
@@ -172,6 +175,27 @@ class TestDiagnostics:
     def test_exponent_zero_allowed_negative_literal_not(self):
         self.check_error("char 7; vars x; ideal I = x^-2;", "exponent")
 
+    @pytest.mark.parametrize("text, col", [
+        ("char \u00b2;", 6),                            # superscript two
+        ("char 7; vars x; ideal I = x^\u00b9;", 29),     # superscript one
+        ("char 7; vars x\u2081;", 15),                  # subscript one
+        ("char 7; vars \u00e9;", 14),                   # e acute
+        ("char \u0663;", 6),                            # Arabic-Indic three
+    ])
+    def test_non_ascii_is_parse_error(self, text, col):
+        err = self.check_error(text, "unexpected character")
+        assert (err.line, err.col) == (1, col)
+
+    def test_prime_characteristic_above_bound(self):
+        err = self.check_error("char 1073741827; vars x;", "2**30")
+        assert (err.line, err.col) == (1, 1)
+
+    def test_eof_column_after_trailing_comment(self):
+        # one past the comment's end; the character loop reported col 16
+        err = self.check_error("char 7; vars x # tail", "end of input")
+        assert (err.line, err.col) == (1, 22)
+        assert tokenize("x # c")[-1] == Token("eof", "", 1, 6)
+
 
 class TestTemplates:
     def test_exponent_value(self):
@@ -217,6 +241,34 @@ class TestRoundTrip:
         # pretty-printing is idempotent on its own output
         assert pretty_print(again) == printed
 
+    def test_table_entry_order_insensitive_equality(self):
+        a = parse_session("char 7; vars x;"
+                          " synthetic_table T = {(1,2): 10, (2,0): 1};")
+        b = parse_session("char 7; vars x;"
+                          " synthetic_table T = {(2,0): 1, (1,2): 10};")
+        c = parse_session("char 7; vars x;"
+                          " synthetic_table T = {(2,0): 1, (1,2): 11};")
+        assert a == b
+        assert a != c
+
+    def test_command_position_not_compared(self):
+        a = parse_session("char 7; vars x; ideal I = x^2; table I;")
+        b = parse_session("char 7;\nvars x;\n\nideal I = x^2;\n   table I;")
+        assert (a.commands[0].line, a.commands[0].col) != \
+            (b.commands[0].line, b.commands[0].col)
+        assert a == b
+        assert a != parse_session(
+            "char 7; vars x; ideal I = x^2; check table I;")
+
+    @pytest.mark.parametrize("body, printed", [
+        ("0*x", "0*x"), ("x - 0*x", "x + 0*x"), ("-3", "-3"),
+        ("-x^(r-1) + 2", "-x^(r-1) + 2"), ("1*x*x^0 - 1", "x*x^0 - 1"),
+    ])
+    def test_template_printing(self, body, printed):
+        text = pretty_print(
+            parse_session(f"char 7; vars x; ideal I = {body};"))
+        assert f"ideal I = {printed};" in text
+
     def test_option_order_insensitive_equality(self):
         a = parse_session("char 7; vars x; ideal I = x^2;"
                           " table I imax=1 tmax=5;")
@@ -225,13 +277,40 @@ class TestRoundTrip:
         assert a == b
 
 
+ASCII_FUZZ = "chavrsidelogjktbqfxyz0123456789 ;,=^*+-(){}:.\n#"
+# statement heads put stray characters where an integer, a variable or an
+# exponent is expected
+FUZZ_HEADS = ["", "char ", "char 7; vars x", "char 7; vars x; ideal I = x^"]
+# superscript two and one, subscript one, e acute, Arabic-Indic three
+NON_ASCII = "\u00b2\u00b9\u2081\u00e9\u0663"
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(
-    alphabet=st.sampled_from(list(
-        "chavrsidelogjktbqfxyz0123456789 ;,=^*+-(){}:.\n#")),
-    max_size=80))
-def test_fuzz_only_parse_errors(text):
+@given(st.sampled_from(FUZZ_HEADS), st.text(
+    alphabet=st.sampled_from(list(ASCII_FUZZ + NON_ASCII)), max_size=80))
+def test_fuzz_only_parse_errors(head, tail):
     try:
-        parse_session(text)
+        parse_session(head + tail)
     except ParseError:
         pass
+
+
+def _lex(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list(ASCII_FUZZ + "\t\r_AZ!")),
+               max_size=80))
+def test_regex_lexer_matches_char_loop(text):
+    new, old = _lex(tokenize, text), _lex(oracles.char_loop_tokenize, text)
+    last_line = text.rsplit("\n", 1)[-1]
+    if isinstance(old, list) and "#" in last_line:
+        # a trailing comment without a final newline: the character loop
+        # left the end-of-input column at the comment's first column
+        assert new[-1] == replace(old[-1], col=len(last_line) + 1)
+        new, old = new[:-1], old[:-1]
+    assert new == old

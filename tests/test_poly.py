@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from formring import (
     AmbientMismatchError,
     DEGREVLEX,
@@ -12,6 +13,7 @@ from formring import (
     MAX_CHARACTERISTIC,
     PolyRing,
     TermOrder,
+    poly,
 )
 
 
@@ -27,6 +29,14 @@ class TestRingConstruction:
     def test_rejects_characteristic_at_cap(self):
         with pytest.raises(ValueError):
             PolyRing(("x",), MAX_CHARACTERISTIC + 7)
+
+    def test_characteristic_bound_before_primality(self):
+        # 2**61 - 1 is prime: trial division on it would run for minutes
+        with pytest.raises(ValueError, match=r"2\*\*30"):
+            poly.check_characteristic(2**61 - 1)
+        with pytest.raises(ValueError, match="not prime"):
+            poly.check_characteristic(6)
+        assert poly.check_characteristic(32003) == 32003
 
     def test_accepts_large_prime_below_cap(self):
         p = (1 << 30) - 35
@@ -216,3 +226,10 @@ def test_components_sum_back(data):
         assert part.degree() == d
         total = total + part
     assert total == f
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 32003]).flatmap(
+    lambda p: polynomials(PolyRing(("x", "y", "z"), p))))
+def test_str_matches_term_loop(f):
+    assert str(f) == oracles.term_loop_str(f)
