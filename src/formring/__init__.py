@@ -4,8 +4,8 @@ mechanical descent checkers between a filtered ring and its graded cone.
 """
 
 from .errors import (AmbientMismatchError, FormringError, NotHomogeneousError,
-                     NotInIrrelevantError, ParseError, SaturationLimitError,
-                     ZeroRingError)
+                     NotInIrrelevantError, ParseError, RangeLimitError,
+                     SaturationLimitError, ZeroRingError)
 from .poly import (DEGREVLEX, ELIM_LAST, LEX, MAX_CHARACTERISTIC, PolyRing,
                    Polynomial, TermOrder, is_prime)
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_quotient,
@@ -29,7 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientMismatchError", "FormringError", "NotHomogeneousError",
-    "NotInIrrelevantError", "ParseError", "SaturationLimitError",
+    "NotInIrrelevantError", "ParseError", "RangeLimitError",
+    "SaturationLimitError",
     "ZeroRingError",
     "DEGREVLEX", "ELIM_LAST", "LEX", "MAX_CHARACTERISTIC",
     "PolyRing", "Polynomial", "TermOrder", "is_prime",

@@ -3,7 +3,7 @@ emit a deterministic JSON or text report.
 
 Exit codes: 0 when every command ran (negative verdicts included); 1 on
 usage, parse, or per-command input errors; 2 when an internal guard tripped
-(unstabilized colimit entries, saturation cap).
+(unstabilized colimit entries, saturation cap, an `r` range over its cap).
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import time
 
 from . import __version__
 from .dsl import Command, Session, parse_session
-from .errors import FormringError, ParseError, SaturationLimitError
+from .errors import (FormringError, ParseError, RangeLimitError,
+                     SaturationLimitError)
 from .graded import GradedQuotientRing
 from .groebner import Ideal, initial_forms_ideal
 from .koszul import KoszulComplexSpec, cochain_dim, koszul_cohomology_piece
@@ -81,12 +82,19 @@ class RunConfig:
     timing: bool = False
 
 
+# most values one `r=LO..HI` range may expand to; a longer range is a guard
+MAX_R_VALUES = 64
+
+
 def _expand_r(cmd: Command) -> list[int | None]:
     value = cmd.option("r")
     if value is None:
         return [None]
     if isinstance(value, tuple):
-        return list(range(value[0], value[1] + 1))
+        lo, hi = value
+        if hi - lo + 1 > MAX_R_VALUES:
+            raise RangeLimitError(lo, hi, MAX_R_VALUES)
+        return list(range(lo, hi + 1))
     return [value]
 
 
@@ -114,6 +122,12 @@ def _outcome(status: str, data: dict, witnesses: list | None = None,
              window: list | None = None) -> dict:
     return {"status": status, "data": data, "witnesses": witnesses or [],
             "window": window}
+
+
+def _failure(exc: Exception) -> dict:
+    guard = isinstance(exc, (SaturationLimitError, RangeLimitError))
+    return _outcome("guard" if guard else "error",
+                    {"message": str(exc), "kind": type(exc).__name__})
 
 
 def _verdict_outcome(verdict, table: CohomologyTable) -> dict:
@@ -211,25 +225,22 @@ def run_session(session: Session, config: RunConfig | None = None) -> dict:
         ring = PolyRing(session.variables, session.characteristic)
     results = []
     for cmd in session.commands:
-        for r in _expand_r(cmd):
+        try:
+            values = _expand_r(cmd)
+        except RangeLimitError as exc:
+            results.append({"command": cmd.render(), **_failure(exc),
+                            "timing_ms": 0})
+            continue
+        for r in values:
             instance = _instance_command(cmd, r)
             started = time.monotonic()
             try:
                 outcome = _run_instance(session, ring, instance, r, config)
             except (FormringError, ValueError) as exc:
-                status = ("guard" if isinstance(exc, SaturationLimitError)
-                          else "error")
-                outcome = _outcome(status, {"message": str(exc),
-                                            "kind": type(exc).__name__})
+                outcome = _failure(exc)
             elapsed_ms = int((time.monotonic() - started) * 1000)
-            results.append({
-                "command": instance.render(),
-                "status": outcome["status"],
-                "data": outcome["data"],
-                "witnesses": outcome["witnesses"],
-                "window": outcome["window"],
-                "timing_ms": elapsed_ms if config.timing else 0,
-            })
+            results.append({"command": instance.render(), **outcome,
+                            "timing_ms": elapsed_ms if config.timing else 0})
     return {"version": __version__, "results": results}
 
 

@@ -273,6 +273,8 @@ class _Parser:
         tok = self.advance()
         if self.explicit_char:
             self.fail("characteristic already declared", tok)
+        if self.session.variables:
+            self.fail("characteristic must be declared before vars", tok)
         value = self.integer()
         try:
             self.session.characteristic = check_characteristic(value)

@@ -29,6 +29,14 @@ class SaturationLimitError(FormringError):
         self.cap = cap
 
 
+class RangeLimitError(FormringError):
+    """An `r=LO..HI` range holds more values than the cap allows."""
+
+    def __init__(self, lo: int, hi: int, cap: int):
+        super().__init__(f"r={lo}..{hi} has {hi - lo + 1} values, more than "
+                         f"the cap of {cap}")
+
+
 class ParseError(FormringError):
     """Malformed session or polynomial text."""
 

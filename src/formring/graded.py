@@ -2,7 +2,11 @@
 
 Each graded piece [G]_n carries the basis of standard monomials (degree-n
 monomials outside the lead-term ideal), sorted descending by the ring's term
-order.  Bases and matrices are cached write-once; all values are immutable.
+order.  Graded normal forms are read off one table per degree: the
+coordinates in [G]_d of every degree-d monomial, filled in a single sweep
+(see `_normal_forms`).  Coordinates and multiplication matrices are sums of
+table rows; no graded normal form runs the general division algorithm.
+Bases, tables and matrices are cached write-once; all values are immutable.
 Caches are plain dicts filled idempotently, so concurrent readers are safe
 under the interpreter lock.
 """
@@ -15,7 +19,8 @@ import numpy as np
 
 from . import linalg
 from .errors import NotHomogeneousError, ZeroRingError
-from .groebner import DEGREVLEX, GroebnerBasis, Ideal, standard_monomials
+from .groebner import (DEGREVLEX, GroebnerBasis, Ideal, _monomial_divides,
+                       _monomials_of_degree, standard_monomials)
 from .poly import Monomial, Polynomial, require_homogeneous
 
 
@@ -73,8 +78,15 @@ class GradedQuotientRing:
         self.gb: GroebnerBasis = ideal.groebner_basis(DEGREVLEX)
         # a monomial cone: its Koszul complexes split into multidegree blocks
         self.monomial = all(len(g.terms) == 1 for g in self.gb)
+        # (lead, tail monomials, negated tail coefficients) per basis element
+        self._rules = [
+            (lead, [v for v in g.terms if v != lead],
+             np.array([[-c % self.p for v, c in g.terms.items() if v != lead]],
+                      dtype=np.int64))
+            for lead, g in zip(self.gb.leading_monomials(), self.gb)]
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._index_cache: dict[int, dict[Monomial, int]] = {}
+        self._nf_cache: dict[int, tuple[dict[Monomial, int], np.ndarray]] = {}
         self._mult_cache: dict = {}
         self._dim_cache: int | None = None
         self._koszul_cache: dict = {}
@@ -94,16 +106,17 @@ class GradedQuotientRing:
         return len(self.graded_basis(n))
 
     def coordinates(self, f: Polynomial, n: int) -> np.ndarray:
-        """Coordinate column of the class of homogeneous f in [G]_n."""
-        nf = self.gb.normal_form(f)
-        self.graded_basis(n)
-        index = self._index_cache[n]
-        vec = np.zeros(len(index), dtype=np.int64)
-        for exps, c in nf.terms.items():
-            if sum(exps) != n:
-                raise NotHomogeneousError(
-                    f"class of {f} does not live purely in degree {n}")
-            vec[index[exps]] = c
+        """Coordinate column of the class of f in [G]_n.
+
+        Every term of f must have degree n, even one whose class is zero.
+        """
+        if any(sum(exps) != n for exps in f.terms):
+            raise NotHomogeneousError(f"{f} does not live purely in degree {n}")
+        vec = np.zeros(self.dim(n), dtype=np.int64)
+        if vec.size:
+            rows, nf = self._normal_forms(n)
+            for exps, c in f.terms.items():
+                vec = (vec + c * nf[rows[exps]]) % self.p
         return vec
 
     def element_from_coordinates(self, vec, n: int) -> Polynomial:
@@ -112,6 +125,39 @@ class GradedQuotientRing:
         return Polynomial(self.ring, terms)
 
     # -- multiplication ----------------------------------------------------
+
+    def _normal_forms(self, d: int) -> tuple[dict[Monomial, int], np.ndarray]:
+        """The coordinates in [G]_d of every degree-d monomial: row k of the
+        table belongs to the monomial that the returned dict maps to k.
+
+        One sweep in ascending DEGREVLEX order fills the table.  A standard
+        monomial gets its unit vector.  Any other monomial u is shift * lead
+        of the first basis element g whose lead divides u, so its row is
+        -sum c * row(shift * v) over the tail terms c * v of g, mod p.  The
+        reduced basis of a homogeneous ideal is monic and homogeneous, so
+        every shift * v is a smaller degree-d monomial whose row is already
+        filled.  Normal forms are unique, so each row holds exactly the
+        coordinates of the monomial's normal form.
+        """
+        hit = self._nf_cache.get(d)
+        if hit is not None:
+            return hit
+        self.graded_basis(d)
+        index = self._index_cache[d]
+        monos = _monomials_of_degree(self.ring.nvars, DEGREVLEX, d)[::-1]
+        rows = {u: k for k, u in enumerate(monos)}
+        nf = linalg.zeros(len(monos), len(index))
+        for k, u in enumerate(monos):
+            if u in index:
+                nf[k, index[u]] = 1
+                continue
+            lead, tail, coeffs = next(rule for rule in self._rules
+                                      if _monomial_divides(rule[0], u))
+            shifted = [rows[tuple(a + b - e for a, b, e in zip(u, v, lead))]
+                       for v in tail]
+            nf[k] = linalg.matmul(coeffs, nf[shifted], self.p)[0]
+        self._nf_cache[d] = rows, nf
+        return rows, nf
 
     def mult_matrix(self, f: Polynomial, n: int) -> GradedVectorSpaceMap:
         """Multiplication by homogeneous f as a map [G]_n -> [G]_{n+deg f}."""
@@ -122,13 +168,13 @@ class GradedQuotientRing:
             return hit
         source = self.graded_basis(n)
         target_degree = n + e
-        target = self.graded_basis(target_degree)
-        index = self._index_cache[target_degree]
-        mat = linalg.zeros(len(target), len(source))
-        for j, mono in enumerate(source):
-            prod = self.gb.normal_form(f * self.ring.monomial(mono))
-            for exps, c in prod.terms.items():
-                mat[index[exps], j] = c
+        mat = linalg.zeros(self.dim(target_degree), len(source))
+        if mat.size:
+            rows, nf = self._normal_forms(target_degree)
+            for exps, c in f.terms.items():
+                moved = [rows[tuple(a + b for a, b in zip(exps, mono))]
+                         for mono in source]
+                mat = (mat + c * nf[moved].T) % self.p
         out = GradedVectorSpaceMap(mat, self.p)
         self._mult_cache[key] = out
         return out

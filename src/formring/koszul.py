@@ -17,8 +17,9 @@ Two routes give the same bytes.  A monomial cone in the plain variable
 order is computed by `multigraded`, one multidegree block at a time, and
 its pieces and transition matrices are scattered into the storage order
 above.  Every other cone, and every permuted sequence, takes the dense
-route: the matrices of a whole internal degree, built from graded normal
-forms, and eliminated at once.
+route: the matrices of a whole internal degree, read off the ring's
+per-degree normal-form table (`GradedQuotientRing.mult_matrix`), and
+eliminated at once.
 """
 
 from __future__ import annotations

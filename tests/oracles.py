@@ -29,6 +29,9 @@ tautology:
   ASCII input.
 * ``term_loop_str`` prints a polynomial with its own per-term loop, never
   calling ``poly.render_terms``.
+* ``nf_mult_matrix`` fills a multiplication matrix one column at a time,
+  each column one ``normal_form`` call on ``f`` times a basis monomial,
+  never reading ``GradedQuotientRing``'s per-degree normal-form table.
 """
 
 from __future__ import annotations
@@ -337,3 +340,19 @@ def term_loop_str(f) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+def nf_mult_matrix(G, f, n):
+    """Multiplication by homogeneous ``f`` on [G]_n, column by column."""
+
+    source = G.graded_basis(n)
+    target_degree = n + f.degree()
+    target = G.graded_basis(target_degree)
+    index = {m: i for i, m in enumerate(target)}
+    mat = linalg.zeros(len(target), len(source))
+    for j, mono in enumerate(source):
+        prod = normal_form(f * G.ring.monomial(mono), G.gb.elements,
+                           G.gb.order)
+        for exps, c in prod.terms.items():
+            mat[index[exps], j] = c
+    return mat

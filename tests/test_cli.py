@@ -135,6 +135,13 @@ class TestExitCodes:
             "row bound t=-1 is negative"}
         assert all(r["window"] is None for r in results)
 
+    def test_char_after_vars_is_parse_error(self, capsys, monkeypatch):
+        text = "vars x, y; char 7; ideal I = x^2, y; table I;"
+        code, out, err = run_cli(capsys, ["-"], text, monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == ("<stdin>:1:12: error: characteristic must be "
+                       "declared before vars\n")
+
     def test_usage_error_bad_window(self, capsys):
         code, _, err = run_cli(capsys, ["--window", "apples", "-"])
         assert code == 1
@@ -204,6 +211,45 @@ class TestParameterExpansion:
             ["tangent_cone F r=3", "tangent_cone F r=4"]
         assert "y^4" in results[0]["data"]["cone_generators"]
         assert "y^5" in results[1]["data"]["cone_generators"]
+
+    def test_range_at_cap_runs_every_value(self, capsys, monkeypatch):
+        monkeypatch.setattr("formring.cli.MAX_R_VALUES", 3)
+        text = "char 7; vars x,y; ideal F = x^r, y; tangent_cone F r=2..4;"
+        code, out, _ = run_cli(capsys, ["-"], text, monkeypatch)
+        assert code == 0
+        assert [r["command"] for r in json.loads(out)["results"]] == [
+            "tangent_cone F r=2", "tangent_cone F r=3", "tangent_cone F r=4"]
+
+    def test_range_over_cap_is_one_guard(self, capsys, monkeypatch):
+        def no_cone(ideal):
+            raise AssertionError("an instance ran for a range over the cap")
+
+        monkeypatch.setattr("formring.cli.initial_forms_ideal", no_cone)
+        monkeypatch.setattr("formring.cli.MAX_R_VALUES", 3)
+        text = "char 7; vars x,y; ideal F = x^r, y; tangent_cone F r=2..5;"
+        code, out, _ = run_cli(capsys, ["-"], text, monkeypatch)
+        assert code == 2
+        (guard,) = json.loads(out)["results"]
+        assert guard == {
+            "command": "tangent_cone F r=2..5", "status": "guard",
+            "data": {"kind": "RangeLimitError",
+                     "message": "r=2..5 has 4 values, more than the cap "
+                                "of 3"},
+            "witnesses": [], "window": None, "timing_ms": 0}
+
+    def test_huge_range_ends_in_guard(self):
+        # a subprocess with a timeout: a range that runs every instance
+        # (3,000 of them here) fails instead of hanging the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "formring.cli", "-"],
+            input="char 7; vars x,y; ideal F = x^r, y;"
+                  " tangent_cone F r=1..3000;",
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        (entry,) = json.loads(proc.stdout)["results"]
+        assert entry["status"] == "guard"
+        assert entry["data"]["message"] == (
+            "r=1..3000 has 3000 values, more than the cap of 64")
 
     def test_check_prefix_echoed_not_semantic(self, capsys, monkeypatch):
         text = ("char 32003; vars x,y;"

@@ -98,6 +98,14 @@ class TestDiagnostics:
         self.check_error("vars x; ideal I = x^2; char 7; table I;",
                          "characteristic")
 
+    def test_characteristic_must_precede_vars(self):
+        err = self.check_error("vars x, y; char 7; ideal I = x^2, y;"
+                               " table I;",
+                               "characteristic must be declared before vars")
+        assert (err.line, err.col) == (1, 12)
+        with pytest.raises(ParseError):
+            parse_session("vars x; char 7;", default_characteristic=7)
+
     def test_vars_before_ideal(self):
         self.check_error("char 7; ideal I = x^2;", "variables")
 

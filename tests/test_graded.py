@@ -2,14 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from formring import (
     GradedQuotientRing,
+    GroebnerBasis,
     Ideal,
     NotHomogeneousError,
     PolyRing,
+    StabilizationConfig,
     ZeroRingError,
+    initial_forms_ideal,
+    local_coh_table,
+    monomials_of_degree,
+    normal_form,
 )
+from formring import groebner
 
 P = 32003
 
@@ -72,6 +82,13 @@ class TestCoordinates:
         with pytest.raises(NotHomogeneousError):
             G.coordinates(x, 2)
 
+    def test_zero_class_term_of_wrong_degree_rejected(self):
+        # x^3 lies in (x^2), so its class is zero, but it is not in degree 2
+        G = quotient(("x", "y"), lambda x, y: [x**2])
+        x, y = G.ideal.ring.gens()
+        with pytest.raises(NotHomogeneousError):
+            G.coordinates(x**3 + y**2, 2)
+
 
 class TestMultiplication:
     def test_family_r3_x_kills_degree_one(self):
@@ -129,3 +146,75 @@ class TestInvariants:
     def test_max_generator_degree(self):
         G = quotient(("x", "y"), lambda x, y: [x**2, y**3])
         assert G.max_generator_degree() == 3
+
+
+def _homogeneous(draw, R, degree, max_terms):
+    monos = monomials_of_degree(R, degree)
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        mono = draw(st.sampled_from(monos))
+        terms[mono] = draw(st.integers(1, R.characteristic - 1))
+    return R.from_terms(terms)
+
+
+def _graded_quotient(draw):
+    """GF(p)[x..] modulo random homogeneous forms, at least one of them not
+    a monomial; sometimes plus every monomial of one degree, so that some
+    graded pieces vanish."""
+    p = draw(st.sampled_from([2, 5, 32003]))
+    nv = draw(st.integers(2, 4))
+    R = PolyRing(tuple("xyzw"[:nv]), p)
+    top = 3 if nv < 4 else 2
+    gens = [_homogeneous(draw, R, draw(st.integers(1, top)), 4)
+            for _ in range(draw(st.integers(1, 3)))]
+    if all(len(g.terms) < 2 for g in gens):
+        quadrics = monomials_of_degree(R, 2)
+        gens.append(R.from_terms({quadrics[0]: 1, quadrics[-1]: 1}))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 4))
+        gens += [R.monomial(m) for m in monomials_of_degree(R, k)]
+    return GradedQuotientRing(Ideal(R, gens))
+
+
+def _nf_coordinates(G, f, n):
+    nf = normal_form(f, G.gb.elements, G.gb.order)
+    return np.array([nf.terms.get(m, 0) for m in G.graded_basis(n)],
+                    dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_table_matches_normal_form_oracle(data):
+    draw = data.draw
+    G = _graded_quotient(draw)
+    for _ in range(4):
+        e = draw(st.integers(0, 2))
+        n = draw(st.integers(-1, 5))
+        f = _homogeneous(draw, G.ring, e, draw(st.sampled_from([1, 3])))
+        got = G.mult_matrix(f, n).matrix
+        want = oracles.nf_mult_matrix(G, f, n)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (str(f), n)
+        if n >= 0:
+            g = _homogeneous(draw, G.ring, n, 3)
+            assert np.array_equal(G.coordinates(g, n),
+                                  _nf_coordinates(G, g, n)), (str(g), n)
+
+
+def test_dense_koszul_path_runs_no_normal_form(monkeypatch):
+    # x*y after a generic linear change of coordinates: the cone is a
+    # quadric whose Groebner basis is not monomial
+    R = PolyRing(("x", "y", "z"), P)
+    x, y, z = R.gens()
+    cone = initial_forms_ideal(
+        Ideal(R, [(3 * x + 5 * y + 7 * z) * (2 * x + 11 * y + 13 * z)]))
+    G = GradedQuotientRing(cone)
+    assert not G.monomial
+
+    def refuse(*args):
+        raise AssertionError("graded normal form went through normal_form")
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", refuse)
+    monkeypatch.setattr(groebner, "normal_form", refuse)
+    table = local_coh_table(G, cfg=StabilizationConfig(-3, 1, t_max=5))
+    assert table.entry(2, -1).dim == 1
