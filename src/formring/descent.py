@@ -353,7 +353,14 @@ def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
             "the input ideal must lie inside the irrelevant ideal")
     irrelevant = Ideal(ring, ring.gens())
     socle_ideal = ideal_quotient(A_ideal, irrelevant)
-    torsion_ideal, s = saturate(A_ideal, irrelevant)
+    # the saturation chain of A goes on from its first step, the socle
+    if socle_ideal.equals(A_ideal):
+        torsion_ideal, s = A_ideal, 0
+    else:
+        torsion_ideal, s = saturate(socle_ideal, irrelevant)
+        s += 1
+        if s > SATURATION_CAP:
+            raise SaturationLimitError(SATURATION_CAP)
     f0 = socle_ideal.equals(torsion_ideal)
 
     socle_reps = [g for g in socle_ideal.generators]

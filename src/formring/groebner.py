@@ -47,16 +47,22 @@ def _coprime(a: Monomial, b: Monomial) -> bool:
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
-                order: TermOrder | None = None) -> Polynomial:
+                order: TermOrder | None = None,
+                leads: Sequence[tuple[Monomial, Polynomial]] | None = None
+                ) -> Polynomial:
     """Fully reduce f: no term of the result is divisible by any basis lead.
 
     Canonical (independent of the division bookkeeping) when `basis` is a
-    Groebner basis for `order`.
+    Groebner basis for `order`.  A caller that reduces by the same basis
+    many times passes its (lead, element) pairs as `leads`, in basis order
+    and without zero elements, so they are not rebuilt on every call.
     """
     order = order or f.ring.order
     ring = f.ring
     p = ring.characteristic
-    leads = [(g.leading_monomial(order), g) for g in basis if not g.is_zero()]
+    if leads is None:
+        leads = [(g.leading_monomial(order), g) for g in basis
+                 if not g.is_zero()]
     remainder: dict[Monomial, int] = {}
     work = dict(f.terms)
     while work:
@@ -111,6 +117,7 @@ def buchberger(generators: Sequence[Polynomial],
 
     basis: list[Polynomial] = []
     leads: list[Monomial] = []
+    reducers: list[tuple[Monomial, Polynomial]] = []  # normal_form's leads
     queue: list[tuple[int, int, int, Monomial]] = []  # (deg lcm, i, j, lcm)
 
     def update(h: Polynomial) -> None:
@@ -121,6 +128,7 @@ def buchberger(generators: Sequence[Polynomial],
         fresh = [(g, _monomial_lcm(lg, lh)) for g, lg in enumerate(leads)]
         basis.append(h)
         leads.append(lh)
+        reducers.append((lh, h))
         # drop a new pair whose lcm is a multiple of another new pair's lcm
         # (of equal lcms the last survives), then the coprime ones
         kept: list[tuple[int, Monomial]] = []
@@ -143,7 +151,8 @@ def buchberger(generators: Sequence[Polynomial],
         update(g.monic(order))
     while queue:
         _, i, j, _ = heapq.heappop(queue)
-        s = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        s = normal_form(s_polynomial(basis[i], basis[j], order), basis, order,
+                        reducers)
         if not s.is_zero():
             update(s.monic(order))
 
@@ -185,6 +194,8 @@ class GroebnerBasis:
     def __init__(self, elements: list[Polynomial], order: TermOrder):
         self.elements = elements
         self.order = order
+        self._leads = [(g.leading_monomial(order), g) for g in elements
+                       if not g.is_zero()]
 
     def __iter__(self):
         return iter(self.elements)
@@ -193,13 +204,13 @@ class GroebnerBasis:
         return len(self.elements)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.elements, self.order)
+        return normal_form(f, self.elements, self.order, self._leads)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
 
     def leading_monomials(self) -> list[Monomial]:
-        return [g.leading_monomial(self.order) for g in self.elements]
+        return [lead for lead, _ in self._leads]
 
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.elements)

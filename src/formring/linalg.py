@@ -91,10 +91,8 @@ def kernel(a: np.ndarray, p: int) -> np.ndarray:
     r, pivots = rref(a, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = zeros(ncols, len(free))
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r[i, fc])) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots, :] = -r[:len(pivots), free] % p
     return basis
 
 

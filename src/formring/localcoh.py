@@ -15,11 +15,21 @@ monomial cone, `multigraded` reads them off the multidegree blocks without
 assembling any Koszul matrix; every other cone takes the dense route
 through `koszul_cohomology_piece` and `transition_map`.  The detector is
 the same for both.
+
+A cone G = S/I that is not monomial first reads its column off the exact
+table of S/in(I) (`multigraded.colimit_dims`).  In every degree,
+dim [H^i_M(S/I)]_n <= dim [H^i_M(S/in(I))]_n (Sbarra 2001), and S/I and
+S/in(I) share a Hilbert function, so by the Grothendieck-Serre formula
+(Bruns-Herzog 4.4) their columns have the same alternating sum.  So an
+entry whose bound is 0 is proved zero, and an entry whose bound is the only
+nonzero one of its column equals that bound.  The second rule is used only
+at i >= dim G: below the dimension the checkers need a detector power for
+their maps.  Every other entry takes the dense detector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,26 +59,44 @@ class StabilizationConfig:
 
     @classmethod
     def default_for(cls, G: GradedQuotientRing) -> "StabilizationConfig":
+        """The default window; on a monomial cone t_max also reaches
+        T(n_lo) + margin, so every window entry settles with its run."""
         if G.is_zero_ring():
             return cls(-1, 1)
         dim = G.krull_dimension()
         maxdeg = max(G.max_generator_degree(), 1)
-        return cls(-(dim + 3), 2 * maxdeg + 3)
+        cfg = cls(-(dim + 3), 2 * maxdeg + 3)
+        if not G.monomial:
+            return cfg
+        need = multigraded.settle_power(G, cfg.n_lo) + cfg.margin
+        return replace(cfg, t_max=max(cfg.t_max, need))
 
     def degrees(self) -> range:
         return range(self.n_lo, self.n_hi + 1)
 
 
+# How an entry's value was settled (StabilizedEntry.settled_by).
+DETECTOR = "detector"      # trailing isomorphism run; see `stabilized`
+ZERO_BOUND = "zero bound"  # its bound from S/in(I) is 0
+COLUMN_SUM = "column sum"  # the only nonzero bound of its column
+SYNTHETIC = "synthetic"    # given by a synthetic table
+
+
 @dataclass
 class StabilizedEntry:
-    """One (i, n) entry of the local cohomology table."""
+    """One (i, n) entry of the local cohomology table.
+
+    An entry settled by the in(I) bounds was read at no power: its `power`
+    is None and its `history` empty.
+    """
 
     i: int
     n: int
     dim: int
-    power: int
+    power: int | None
     stabilized: bool
     history: tuple[int, ...]
+    settled_by: str = DETECTOR
 
     def as_row(self) -> list[int]:
         return [self.i, self.n, self.dim]
@@ -89,7 +117,27 @@ def _effective_t_max(G: GradedQuotientRing, cfg: StabilizationConfig) -> int:
 
 def local_coh_piece(G: GradedQuotientRing, i: int, n: int,
                     cfg: StabilizationConfig) -> StabilizedEntry:
-    """Stabilized colimit entry for [H^i_M(G)]_n."""
+    """Stabilized colimit entry for [H^i_M(G)]_n.
+
+    A cone that is not monomial first tries its S/in(I) column; see the
+    module docstring.
+    """
+    if not G.monomial and 0 <= i <= G.ring.nvars:
+        bounds = multigraded.colimit_dims(G, n)
+        if bounds[i] == 0:
+            rule = ZERO_BOUND
+        elif i >= G.krull_dimension() and bounds.count(0) == len(bounds) - 1:
+            rule = COLUMN_SUM
+        else:
+            return _detected(G, i, n, cfg)
+        return StabilizedEntry(i=i, n=n, dim=bounds[i], power=None,
+                               stabilized=True, history=(), settled_by=rule)
+    return _detected(G, i, n, cfg)
+
+
+def _detected(G: GradedQuotientRing, i: int, n: int,
+              cfg: StabilizationConfig) -> StabilizedEntry:
+    """The entry the trailing-run detector reads off the power history."""
     t_max = _effective_t_max(G, cfg)
     if G.monomial:
         dims, iso = multigraded.history(G, i, n, t_max)
@@ -142,7 +190,8 @@ class CohomologyTable:
             for n in range(lo, hi + 1):
                 d = literal.get((i, n), 0)
                 entries[(i, n)] = StabilizedEntry(
-                    i=i, n=n, dim=d, power=1, stabilized=True, history=(d,))
+                    i=i, n=n, dim=d, power=1, stabilized=True, history=(d,),
+                    settled_by=SYNTHETIC)
         return cls(entries, i_max, cfg, synthetic=True)
 
     def entry(self, i: int, n: int) -> StabilizedEntry | None:
@@ -234,6 +283,18 @@ def saturation_exponent(G: GradedQuotientRing) -> int:
     return s
 
 
+def _power(G: GradedQuotientRing, entry: StabilizedEntry,
+           cfg: StabilizationConfig) -> int | None:
+    """The power an entry's maps are read at, or None if it never settles.
+
+    A value fixed by its column (only at i >= dim G) was read at no power,
+    so the detector supplies one.
+    """
+    if entry.power is None:
+        entry = _detected(G, entry.i, entry.n, cfg)
+    return entry.power if entry.stabilized else None
+
+
 def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
                               table: CohomologyTable):
     """Does every variable multiply [H^i_M(G)] to zero?
@@ -251,11 +312,14 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
         if not entry.stabilized:
             return None, [f"entry (i={i}, n={entry.n}) not stabilized"]
         target = table.entry(i, entry.n + 1)
-        if target is not None and not target.stabilized:
-            return None, [f"entry (i={i}, n={entry.n + 1}) not stabilized"]
-        t_star = entry.power
-        if target is not None:
-            t_star = max(t_star, target.power)
+        if target is not None and target.settled_by == ZERO_BOUND:
+            continue  # every x_j maps into a piece proved zero
+        consulted = [e for e in (entry, target) if e is not None]
+        powers = [_power(G, e, table.cfg) for e in consulted]
+        if None in powers:
+            n = consulted[powers.index(None)].n
+            return None, [f"entry (i={i}, n={n}) not stabilized"]
+        t_star = max(powers)
         spec = KoszulComplexSpec(G, t_star)
         piece = koszul_cohomology_piece(spec, i, entry.n)
         d_in = differential(spec, i - 1, entry.n + 1)

@@ -19,6 +19,13 @@ largest exponent of x_j among the generators of J.  Hence:
 * a block is fixed by its signature: per variable, the capped exponent
   outside L and inside L.  Each signature is eliminated once per ring.
 
+Every multidegree of total degree n with all a_j < rho_j has
+a_j >= n - sum_k (rho_k - 1) + rho_j - 1, so each of them has settled once
+t >= T(n) = max(1, sum_j rho_j - m + 1 - n): [H^i(x^T(n); G)]_n is exactly
+[H^i_M(G)]_n (`settle_power`, `colimit_dims`).  The engine reads only the
+lead monomials of the ring's reduced basis, so for a cone that is not
+monomial the same values are those of S/in(I).
+
 Every dense cochain basis element and every matrix row is multihomogeneous.
 So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
 blockwise ones, and scattering the block results into the dense order
@@ -170,6 +177,21 @@ class _Engine:
         return mat.shape[0] == mat.shape[1] and self._memo(
             ("rank", q, sig, nxt), lambda: linalg.rank(mat, self.p)) == len(mat)
 
+    def settle_power(self, n: int) -> int:
+        """T(n): from this power on every block of degree n has settled."""
+        return max(1, sum(self.rho) - self.m + 1 - n)
+
+    def colimit_dims(self, n: int) -> tuple[int, ...]:
+        """dim [H^i_M(S/in(I))]_n for i = 0..m, read off at T(n)."""
+        def build():
+            t = self.settle_power(n)
+            blocks = [self.block(sig) for sig in
+                      (self.signature(a, t) for a in self.multidegrees(n, -t))
+                      if sig is not None]
+            return tuple(sum(blk.dim(i) for blk in blocks)
+                         for i in range(self.m + 1))
+        return self._memo(("colimit", n), build)
+
     def runs(self, n: int, t_max: int) -> list:
         """Per multidegree of degree n: its first nonempty power and its
         (signature, block) at each power up to the settled one."""
@@ -248,6 +270,16 @@ def history(G, i: int, n: int, t_max: int):
     """dim [H^i(x^t; G)]_n for t = 1..t_max, and for t = 1..t_max - 1
     whether the transition map t -> t + 1 is an isomorphism."""
     return _engine(G).history(i, n, t_max)
+
+
+def settle_power(G, n: int) -> int:
+    """T(n) of the lead monomials of G's reduced basis."""
+    return _engine(G).settle_power(n)
+
+
+def colimit_dims(G, n: int) -> tuple[int, ...]:
+    """dim [H^i_M(S/in(I))]_n for i = 0..m, exactly, where I defines G."""
+    return _engine(G).colimit_dims(n)
 
 
 def representatives(G, t: int, i: int, n: int) -> np.ndarray:

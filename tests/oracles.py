@@ -32,6 +32,8 @@ tautology:
 * ``nf_mult_matrix`` fills a multiplication matrix one column at a time,
   each column one ``normal_form`` call on ``f`` times a basis monomial,
   never reading ``GradedQuotientRing``'s per-degree normal-form table.
+* ``loop_kernel`` fills the null-space basis entry by entry from the
+  ``rref`` pivots, never with one vectorized assignment.
 """
 
 from __future__ import annotations
@@ -356,3 +358,21 @@ def nf_mult_matrix(G, f, n):
         for exps, c in prod.terms.items():
             mat[index[exps], j] = c
     return mat
+
+
+def loop_kernel(a, p):
+    """``linalg.kernel`` as a double loop over free and pivot columns."""
+
+    nrows, ncols = a.shape
+    if ncols == 0:
+        return linalg.zeros(0, 0)
+    if nrows == 0:
+        return linalg.identity(ncols)
+    r, pivots = linalg.rref(a, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = linalg.zeros(ncols, len(free))
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-int(r[i, fc])) % p
+    return basis

@@ -19,10 +19,11 @@ from formring import (
     local_coh_table,
     local_h0_report,
     quasi_buchsbaum_test,
+    saturate,
     stuckrad_test,
     two_diagonal_check,
 )
-from formring import descent
+from formring import descent, groebner
 
 P = 32003
 
@@ -222,6 +223,33 @@ class TestLocalH0Report:
         assert rep.f0_surjective is False
         certs = {c["generator"]: c["exponent"] for c in rep.certificates}
         assert certs.get("x") == 2
+
+    @pytest.mark.parametrize("builder", [
+        lambda x, y, z: [x**2, x * y, x * z - y**3, y**4, x * z**2],
+        lambda x, y, z: [y - x**2],
+        lambda x, y, z: [x**3, x**2 * y**2],
+        lambda x, y, z: [x**2, x * y],
+    ], ids=["family-r3", "parabola", "thick-line", "line-with-point"])
+    def test_socle_starts_the_saturation_chain(self, monkeypatch, builder):
+        # (A : m) is computed once: the saturation goes on from it
+        I = A_ideal(("x", "y", "z"), builder)
+        calls = []
+        real = descent.ideal_quotient
+
+        def counting(a, b):
+            calls.append(a)
+            return real(a, b)
+
+        monkeypatch.setattr(descent, "ideal_quotient", counting)
+        monkeypatch.setattr(groebner, "ideal_quotient", counting)
+        rep = local_h0_report(I)
+        monkeypatch.undo()
+        m = Ideal(I.ring, I.ring.gens())
+        torsion, s = saturate(I, m)
+        assert rep.saturation_exponent == s
+        assert len(calls) == s + 1
+        assert rep.torsion_generators == [
+            str(g) for g in torsion.generators if not I.contains(g)]
 
     def test_cm_parabola_vacuous(self):
         I = A_ideal(("x", "y"), lambda x, y: [y - x**2])

@@ -19,7 +19,7 @@ from formring import (
     monomials_of_degree,
     normal_form,
 )
-from formring import groebner
+from formring import groebner, koszul
 
 P = 32003
 
@@ -202,19 +202,29 @@ def test_table_matches_normal_form_oracle(data):
 
 
 def test_dense_koszul_path_runs_no_normal_form(monkeypatch):
-    # x*y after a generic linear change of coordinates: the cone is a
-    # quadric whose Groebner basis is not monomial
+    # (x*y - z^2, x^3): its Groebner basis is not monomial, and in degrees
+    # 1..4 both H^0 and H^1 of S/in(I) are nonzero, so those columns are
+    # not fixed by in(I) and take the dense Koszul path
     R = PolyRing(("x", "y", "z"), P)
     x, y, z = R.gens()
-    cone = initial_forms_ideal(
-        Ideal(R, [(3 * x + 5 * y + 7 * z) * (2 * x + 11 * y + 13 * z)]))
-    G = GradedQuotientRing(cone)
+    G = GradedQuotientRing(initial_forms_ideal(Ideal(R, [x * y - z**2,
+                                                         x**3])))
     assert not G.monomial
 
     def refuse(*args):
         raise AssertionError("graded normal form went through normal_form")
 
+    dense_calls = []
+    real = koszul._dense_representatives
+
+    def counting(spec, i, n):
+        dense_calls.append((spec.t, i, n))
+        return real(spec, i, n)
+
     monkeypatch.setattr(GroebnerBasis, "normal_form", refuse)
     monkeypatch.setattr(groebner, "normal_form", refuse)
-    table = local_coh_table(G, cfg=StabilizationConfig(-3, 1, t_max=5))
-    assert table.entry(2, -1).dim == 1
+    monkeypatch.setattr(koszul, "_dense_representatives", counting)
+    table = local_coh_table(G, cfg=StabilizationConfig(-1, 3, t_max=5))
+    assert {(i, n) for _, i, n in dense_calls} == {
+        (i, n) for i in (0, 1) for n in (1, 2, 3)}
+    assert [table.dim(1, n) for n in range(-1, 4)] == [6, 5, 3, 1, 0]

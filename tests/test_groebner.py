@@ -13,6 +13,7 @@ from formring import (
     Ideal,
     NotInIrrelevantError,
     PolyRing,
+    Polynomial,
     buchberger,
     ideal_quotient,
     initial_forms_ideal,
@@ -97,6 +98,25 @@ class TestBuchberger:
         # (x^2 + y^2)*x - x*y*y = x^3
         assert I.normal_form(x**3).is_zero()
         assert not I.normal_form(x).is_zero()
+
+
+    def test_basis_keeps_its_leads(self, monkeypatch):
+        # a Groebner basis reduces by (lead, element) pairs built once
+        R = ring("x", "y", "z")
+        x, y, z = R.gens()
+        gb = Ideal(R, [x**2 - y * z, x * y - z**2]).groebner_basis()
+        f = x**3 * y + 2 * x * y * z**2 + z**4
+        calls = []
+        real = Polynomial.leading_monomial
+
+        def counting(self, order=None):
+            calls.append(self)
+            return real(self, order)
+
+        monkeypatch.setattr(Polynomial, "leading_monomial", counting)
+        got = gb.normal_form(f)
+        assert calls == []
+        assert got == normal_form(f, gb.elements, gb.order)
 
 
 class TestIdealOperations:

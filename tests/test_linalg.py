@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formring import linalg
-from oracles import greedy_quotient_columns
+from oracles import greedy_quotient_columns, loop_kernel
 
 PRIMES = [2, 3, 5, 32003]
 
@@ -123,6 +123,7 @@ def test_kernel_property(rows, cols, data):
                                  max_size=rows * cols))
     a = np.array(entries, dtype=np.int64).reshape(rows, cols)
     ker = linalg.kernel(a, p)
+    assert np.array_equal(ker, loop_kernel(a, p))
     assert linalg.rank(a, p) + ker.shape[1] == cols
     if rows and ker.shape[1]:
         assert not linalg.matmul(a, ker, p).any()

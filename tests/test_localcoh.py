@@ -1,10 +1,14 @@
 """Stabilized Koszul colimits: the local cohomology table layer."""
 
+import dataclasses
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import corpus
 import oracles
-from formring import linalg
+from formring import koszul, linalg, localcoh, multigraded
 from formring import (
     CohomologyTable,
     GradedQuotientRing,
@@ -13,10 +17,14 @@ from formring import (
     StabilizationConfig,
     ZeroRingError,
     annihilator_is_irrelevant,
+    descent_verdict,
     h0_via_saturation,
+    initial_forms_ideal,
     local_coh_piece,
     local_coh_table,
+    monomials_of_degree,
     saturation_exponent,
+    stuckrad_test,
 )
 
 P = 32003
@@ -58,6 +66,20 @@ class TestConfig:
 
     def test_degrees_range(self):
         assert list(cfg(-2, 1).degrees()) == [-2, -1, 0, 1]
+
+    @pytest.mark.parametrize("r, t_max", [(3, 12), (4, 12), (5, 13),
+                                          (6, 14), (7, 15)])
+    def test_default_t_max_reaches_settle_power(self, r, t_max):
+        G = GradedQuotientRing(initial_forms_ideal(
+            corpus.build_ideal(corpus.r_family_case(r))))
+        c = StabilizationConfig.default_for(G)
+        assert c.t_max == t_max
+        assert c.t_max >= multigraded.settle_power(G, c.n_lo) + c.margin
+
+    def test_default_t_max_of_non_monomial_cone(self):
+        G = quotient(("x", "y", "z"), lambda x, y, z: [x * y - z**2, x**3])
+        assert not G.monomial
+        assert StabilizationConfig.default_for(G).t_max == 12
 
 
 class TestStabilizedPieces:
@@ -174,6 +196,19 @@ class TestTables:
         partial = local_coh_table(free(("x", "y")), i_max=1, cfg=cfg(-2, 1))
         assert not partial.complete
 
+    @pytest.mark.parametrize("r", [6, 7])
+    def test_default_family_table_is_stable(self, r):
+        # with t_max fixed at 12, (1, -4) stayed unstable at r = 6 and
+        # (1, -4), (1, -3) at r = 7
+        G = GradedQuotientRing(initial_forms_ideal(
+            corpus.build_ideal(corpus.r_family_case(r))))
+        table = local_coh_table(G)
+        assert table.stabilized()
+        assert {e.n: e.dim for e in table.nonzero_row(0)} == {1: 1, r: 1}
+        assert table.dim(1, -4) == table.dim(1, -3) == r
+        wide = dataclasses.replace(table.cfg, t_max=24)
+        assert table.as_rows() == local_coh_table(G, cfg=wide).as_rows()
+
     def test_aggregate_stabilized_false_when_entry_unstable(self):
         G = free(("x", "y"))
         table = local_coh_table(G, cfg=cfg(-8, -8, t_max=4, margin=2))
@@ -269,3 +304,141 @@ class TestZeroRing:
         table = local_coh_table(G, cfg=cfg(-1, 1))
         assert table.as_rows() == [[i, n, 0]
                                    for i in range(2) for n in (-1, 0, 1)]
+
+
+class TestInitialIdealRoute:
+    """Non-monomial cones read their columns off the table of S/in(I)."""
+
+    @staticmethod
+    def quadric_cone():
+        # x*y after a generic linear change of coordinates
+        R = PolyRing(("x", "y", "z"), P)
+        x, y, z = R.gens()
+        return Ideal(R, [(3 * x + 5 * y + 7 * z) * (2 * x + 11 * y + 13 * z)])
+
+    def test_quadric_needs_no_koszul_piece(self, monkeypatch):
+        A = self.quadric_cone()
+
+        def refuse(*args):
+            raise AssertionError("a Koszul piece was computed")
+
+        monkeypatch.setattr(localcoh, "koszul_cohomology_piece", refuse)
+        monkeypatch.setattr(koszul, "_build_piece", refuse)
+        report = descent_verdict(A, cfg=cfg(-3, 1, t_max=5))
+        assert report.table.nonzero_rows() == [[2, -3, 5], [2, -2, 3],
+                                               [2, -1, 1]]
+        assert report.g_buchsbaum.satisfied
+        assert report.g_quasi_buchsbaum.satisfied
+        entry = report.table.entry(2, -1)
+        assert (entry.settled_by, entry.power, entry.history) == (
+            localcoh.COLUMN_SUM, None, ())
+        assert report.table.entry(1, -1).settled_by == localcoh.ZERO_BOUND
+
+    def test_proved_entry_replaces_tight_t_max(self):
+        # the dense detector cannot settle H^2_{-3} of the quadric by t_max
+        # 3; its in(I) column fixes it
+        G = GradedQuotientRing(initial_forms_ideal(self.quadric_cone()))
+        tight = cfg(-3, -3, t_max=3)
+        assert not localcoh._detected(G, 2, -3, tight).stabilized
+        entry = local_coh_piece(G, 2, -3, tight)
+        assert entry.stabilized and entry.dim == 5
+
+    def test_nonzero_entry_below_dim_keeps_detector(self):
+        # (x+y)^2, (x+y)*y has in(I) = (x^2, x*y): in degree 1 only H^0 of
+        # S/in(I) is nonzero, but H^0 lies below dim G = 1, where the
+        # comparison maps need a detector power
+        G = quotient(("x", "y"), lambda x, y: [(x + y)**2, (x + y) * y])
+        assert not G.monomial
+        assert multigraded.colimit_dims(G, 1) == (1, 0, 0)
+        table = local_coh_table(G, cfg=cfg(-2, 2))
+        entry = table.entry(0, 1)
+        assert (entry.settled_by, entry.dim, entry.power) == (
+            localcoh.DETECTOR, 1, 1)
+        assert stuckrad_test(G, table).satisfied
+
+    def test_annihilator_skips_zero_target(self, monkeypatch):
+        # the same ring: its H^0 entry in degree 1 multiplies into degree 2,
+        # which is proved zero, so no Koszul piece of degree 2 is needed
+        G = quotient(("x", "y"), lambda x, y: [(x + y)**2, (x + y) * y])
+        table = local_coh_table(G, cfg=cfg(-2, 2))
+        assert table.entry(0, 2).settled_by == localcoh.ZERO_BOUND
+        degrees = []
+        real = koszul._dense_representatives
+
+        def recording(spec, i, n):
+            degrees.append(n)
+            return real(spec, i, n)
+
+        monkeypatch.setattr(koszul, "_dense_representatives", recording)
+        assert annihilator_is_irrelevant(G, 0, table) == (True, [])
+        assert 2 not in degrees
+
+    def test_fixed_top_row_takes_detector_power(self):
+        # annihilator_is_irrelevant at i >= dim reads its maps at the
+        # detector's power, since a fixed value has none
+        G = GradedQuotientRing(initial_forms_ideal(self.quadric_cone()))
+        c = cfg(-3, 1, t_max=5)
+        table = local_coh_table(G, cfg=c)
+        dense = CohomologyTable(
+            {k: localcoh._detected(G, *k, c) for k in table.entries},
+            table.i_max, c, complete=True)
+        assert dense.stabilized()
+        assert annihilator_is_irrelevant(G, 2, table) == \
+            annihilator_is_irrelevant(G, 2, dense)
+
+
+@st.composite
+def non_monomial_cones(draw):
+    """GF(p)[x,y,z] modulo one to three random forms, the first with two
+    or more terms, whose reduced basis is not all monomials."""
+    p = draw(st.sampled_from([2, 5, 32003]))
+    R = PolyRing(("x", "y", "z"), p)
+    gens = []
+    for k in range(draw(st.integers(1, 3))):
+        monos = monomials_of_degree(R, draw(st.integers(1, 3)))
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=2 - min(k, 1),
+                               max_size=3, unique=True))
+        gens.append(R.from_terms(
+            {m: draw(st.integers(1, p - 1)) for m in chosen}))
+    G = GradedQuotientRing(Ideal(R, gens))
+    assume(not G.monomial)
+    lo = draw(st.integers(-3, 0))
+    return G, cfg(lo, draw(st.integers(lo, lo + 3)), t_max=6, margin=2)
+
+
+def _alternating(dims):
+    return sum((-1) ** i * d for i, d in enumerate(dims))
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_monomial_cones())
+def test_in_ideal_bounds_against_dense_detector(cone):
+    G, c = cone
+    table = local_coh_table(G, cfg=c)
+    try:
+        dense = {k: oracles.dense_local_coh_piece(G, *k, c)
+                 for k in table.entries}
+    finally:
+        oracles.dense_piece.cache_clear()
+        oracles.dense_transition_matrix.cache_clear()
+    for n in c.degrees():
+        bounds = multigraded.colimit_dims(G, n)
+        column = [dense[(i, n)] for i in range(4)]
+        for i, d in enumerate(column):
+            entry = table.entry(i, n)
+            if d.stabilized:
+                assert d.dim <= bounds[i]
+            if entry.settled_by == localcoh.DETECTOR:
+                assert entry == d
+                continue
+            assert entry.stabilized
+            assert (entry.power, entry.history) == (None, ())
+            if d.stabilized:
+                assert entry.dim == d.dim
+        if all(d.stabilized for d in column):
+            assert _alternating(d.dim for d in column) == _alternating(bounds)
+    dense_table = CohomologyTable(dense, 3, c, complete=True)
+    for i in range(4):
+        if dense_table.row_stabilized(i):
+            assert annihilator_is_irrelevant(G, i, table) == \
+                annihilator_is_irrelevant(G, i, dense_table)

@@ -18,7 +18,7 @@ from formring import (
     local_coh_table,
     transition_map,
 )
-from formring import koszul, localcoh
+from formring import koszul, localcoh, multigraded
 
 
 @st.composite
@@ -80,6 +80,22 @@ def test_blocks_match_dense_oracle(cone):
     finally:
         oracles.dense_piece.cache_clear()
         oracles.dense_transition_matrix.cache_clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_cones())
+def test_settle_power_bounds_detector(cone):
+    # T(n) is the largest power any window entry can still change at, so
+    # the detector with two more powers settles every entry by T(n), at the
+    # dimension the blocks give at T(n)
+    G, small = cone
+    t_max = multigraded.settle_power(G, small.n_lo) + 2
+    table = local_coh_table(G, cfg=StabilizationConfig(
+        small.n_lo, small.n_hi, t_max=t_max, margin=2))
+    for (i, n), entry in table.entries.items():
+        assert entry.stabilized
+        assert entry.power <= multigraded.settle_power(G, n)
+        assert entry.dim == multigraded.colimit_dims(G, n)[i]
 
 
 def test_permuted_sequence_keeps_dense_path():
