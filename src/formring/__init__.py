@@ -10,7 +10,8 @@ from .poly import (DEGREVLEX, ELIM_LAST, LEX, MAX_CHARACTERISTIC, PolyRing,
                    Polynomial, TermOrder, is_prime)
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_quotient,
                        initial_forms_ideal, intersect, monomials_of_degree,
-                       normal_form, s_polynomial, saturate, standard_monomials)
+                       normal_form, s_polynomial, saturate,
+                       saturate_by_variable, standard_monomials)
 from .graded import GradedQuotientRing, GradedVectorSpaceMap
 from .koszul import (CohomologyPiece, KoszulComplexSpec, cochain_dim,
                      chain_multiplication, differential, f_map, is_coboundary,
@@ -36,7 +37,8 @@ __all__ = [
     "PolyRing", "Polynomial", "TermOrder", "is_prime",
     "GroebnerBasis", "Ideal", "buchberger", "ideal_quotient",
     "initial_forms_ideal", "intersect", "monomials_of_degree",
-    "normal_form", "s_polynomial", "saturate", "standard_monomials",
+    "normal_form", "s_polynomial", "saturate", "saturate_by_variable",
+    "standard_monomials",
     "GradedQuotientRing", "GradedVectorSpaceMap",
     "CohomologyPiece", "KoszulComplexSpec", "cochain_dim",
     "chain_multiplication", "differential", "f_map", "is_coboundary",

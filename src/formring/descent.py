@@ -16,12 +16,13 @@ import numpy as np
 from . import linalg
 from .errors import NotInIrrelevantError, SaturationLimitError, ZeroRingError
 from .graded import GradedQuotientRing
-from .groebner import (SATURATION_CAP, Ideal, ideal_quotient,
-                       initial_forms_ideal, monomials_of_degree, saturate)
+from .groebner import (SATURATION_CAP, Ideal, buchberger,
+                       initial_forms_ideal, intersect, monomials_of_degree,
+                       saturate_by_variable, standard_monomials)
 from .koszul import f_map
 from .localcoh import (CohomologyTable, StabilizationConfig,
                        annihilator_is_irrelevant, local_coh_table)
-from .poly import Polynomial
+from .poly import DEGREVLEX, Polynomial
 
 
 @dataclass
@@ -250,11 +251,23 @@ def quasi_buchsbaum_test(G: GradedQuotientRing,
 
 @dataclass
 class LocalH0Report:
-    """Torsion of the irrelevant ideal on a polynomial quotient.
+    """Torsion of the irrelevant ideal M on R/A.
 
-    socle_dim = dim_k (I : M)/I, torsion_dim = dim_k (I : M^inf)/I.  Each
-    certificate records a generator g and the least e with g*M^e inside I,
-    which makes the dimensions verifiable by normal forms alone.
+    With T = (A : M^inf): socle_dim = dim_k (A : M)/A and torsion_dim =
+    dim_k T/A.  Each certificate records a generator g of T and the least e
+    with g*M^e inside A, which makes the dimensions verifiable by normal
+    forms alone.  Three identities give the report without a chain of ideal
+    quotients:
+
+    * T is the intersection of the (A : x_j^inf) over the variables, each
+      one elimination;
+    * the saturation exponent, the least s with M^s*T inside A, is the
+      largest certificate exponent;
+    * the classes of order d (largest j with a representative in M^j + A)
+      of T/A span HF(S/in(A), d) - HF(S/in(T), d) dimensions, since the
+      Hilbert-Samuel function of R/J at M is the Hilbert function of the
+      tangent cone S/in(J); the socle histogram puts (A : M) in place of T.
+      A J not inside M has the unit cone.
     """
 
     socle_dim: int
@@ -294,47 +307,6 @@ def _coefficient_matrix(forms: list[Polynomial]) -> np.ndarray:
     return mat
 
 
-def _span_dims(ideal: Ideal, reps: list[Polynomial], p: int):
-    """Rank and by-order histogram of the normal-form classes of reps."""
-    forms = [nf for nf in (ideal.normal_form(g) for g in reps) if nf]
-    # the pivot columns keep the first form of each new direction
-    chosen = [forms[c] for c in linalg.rref(_coefficient_matrix(forms), p)[1]]
-    return len(chosen), _order_histogram(ideal, chosen, p), chosen
-
-
-def _order_histogram(ideal: Ideal, basis: list[Polynomial],
-                     p: int) -> dict[int, int]:
-    """Dimensions of the induced order filtration on span(basis).
-
-    The order of a class is the largest j with some representative inside
-    the j-th power of the irrelevant ideal; it is a property of the coset,
-    not of any chosen normal form, so it is computed as the kernel drop of
-    span(basis) mapped into ring/(ideal + irrelevant^j).
-    """
-    k = len(basis)
-    if k == 0:
-        return {}
-    ring = ideal.ring
-
-    def filtration_dim(j: int) -> int:
-        gens = list(ideal.generators) + [
-            ring.monomial(m) for m in monomials_of_degree(ring, j)]
-        layer = Ideal(ring, gens)
-        forms = [layer.normal_form(g) for g in basis]
-        return k - linalg.rank(_coefficient_matrix(forms), p)
-
-    hist: dict[int, int] = {}
-    prev = k  # every class lies in the 0-th filtration step
-    for j in range(1, SATURATION_CAP + 2):
-        cur = filtration_dim(j)
-        if prev - cur:
-            hist[j - 1] = prev - cur
-        prev = cur
-        if cur == 0:
-            return hist
-    raise SaturationLimitError(SATURATION_CAP)
-
-
 def _minimal_annihilating_exponent(ideal: Ideal, g: Polynomial,
                                    cap: int) -> int | None:
     ring = ideal.ring
@@ -345,54 +317,91 @@ def _minimal_annihilating_exponent(ideal: Ideal, g: Polynomial,
     return None
 
 
+def _torsion_ideal(A_ideal: Ideal) -> Ideal:
+    """(A : M^inf) as the intersection of the (A : x_j^inf); A itself as
+    soon as one of them is A."""
+    torsion = None
+    for j in range(A_ideal.ring.nvars):
+        factor = saturate_by_variable(A_ideal, j)
+        if all(A_ideal.contains(g) for g in factor.generators):
+            return A_ideal
+        torsion = factor if torsion is None else intersect(torsion, factor)
+    return torsion
+
+
+def _dims_by_order(A_ideal: Ideal, J: Ideal, total: int) -> dict[int, int]:
+    """HF(S/in(A), d) - HF(S/in(J), d) for d = 0, 1, ... until the nonzero
+    differences add up to total = dim J/A; a J not inside M has cone (1)."""
+    A_cone = initial_forms_ideal(A_ideal)
+    cone = initial_forms_ideal(J) if J.in_irrelevant() else None
+    hist: dict[int, int] = {}
+    d = 0
+    while total:
+        if d > SATURATION_CAP:
+            raise SaturationLimitError(SATURATION_CAP)
+        diff = len(standard_monomials(A_cone, d)) - (
+            0 if cone is None else len(standard_monomials(cone, d)))
+        if diff:
+            hist[d] = diff
+            total -= diff
+        d += 1
+    return hist
+
+
 def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
     """Socle and full torsion of the irrelevant ideal on R/A_ideal."""
     ring = A_ideal.ring
     if not A_ideal.in_irrelevant():
         raise NotInIrrelevantError(
             "the input ideal must lie inside the irrelevant ideal")
-    irrelevant = Ideal(ring, ring.gens())
-    socle_ideal = ideal_quotient(A_ideal, irrelevant)
-    # the saturation chain of A goes on from its first step, the socle
-    if socle_ideal.equals(A_ideal):
-        torsion_ideal, s = A_ideal, 0
-    else:
-        torsion_ideal, s = saturate(socle_ideal, irrelevant)
-        s += 1
-        if s > SATURATION_CAP:
-            raise SaturationLimitError(SATURATION_CAP)
-    f0 = socle_ideal.equals(torsion_ideal)
+    torsion_ideal = _torsion_ideal(A_ideal)
+    gens = [g for g in torsion_ideal.generators if not A_ideal.contains(g)]
+    if not gens:
+        return LocalH0Report(0, 0, [], [], {}, {}, [], 0, True)
+    exponents = [_minimal_annihilating_exponent(A_ideal, g, SATURATION_CAP)
+                 for g in gens]
+    if None in exponents:
+        raise SaturationLimitError(SATURATION_CAP)
 
-    socle_reps = [g for g in socle_ideal.generators]
-    socle_dim, socle_hist, _ = _span_dims(A_ideal, socle_reps, ring.characteristic)
-
-    torsion_gens = list(torsion_ideal.generators)
-    reps = []
-    for g in torsion_gens:
-        for e in range(max(s, 1)):
-            for m in monomials_of_degree(ring, e):
-                reps.append(g * ring.monomial(m))
-    torsion_dim, torsion_hist, _ = _span_dims(A_ideal, reps, ring.characteristic)
-
-    certificates = []
-    for g in torsion_gens:
-        if A_ideal.contains(g):
-            continue
-        e = _minimal_annihilating_exponent(A_ideal, g, max(s, 1))
-        certificates.append({"generator": str(g), "exponent": e})
-
-    def _strings(ideal: Ideal) -> list[str]:
-        return [str(g) for g in ideal.generators if not A_ideal.contains(g)]
+    # a basis of T/A: the generators' normal forms closed under the
+    # variables, each round's new directions picked by the pivots of one rref
+    p = ring.characteristic
+    basis: list[Polynomial] = []
+    images: list[list[Polynomial]] = []  # normal forms of x_j * basis[c]
+    layer = [A_ideal.normal_form(g) for g in gens]
+    while layer:
+        forms = basis + layer
+        pivots = linalg.rref(_coefficient_matrix(forms), p)[1]
+        new = [forms[c] for c in pivots[len(basis):]]
+        rows = [[A_ideal.normal_form(x * b) for x in ring.gens()] for b in new]
+        basis += new
+        images += rows
+        layer = [f for row in rows for f in row]
+    # the socle is the kernel of v -> (x_j * v)_j on T/A
+    kernel = linalg.kernel(np.vstack([
+        _coefficient_matrix([row[j] for row in images])
+        for j in range(ring.nvars)]), p)
+    f0 = kernel.shape[1] == len(basis)
+    socle_ideal = torsion_ideal
+    if not f0:
+        socle = [sum((b * int(c) for c, b in zip(col, basis)), ring.zero())
+                 for col in kernel.T]
+        socle_ideal = Ideal(ring, buchberger(
+            A_ideal.groebner_basis().elements + socle, DEGREVLEX))
 
     return LocalH0Report(
-        socle_dim=socle_dim,
-        torsion_dim=torsion_dim,
-        socle_generators=_strings(socle_ideal),
-        torsion_generators=_strings(torsion_ideal),
-        socle_dims_by_order=socle_hist,
-        torsion_dims_by_order=torsion_hist,
-        certificates=certificates,
-        saturation_exponent=s,
+        socle_dim=kernel.shape[1],
+        torsion_dim=len(basis),
+        socle_generators=[str(g) for g in socle_ideal.generators
+                          if not A_ideal.contains(g)],
+        torsion_generators=[str(g) for g in gens],
+        socle_dims_by_order=_dims_by_order(A_ideal, socle_ideal,
+                                           kernel.shape[1]),
+        torsion_dims_by_order=_dims_by_order(A_ideal, torsion_ideal,
+                                             len(basis)),
+        certificates=[{"generator": str(g), "exponent": e}
+                      for g, e in zip(gens, exponents)],
+        saturation_exponent=max(exponents),
         f0_surjective=f0,
     )
 

@@ -230,6 +230,7 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb_cache: dict[TermOrder, GroebnerBasis] = {}
+        self._cone: Ideal | None = None  # set by initial_forms_ideal
 
     def groebner_basis(self, order: TermOrder | None = None) -> GroebnerBasis:
         order = order or self.ring.order
@@ -295,22 +296,31 @@ def initial_forms_ideal(ideal: Ideal) -> Ideal:
     homogenizer dominant, the lead of a homogeneous element sits in its
     minimal original-degree part, which is what makes the lowest forms of the
     basis generate the whole form ideal.
+
+    The cone is kept on `ideal`, and its generators are its reduced
+    DEGREVLEX basis, so neither is computed twice.
     """
     if not ideal.in_irrelevant():
         raise NotInIrrelevantError(
             "initial forms need an ideal inside the irrelevant maximal ideal")
-    ring = ideal.ring
-    nonzero = [g for g in ideal.generators if not g.is_zero()]
-    if not nonzero:
-        return Ideal(ring, ())
-    ext = ring.extended()
-    homog = [_homogenize(g, ext) for g in nonzero]
-    gb = buchberger(homog, ELIM_LAST)
-    forms = [_dehomogenize(g, ring).initial_form() for g in gb]
-    return Ideal(ring, buchberger(forms, DEGREVLEX))
+    if ideal._cone is None:
+        ring = ideal.ring
+        nonzero = [g for g in ideal.generators if not g.is_zero()]
+        ext = ring.extended()
+        gb = buchberger([_homogenize(g, ext) for g in nonzero], ELIM_LAST)
+        forms = [_dehomogenize(g, ring).initial_form() for g in gb]
+        basis = buchberger(forms, DEGREVLEX)
+        ideal._cone = Ideal(ring, basis)
+        ideal._cone._gb_cache[DEGREVLEX] = GroebnerBasis(basis, DEGREVLEX)
+    return ideal._cone
 
 
 # -- elimination, intersection, quotient, saturation ------------------------
+
+def _lift(f: Polynomial, ext: PolyRing) -> Polynomial:
+    """f in the ring with the auxiliary last variable appended."""
+    return Polynomial(ext, {e + (0,): c for e, c in f.terms.items()})
+
 
 def _eliminate_last(gens: Sequence[Polynomial],
                     ring: PolyRing) -> list[Polynomial]:
@@ -326,11 +336,24 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     ring = a.ring
     ext = ring.extended()
     t = ext.variable(ext.nvars - 1)
-    lift = lambda f: Polynomial(ext, {e + (0,): c for e, c in f.terms.items()})
-    gens = [t * lift(f) for f in a.generators if not f.is_zero()]
-    gens += [(ext.one() - t) * lift(g) for g in b.generators if not g.is_zero()]
+    gens = [t * _lift(f, ext) for f in a.generators if not f.is_zero()]
+    gens += [(ext.one() - t) * _lift(g, ext) for g in b.generators
+             if not g.is_zero()]
     if not gens:
         return Ideal(ring, ())
+    return Ideal(ring, _eliminate_last(gens, ring))
+
+
+def saturate_by_variable(a: Ideal, j: int) -> Ideal:
+    """(a : x_j^inf): one elimination of t from a + (1 - t*x_j).
+
+    The elimination starts from a's Groebner basis, not its generators.
+    """
+    ring = a.ring
+    ext = ring.extended()
+    t = ext.variable(ext.nvars - 1)
+    gens = [_lift(f, ext) for f in a.groebner_basis()]
+    gens.append(ext.one() - t * _lift(ring.variable(j), ext))
     return Ideal(ring, _eliminate_last(gens, ring))
 
 
@@ -379,7 +402,8 @@ def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
     return result
 
 
-# steps `saturate` and the order filtration may take before they give up
+# steps `saturate` may take, and the largest saturation exponent and order
+# `local_h0_report` accepts, before they give up
 SATURATION_CAP = 50
 
 

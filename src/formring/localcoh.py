@@ -65,11 +65,15 @@ class StabilizationConfig:
             return cls(-1, 1)
         dim = G.krull_dimension()
         maxdeg = max(G.max_generator_degree(), 1)
-        cfg = cls(-(dim + 3), 2 * maxdeg + 3)
-        if not G.monomial:
-            return cfg
-        need = multigraded.settle_power(G, cfg.n_lo) + cfg.margin
-        return replace(cfg, t_max=max(cfg.t_max, need))
+        return cls(-(dim + 3), 2 * maxdeg + 3).settling(G)
+
+    def settling(self, G: GradedQuotientRing) -> "StabilizationConfig":
+        """On a monomial cone, t_max raised to at least T(n_lo) + margin,
+        the power that settles every window entry; otherwise unchanged."""
+        if G.is_zero_ring() or not G.monomial:
+            return self
+        need = multigraded.settle_power(G, self.n_lo) + self.margin
+        return replace(self, t_max=max(self.t_max, need))
 
     def degrees(self) -> range:
         return range(self.n_lo, self.n_hi + 1)

@@ -34,6 +34,10 @@ tautology:
   never reading ``GradedQuotientRing``'s per-degree normal-form table.
 * ``loop_kernel`` fills the null-space basis entry by entry from the
   ``rref`` pivots, never with one vectorized assignment.
+* ``chain_local_h0_report`` builds the filtered-side report from the
+  saturation chain of ``ideal_quotient`` steps and measures each order
+  filtration step with a Groebner basis of ``I + m^j``, never reading a
+  tangent-cone Hilbert function or a socle kernel.
 """
 
 from __future__ import annotations
@@ -47,10 +51,13 @@ from formring import (CohomologyPiece, GradedQuotientRing,
                       StabilizedEntry, chain_multiplication, ideal_quotient,
                       is_coboundary, normal_form, s_polynomial,
                       standard_monomials)
-from formring import koszul, linalg, localcoh
+from formring import groebner, koszul, linalg, localcoh
+from formring.descent import (LocalH0Report, _coefficient_matrix,
+                              _minimal_annihilating_exponent)
 from formring.dsl import Token
-from formring.errors import ParseError
-from formring.groebner import _reduce_basis
+from formring.errors import (NotInIrrelevantError, ParseError,
+                             SaturationLimitError)
+from formring.groebner import _reduce_basis, monomials_of_degree, saturate
 
 
 def _degree_ideal(ideal: Ideal, k: int) -> Ideal:
@@ -376,3 +383,88 @@ def loop_kernel(a, p):
         for i, pc in enumerate(pivots):
             basis[pc, k] = (-int(r[i, fc])) % p
     return basis
+
+
+def _order_histogram(ideal, basis, p):
+    """Dimensions of the induced order filtration on span(basis).
+
+    The order of a class is the largest j with some representative inside
+    the j-th power of the irrelevant ideal, computed as the kernel drop of
+    span(basis) mapped into ring/(ideal + irrelevant^j).
+    """
+
+    k = len(basis)
+    if k == 0:
+        return {}
+    ring = ideal.ring
+
+    def filtration_dim(j):
+        gens = list(ideal.generators) + [
+            ring.monomial(m) for m in monomials_of_degree(ring, j)]
+        layer = Ideal(ring, gens)
+        forms = [layer.normal_form(g) for g in basis]
+        return k - linalg.rank(_coefficient_matrix(forms), p)
+
+    hist = {}
+    prev = k  # every class lies in the 0-th filtration step
+    for j in range(1, groebner.SATURATION_CAP + 2):
+        cur = filtration_dim(j)
+        if prev - cur:
+            hist[j - 1] = prev - cur
+        prev = cur
+        if cur == 0:
+            return hist
+    raise SaturationLimitError(groebner.SATURATION_CAP)
+
+
+def _span_dims(ideal, reps, p):
+    """Rank and by-order histogram of the normal-form classes of reps."""
+
+    forms = [nf for nf in (ideal.normal_form(g) for g in reps) if nf]
+    chosen = [forms[c] for c in linalg.rref(_coefficient_matrix(forms), p)[1]]
+    return len(chosen), _order_histogram(ideal, chosen, p)
+
+
+def chain_local_h0_report(A_ideal):
+    """``local_h0_report`` from the saturation chain A, (A : m), ...
+
+    (A : m) is the socle ideal, and the chain goes on from it until it
+    stops; s counts its steps.  Both histograms come from
+    ``_order_histogram``.
+    """
+
+    ring = A_ideal.ring
+    p = ring.characteristic
+    if not A_ideal.in_irrelevant():
+        raise NotInIrrelevantError(
+            "the input ideal must lie inside the irrelevant ideal")
+    irrelevant = Ideal(ring, ring.gens())
+    socle_ideal = ideal_quotient(A_ideal, irrelevant)
+    if socle_ideal.equals(A_ideal):
+        torsion_ideal, s = A_ideal, 0
+    else:
+        torsion_ideal, s = saturate(socle_ideal, irrelevant)
+        s += 1
+        if s > groebner.SATURATION_CAP:
+            raise SaturationLimitError(groebner.SATURATION_CAP)
+    f0 = socle_ideal.equals(torsion_ideal)
+    socle_dim, socle_hist = _span_dims(
+        A_ideal, list(socle_ideal.generators), p)
+    torsion_gens = list(torsion_ideal.generators)
+    reps = [g * ring.monomial(m) for g in torsion_gens
+            for e in range(max(s, 1)) for m in monomials_of_degree(ring, e)]
+    torsion_dim, torsion_hist = _span_dims(A_ideal, reps, p)
+    certificates = [
+        {"generator": str(g),
+         "exponent": _minimal_annihilating_exponent(A_ideal, g, max(s, 1))}
+        for g in torsion_gens if not A_ideal.contains(g)]
+
+    def strings(ideal):
+        return [str(g) for g in ideal.generators if not A_ideal.contains(g)]
+
+    return LocalH0Report(
+        socle_dim=socle_dim, torsion_dim=torsion_dim,
+        socle_generators=strings(socle_ideal),
+        torsion_generators=strings(torsion_ideal),
+        socle_dims_by_order=socle_hist, torsion_dims_by_order=torsion_hist,
+        certificates=certificates, saturation_exponent=s, f0_surjective=f0)

@@ -198,6 +198,30 @@ class TestFlagsAsDefaults:
         assert entry["window"] == [-1, 3]
 
 
+    def test_default_t_max_settles_the_command_window(self, capsys,
+                                                       monkeypatch):
+        # T(-8) + margin = 19 on the r = 7 cone, above the default window's
+        text = ("char 32003; vars x, y, z;"
+                " ideal F = x^2, x*y, x*z - y^r, y^(r+1), x*z^2;"
+                " table F r=7 imax=1 window=-8..-5;")
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 0
+        (entry,) = json.loads(out)["results"]
+        assert entry["status"] == "ok"
+        assert entry["data"]["unstable"] == []
+        assert entry["data"]["nonzero"] == [[1, n, 7] for n in range(-8, -4)]
+
+    def test_explicit_tmax_is_not_raised(self, capsys, monkeypatch):
+        text = ("char 32003; vars x, y, z;"
+                " ideal F = x^2, x*y, x*z - y^r, y^(r+1), x*z^2;"
+                " stuckrad F r=7 window=-8..-5 tmax=15;")
+        _, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        (entry,) = json.loads(out)["results"]
+        assert entry["data"]["scope"]["t_max"] == 15
+
+
 class TestParameterExpansion:
     def test_r_range_materializes_instances(self, capsys, monkeypatch):
         text = ("char 32003; vars x,y,z;"

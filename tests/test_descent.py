@@ -1,10 +1,17 @@
 """Mechanical checkers for the descent criteria and the full pipeline."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
+import formring
+import oracles
 from formring import (
     CohomologyTable,
+    FormringError,
     GradedQuotientRing,
     Ideal,
     NotInIrrelevantError,
@@ -231,23 +238,21 @@ class TestLocalH0Report:
         lambda x, y, z: [x**2, x * y],
     ], ids=["family-r3", "parabola", "thick-line", "line-with-point"])
     def test_socle_starts_the_saturation_chain(self, monkeypatch, builder):
-        # (A : m) is computed once: the saturation goes on from it
+        # the report runs no quotient chain, yet its exponent and torsion
+        # are those of the chain
         I = A_ideal(("x", "y", "z"), builder)
-        calls = []
-        real = descent.ideal_quotient
 
-        def counting(a, b):
-            calls.append(a)
-            return real(a, b)
+        def forbidden(*args):
+            raise AssertionError("the quotient chain ran")
 
-        monkeypatch.setattr(descent, "ideal_quotient", counting)
-        monkeypatch.setattr(groebner, "ideal_quotient", counting)
+        for name in ("ideal_quotient", "saturate"):
+            for module in (groebner, formring, descent):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
         rep = local_h0_report(I)
         monkeypatch.undo()
         m = Ideal(I.ring, I.ring.gens())
         torsion, s = saturate(I, m)
         assert rep.saturation_exponent == s
-        assert len(calls) == s + 1
         assert rep.torsion_generators == [
             str(g) for g in torsion.generators if not I.contains(g)]
 
@@ -287,18 +292,106 @@ class TestLocalH0Report:
             local_h0_report(Ideal(R, [R.one() + R.variable("x")]))
 
     def test_order_filtration_cap(self, monkeypatch):
-        I = A_ideal(("x", "y", "z"),
-                    lambda x, y, z: [x**2, x * y, x * z - y**3, y**4,
-                                     x * z**2])
-        x, y, _ = I.ring.gens()
-        # the class of y^3 has order 3, so the filtration needs 4 steps
-        assert descent._order_histogram(I, [y**3, x], P) == {1: 1, 3: 1}
+        message = "saturation did not stabilize within 1 quotient steps"
+        family = A_ideal(("x", "y", "z"),
+                         lambda x, y, z: [x**2, x * y, x * z - y**3, y**4,
+                                          x * z**2])
+        # x^2 * m: the torsion class x^2 has exponent 1 but order 2
+        cone = A_ideal(("x", "y", "z"),
+                       lambda x, y, z: [x**3, x**2 * y, x**2 * z])
+        point = A_ideal(("x", "y"), lambda x, y: [x**2, x * y])
+        assert local_h0_report(family).saturation_exponent == 2
+        rep = local_h0_report(cone)
+        assert rep.torsion_dims_by_order == {2: 1}
+        assert rep.saturation_exponent == 1
         monkeypatch.setattr(descent, "SATURATION_CAP", 1)
-        with pytest.raises(SaturationLimitError) as info:
-            descent._order_histogram(I, [y**3, x], P)
-        assert str(info.value) == (
-            "saturation did not stabilize within 1 quotient steps")
-        assert info.value.cap == 1
+        for I in (family, cone):
+            with pytest.raises(SaturationLimitError) as info:
+                local_h0_report(I)
+            assert str(info.value) == message
+            assert info.value.cap == 1
+        # exponent 1 and order 1 stay inside the cap
+        assert local_h0_report(point).torsion_dims_by_order == {1: 1}
+
+
+def _gf5_ideal():
+    R = PolyRing(("x", "y", "z"), 5)
+    x, y, z = R.gens()
+    return Ideal(R, [x**2 * y**2 * z**2 - 2 * y**3 * z**3 - x * y**3 * z,
+                     x * y**3 * z**3 - 2 * y**2,
+                     x**2 * y**2 * z**2 + y**2 * z**3 + x * z**2,
+                     -x**2 * y**2 * z**2 + 2 * x**2 * y - y * z**2])
+
+
+def _family(r):
+    return A_ideal(("x", "y", "z"),
+                   lambda x, y, z: [x**2, x * y, x * z - y**r, y**(r + 1),
+                                    x * z**2])
+
+
+def _h0_outcome(route, I):
+    """The report bytes, or the type of the error the route raises."""
+    try:
+        return json.dumps(route(I).to_dict())
+    except FormringError as exc:
+        return type(exc).__name__
+
+
+PINNED_H0_CASES = {
+    # T = (x - 1) is not inside m: its cone is the unit ideal
+    "x(x-1)": lambda: A_ideal(("x",), lambda x: [x * (x - 1)]),
+    # m-primary, so T is the whole ring
+    "x^2,y": lambda: A_ideal(("x", "y"), lambda x, y: [x**2, y]),
+    **{f"family-r{r}": (lambda r=r: _family(r)) for r in range(3, 8)},
+    "gf5": _gf5_ideal,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_H0_CASES))
+def test_h0_report_matches_chain_oracle_pinned(case):
+    # a fresh Ideal per route, so neither reads the other's cached bases
+    build = PINNED_H0_CASES[case]
+    assert _h0_outcome(local_h0_report, build()) == _h0_outcome(
+        oracles.chain_local_h0_report, build())
+
+
+def test_h0_report_pinned_values():
+    rep = local_h0_report(PINNED_H0_CASES["x(x-1)"]())
+    assert rep.torsion_generators == ["x - 1"]
+    assert rep.torsion_dims_by_order == {0: 1}
+    primary = local_h0_report(PINNED_H0_CASES["x^2,y"]())
+    assert primary.torsion_generators == ["1"]
+    assert primary.torsion_dims_by_order == {0: 1, 1: 1}
+    assert primary.saturation_exponent == 2
+    gf5 = local_h0_report(_gf5_ideal())
+    assert gf5.torsion_dims_by_order == {1: 1, 2: 2, 3: 2, 4: 1}
+    assert gf5.socle_generators == ["y*z^3"]
+    assert gf5.saturation_exponent == 4
+
+
+@st.composite
+def ideals_inside_m(draw):
+    """A few sparse generators without constant term over GF(p)."""
+    p = draw(st.sampled_from([2, 5, 32003]))
+    nv = draw(st.integers(1, 3))
+    R = PolyRing(tuple("xyz"[:nv]), p)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = tuple(draw(st.integers(0, 3)) for _ in range(nv))
+            if any(exps):
+                terms[exps] = draw(st.integers(1, p - 1))
+        gens.append(R.from_terms(terms))
+    return R, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals_inside_m())
+def test_h0_report_matches_chain_oracle(case):
+    R, gens = case
+    assert _h0_outcome(local_h0_report, Ideal(R, gens)) == _h0_outcome(
+        oracles.chain_local_h0_report, Ideal(R, gens))
 
 
 class TestLengthComparison:

@@ -21,8 +21,10 @@ from formring import (
     normal_form,
     s_polynomial,
     saturate,
+    saturate_by_variable,
     standard_monomials,
 )
+from formring import groebner
 
 P = 32003
 
@@ -154,6 +156,16 @@ class TestIdealOperations:
         assert [str(g) for g in sat.groebner_basis().elements] == ["x^2"]
         assert s == 2
 
+    def test_saturation_by_variable(self):
+        R = ring("x", "y")
+        x, y = R.gens()
+        I = Ideal(R, [x**3 * y, x * y**3])
+        assert [str(g) for g in saturate_by_variable(I, 0).generators] == [
+            "y"]
+        # x(x - 1) : x^inf is x - 1, a generator with a constant term
+        assert [str(g) for g in saturate_by_variable(
+            Ideal(R, [x * (x - 1)]), 0).generators] == ["x - 1"]
+
     def test_saturation_chain_containment(self):
         R = ring("x", "y")
         x, y = R.gens()
@@ -242,6 +254,21 @@ class TestInitialForms:
         assert got == oracles.cone_dims_oracle(I, 7)
 
 
+def test_cone_is_kept_on_the_ideal(monkeypatch):
+    R = ring("x", "y", "z")
+    x, y, z = R.gens()
+    I = Ideal(R, [x**2, x * y, x * z - y**3, y**4, x * z**2])
+    cone = initial_forms_ideal(I)
+    calls = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *a: calls.append(a) or real(*a))
+    assert initial_forms_ideal(I) is cone
+    # the cone's generators are its reduced basis, already known
+    assert cone.groebner_basis().elements == list(cone.generators)
+    assert calls == []
+
+
 # --- independent Groebner routes --------------------------------------------
 
 @st.composite
@@ -293,3 +320,13 @@ def test_buchberger_matches_sympy(gens, orders):
     expected = sorted(sorted((m, int(c) % p) for m, c in poly.terms())
                       for poly in theirs.polys)
     assert sorted(_terms(buchberger(gens, order))) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals(), st.integers(0, 2))
+def test_saturate_by_variable_matches_quotient_chain(gens, j):
+    R = gens[0].ring
+    j = j % R.nvars
+    I = Ideal(R, gens)
+    chain, _ = saturate(I, Ideal(R, [R.variable(j)]))
+    assert saturate_by_variable(I, j).equals(chain)
