@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from typing import Callable
 
 from . import __version__
 from .dsl import Command, Session, parse_session
@@ -140,8 +141,9 @@ def _verdict_outcome(verdict, table: CohomologyTable) -> dict:
                     [table.cfg.n_lo, table.cfg.n_hi])
 
 
-def _run_instance(session: Session, ring: PolyRing | None, cmd: Command,
-                  r: int | None, config: RunConfig) -> dict:
+def _run_instance(session: Session,
+                  ideal_at: Callable[[str, int | None], Ideal],
+                  cmd: Command, config: RunConfig) -> dict:
     """One materialized command -> (status, data, witnesses, window)."""
     if cmd.name in ("gap", "diag") and cmd.option("t", 0) < 0:
         # ahead of any table, whose rows would only garble the message
@@ -153,13 +155,7 @@ def _run_instance(session: Session, ring: PolyRing | None, cmd: Command,
         return _verdict_outcome(
             checker(table, cmd.option("t", table.i_max + 1)), table)
 
-    if ring is None:
-        raise FormringError(
-            "no ring is available: declare char and vars before commands")
-    decl = session.ideals[cmd.target]
-    gens = [p.materialize(ring, r) for p in decl.polynomials]
-    ideal = Ideal(ring, tuple(g for g in gens if not g.is_zero()))
-
+    ideal = ideal_at(cmd.target, cmd.option("r"))
     # ahead of the cone, so the irrelevant-ideal error keeps localh0's wording
     if cmd.name == "localh0":
         return _outcome("ok", local_h0_report(ideal).to_dict())
@@ -170,7 +166,7 @@ def _run_instance(session: Session, ring: PolyRing | None, cmd: Command,
             "input_generators": [str(g) for g in ideal.generators],
             "cone_generators": [str(g) for g in cone.generators]})
 
-    G = GradedQuotientRing(cone)
+    G = GradedQuotientRing.of(cone)
     if cmd.name == "koszul":
         i = cmd.option("i")
         n = cmd.option("n")
@@ -220,11 +216,32 @@ def _run_instance(session: Session, ring: PolyRing | None, cmd: Command,
 
 
 def run_session(session: Session, config: RunConfig | None = None) -> dict:
-    """Execute all commands; per-command failures never stop the run."""
+    """Execute all commands; per-command failures never stop the run.
+
+    Each (ideal name, r) is materialized once, on first use, and every later
+    command on it gets the same Ideal, with its Groebner bases, its cone and
+    the cone's graded ring.  Names cannot be redeclared, so the pair fixes
+    the generators.  A report does not depend on which command came first;
+    only `timing_ms` does, since the shared work counts toward the first
+    command that needs it.
+    """
     config = config or RunConfig()
     ring = None
     if session.variables and session.characteristic is not None:
         ring = PolyRing(session.variables, session.characteristic)
+    ideals: dict[tuple[str, int | None], Ideal] = {}
+
+    def ideal_at(name: str, r: int | None) -> Ideal:
+        if ring is None:
+            raise FormringError(
+                "no ring is available: declare char and vars before commands")
+        if (name, r) not in ideals:
+            gens = [p.materialize(ring, r)
+                    for p in session.ideals[name].polynomials]
+            ideals[name, r] = Ideal(ring, tuple(g for g in gens
+                                                if not g.is_zero()))
+        return ideals[name, r]
+
     results = []
     for cmd in session.commands:
         try:
@@ -237,7 +254,7 @@ def run_session(session: Session, config: RunConfig | None = None) -> dict:
             instance = _instance_command(cmd, r)
             started = time.monotonic()
             try:
-                outcome = _run_instance(session, ring, instance, r, config)
+                outcome = _run_instance(session, ideal_at, instance, config)
             except (FormringError, ValueError) as exc:
                 outcome = _failure(exc)
             elapsed_ms = int((time.monotonic() - started) * 1000)

@@ -17,8 +17,8 @@ from . import linalg
 from .errors import NotInIrrelevantError, SaturationLimitError, ZeroRingError
 from .graded import GradedQuotientRing
 from .groebner import (SATURATION_CAP, Ideal, buchberger,
-                       initial_forms_ideal, intersect, monomials_of_degree,
-                       saturate_by_variable, standard_monomials)
+                       initial_forms_ideal, intersect, saturate_by_variable,
+                       standard_monomials)
 from .koszul import f_map
 from .localcoh import (CohomologyTable, StabilizationConfig,
                        annihilator_is_irrelevant, local_coh_table)
@@ -309,11 +309,25 @@ def _coefficient_matrix(forms: list[Polynomial]) -> np.ndarray:
 
 def _minimal_annihilating_exponent(ideal: Ideal, g: Polynomial,
                                    cap: int) -> int | None:
+    """The least e <= cap with g*M^e inside the ideal, or None.
+
+    Degree by degree it keeps the nonzero normal forms of g*u, one per
+    monomial u of degree e; the form of g*x_j*u is that of x_j times the
+    form of g*u, and a zero form has only zero multiples.
+    """
     ring = ideal.ring
+    layer = {(0,) * ring.nvars: ideal.normal_form(g)}
     for e in range(cap + 1):
-        if all(ideal.contains(g * ring.monomial(m))
-               for m in monomials_of_degree(ring, e)):
+        layer = {u: f for u, f in layer.items() if not f.is_zero()}
+        if not layer:
             return e
+        nxt: dict = {}
+        for u, f in layer.items():
+            for j, x in enumerate(ring.gens()):
+                v = u[:j] + (u[j] + 1,) + u[j + 1:]
+                if v not in nxt:
+                    nxt[v] = ideal.normal_form(x * f)
+        layer = nxt
     return None
 
 
@@ -478,10 +492,14 @@ def descent_verdict(A_ideal: Ideal,
     directly in dimension one (where surjectivity of the torsion comparison
     is the criterion), or through the two-diagonal hypothesis plus the graded
     verdict in higher dimension.  Otherwise it is reported undecided.
+
+    The cone is kept on `A_ideal` and its graded ring on the cone, so a
+    caller that passes the same Ideal again, as the CLI does within one
+    session, reuses both with all their caches.
     """
     ring = A_ideal.ring
     IG = initial_forms_ideal(A_ideal)
-    G = GradedQuotientRing(IG)
+    G = GradedQuotientRing.of(IG)
     if G.is_zero_ring():
         raise ZeroRingError("the associated graded ring is zero")
     d = G.krull_dimension()

@@ -91,6 +91,14 @@ class GradedQuotientRing:
         self._dim_cache: int | None = None
         self._koszul_cache: dict = {}
 
+    @classmethod
+    def of(cls, ideal: Ideal) -> "GradedQuotientRing":
+        """S/ideal, built once and kept on `ideal`: every caller that holds
+        the same Ideal shares its bases, tables and Koszul caches."""
+        if ideal._graded is None:
+            ideal._graded = cls(ideal)
+        return ideal._graded
+
     # -- bases -------------------------------------------------------------
 
     def graded_basis(self, n: int) -> list[Monomial]:

@@ -231,6 +231,7 @@ class Ideal:
         self.generators = gens
         self._gb_cache: dict[TermOrder, GroebnerBasis] = {}
         self._cone: Ideal | None = None  # set by initial_forms_ideal
+        self._graded = None  # S/self, set by GradedQuotientRing.of
 
     def groebner_basis(self, order: TermOrder | None = None) -> GroebnerBasis:
         order = order or self.ring.order

@@ -124,13 +124,20 @@ class _Engine:
         return min(exps) >= 0 and not any(
             all(l <= e for l, e in zip(lead, exps)) for lead in self.leads)
 
-    def multidegrees(self, n: int, lowest: int):
-        """Multidegrees of total degree n with lowest <= a_j < rho_j."""
-        rho = self.rho
-        for head in itertools.product(*(range(lowest, r) for r in rho[:-1])):
-            last = n - sum(head)
-            if lowest <= last < rho[-1]:
-                yield head + (last,)
+    def multidegrees(self, n: int, lowest: int) -> tuple:
+        """Multidegrees of total degree n with lowest <= a_j < rho_j, in
+        lexicographic order."""
+        return self._memo(("multidegrees", n, lowest),
+                          lambda: tuple(self._multidegrees(n, lowest, 0)))
+
+    def _multidegrees(self, n: int, lowest: int, j: int):
+        # coordinates j + 1.. can still add up to anything in [low, high]
+        rest = self.rho[j + 1:]
+        low, high = lowest * len(rest), sum(rest) - len(rest)
+        for x in range(max(lowest, n - high), min(self.rho[j], n - low + 1)):
+            tails = self._multidegrees(n - x, lowest, j + 1) if rest else [()]
+            for tail in tails:
+                yield (x,) + tail
 
     def signature(self, a: tuple[int, ...], t: int):
         """The block of multidegree a at power t, or None when it is empty."""

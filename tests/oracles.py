@@ -38,10 +38,17 @@ tautology:
   saturation chain of ``ideal_quotient`` steps and measures each order
   filtration step with a Groebner basis of ``I + m^j``, never reading a
   tangent-cone Hilbert function or a socle kernel.
+* ``monomial_loop_annihilating_exponent`` asks ``contains`` of g*u for
+  every monomial u of each degree, never reducing a variable times the
+  previous degree's normal forms.
+* ``box_multidegrees`` walks the whole box of multidegrees and keeps the
+  tuples of the right total degree, never bounding a coordinate by what
+  the remaining ones can reach.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -52,8 +59,7 @@ from formring import (CohomologyPiece, GradedQuotientRing,
                       is_coboundary, normal_form, s_polynomial,
                       standard_monomials)
 from formring import groebner, koszul, linalg, localcoh
-from formring.descent import (LocalH0Report, _coefficient_matrix,
-                              _minimal_annihilating_exponent)
+from formring.descent import LocalH0Report, _coefficient_matrix
 from formring.dsl import Token
 from formring.errors import (NotInIrrelevantError, ParseError,
                              SaturationLimitError)
@@ -456,7 +462,8 @@ def chain_local_h0_report(A_ideal):
     torsion_dim, torsion_hist = _span_dims(A_ideal, reps, p)
     certificates = [
         {"generator": str(g),
-         "exponent": _minimal_annihilating_exponent(A_ideal, g, max(s, 1))}
+         "exponent": monomial_loop_annihilating_exponent(A_ideal, g,
+                                                         max(s, 1))}
         for g in torsion_gens if not A_ideal.contains(g)]
 
     def strings(ideal):
@@ -468,3 +475,25 @@ def chain_local_h0_report(A_ideal):
         torsion_generators=strings(torsion_ideal),
         socle_dims_by_order=socle_hist, torsion_dims_by_order=torsion_hist,
         certificates=certificates, saturation_exponent=s, f0_surjective=f0)
+
+
+def monomial_loop_annihilating_exponent(ideal, g, cap):
+    """The least e <= cap with g*u in the ideal for every monomial u of
+    degree e, or None."""
+
+    ring = ideal.ring
+    for e in range(cap + 1):
+        if all(ideal.contains(g * ring.monomial(m))
+               for m in monomials_of_degree(ring, e)):
+            return e
+    return None
+
+
+def box_multidegrees(rho, n, lowest):
+    """Multidegrees of total degree n with lowest <= a_j < rho_j, in
+    ``itertools.product`` order over the first m - 1 coordinates."""
+
+    for head in itertools.product(*(range(lowest, r) for r in rho[:-1])):
+        last = n - sum(head)
+        if lowest <= last < rho[-1]:
+            yield head + (last,)

@@ -361,6 +361,122 @@ class TestDeterminism:
         assert json.loads(proc.stdout)["results"][0]["status"] == "ok"
 
 
+WIDE_DECLARATIONS = [
+    "char 32003;",
+    "vars x, y, z;",
+    "ideal F = x^2, x*y, x*z - 3*y^r, y^(r+1), x*z^2;",
+    "ideal L = x^2, x*y, z;",
+    "ideal S = x*y;",
+    "ideal Q = x*y - z^2;",
+    "ideal U = x - 1, y;",
+    "synthetic_table T = {(0, 1): 1, (0, 3): 1, (1, -2): 3, (1, 0): 2};",
+]
+
+# every verb; F r=3 at several windows and powers, before and after its
+# cone and ring exist; an `r` range; an ideal outside m; a negative `t`
+WIDE_COMMANDS = [
+    "localh0 F r=3;",
+    "tangent_cone F r=3..4;",
+    "koszul F r=3 i=1 n=0;",
+    "table F r=3 imax=1 window=0..3 tmax=6;",
+    "stuckrad F r=3 window=-2..3 tmax=6;",
+    "quasibuchsbaum F r=3 window=-2..3 tmax=6;",
+    "table F r=3 imax=1 window=-3..1 tmax=8;",
+    "gap F r=3 t=2 window=-1..2;",
+    "diag F r=3 t=-1;",
+    "cor41 F r=3..4;",
+    "localh0 F r=4;",
+    "gap T t=2;",
+    "diag T t=2;",
+    "cor41 L window=-2..2 tmax=6;",
+    "localh0 U;",
+    "table U;",
+    "table S window=-6..-4;",
+    "stuckrad S;",
+    "diag S t=2;",
+    "cor41 S;",
+    "koszul Q i=1 n=1 t=2;",
+    "cor41 Q window=-2..2;",
+    "table Q;",
+]
+
+
+def session_results(capsys, monkeypatch, flags, commands):
+    text = "\n".join(WIDE_DECLARATIONS + commands) + "\n"
+    _, out, _ = run_cli(capsys, ["-", *flags], stdin_text=text,
+                        monkeypatch=monkeypatch)
+    return json.loads(out)["results"]
+
+
+class TestSessionReuse:
+    """Each (ideal, r) is built once per session and shared by its commands;
+    a command's result must not depend on what ran before it."""
+
+    @pytest.mark.parametrize("flags", [[], ["--tmax", "5", "--margin", "1"],
+                                       ["--window=-3..2"]])
+    def test_each_command_as_in_a_fresh_session(self, capsys, monkeypatch,
+                                                flags):
+        wide = session_results(capsys, monkeypatch, flags, WIDE_COMMANDS)
+        statuses = {entry["status"] for entry in wide}
+        assert {"ok", "error"} <= statuses
+        rest = wide
+        for command in WIDE_COMMANDS:
+            alone = session_results(capsys, monkeypatch, flags, [command])
+            assert rest[:len(alone)] == alone, command
+            rest = rest[len(alone):]
+        assert rest == []
+
+    def test_rings_and_cones_built_once(self, capsys, monkeypatch):
+        from formring import PolyRing, groebner
+        from formring.graded import GradedQuotientRing
+
+        # the session of the benchmark's `session` workload, at p = 32003
+        text = "\n".join([
+            "char 32003;",
+            "vars x, y, z;",
+            "ideal F = x^2, x*y, x*z - 3*y^r, y^(r+1), x*z^2;",
+            "ideal L = x^2, x*y, z;",
+            "ideal N = x^2 - 5*y^3, z;",
+            "synthetic_table T = {(0, 1): 1, (0, 3): 1, (1, -2): 3, "
+            "(1, 0): 2};",
+            "tangent_cone F r=3..5;",
+            "localh0 F r=3;",
+            "koszul F r=3 i=1 n=0;",
+            "table F r=3 imax=1 window=0..3 tmax=6;",
+            "stuckrad F r=3 window=-2..3 tmax=6;",
+            "quasibuchsbaum F r=3 window=-2..3 tmax=6;",
+            "gap T t=2;",
+            "diag T t=2;",
+            "cor41 L window=-2..2 tmax=6;",
+            "cor41 N window=-2..2 tmax=6;",
+        ])
+        R = PolyRing(("x", "y", "z"), 32003)
+        x, y, z = R.gens()
+        ext = R.extended()
+        homogenized_f3 = [groebner._homogenize(g, ext) for g in
+                          (x**2, x * y, x * z - 3 * y**3, y**4, x * z**2)]
+        counts = {"rings": 0, "f3_cone": 0}
+        init, buchberger = GradedQuotientRing.__init__, groebner.buchberger
+
+        def counting_init(self, ideal):
+            counts["rings"] += 1
+            init(self, ideal)
+
+        def counting_buchberger(generators, order=None):
+            if order == groebner.ELIM_LAST and \
+                    list(generators) == homogenized_f3:
+                counts["f3_cone"] += 1
+            return buchberger(generators, order)
+
+        monkeypatch.setattr(GradedQuotientRing, "__init__", counting_init)
+        monkeypatch.setattr(groebner, "buchberger", counting_buchberger)
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 0, out
+        # one ring each for F r=3, L and N; one cone computation for F r=3
+        assert counts == {"rings": 3, "f3_cone": 1}
+
+
 class TestCharacteristicBound:
     """A characteristic at or above 2**30 is refused before any primality
     test; the subprocess timeout turns a trial division that runs for

@@ -394,6 +394,39 @@ def test_h0_report_matches_chain_oracle(case):
         oracles.chain_local_h0_report, Ideal(R, gens))
 
 
+@settings(max_examples=40, deadline=None)
+@given(ideals_inside_m())
+def test_annihilating_exponent_matches_monomial_loop(case):
+    # the torsion generators die at some finite power; a variable may not
+    R, gens = case
+    I = Ideal(R, gens)
+    for g in [*descent._torsion_ideal(I).generators, *R.gens()]:
+        assert descent._minimal_annihilating_exponent(I, g, 6) == \
+            oracles.monomial_loop_annihilating_exponent(I, g, 6)
+
+
+def _gf5_s12_ideal():
+    R = PolyRing(("x", "y", "z"), 5)
+    x, y, z = R.gens()
+    return Ideal(R, [-2 * x**3 * y**3 * z**2 - 2 * x**2 * y**2 * z**3
+                     + 2 * x * y**3,
+                     -x**3 * y * z**3 - 2 * x**2 * y**2 * z,
+                     x**3 * z**2 + z**3])
+
+
+def test_annihilating_exponents_pinned_at_s12():
+    rep = local_h0_report(_gf5_s12_ideal())
+    assert rep.saturation_exponent == 12
+    assert (rep.torsion_dim, rep.socle_dim) == (14, 2)
+    exponents = [c["exponent"] for c in rep.certificates]
+    assert exponents == [12, 11, 10, 3, 4, 8, 1, 12]
+    I = _gf5_s12_ideal()
+    gens = [g for g in descent._torsion_ideal(I).generators
+            if not I.contains(g)]
+    assert [oracles.monomial_loop_annihilating_exponent(
+        I, g, groebner.SATURATION_CAP) for g in gens] == exponents
+
+
 class TestLengthComparison:
     def test_equal_r3(self):
         I = A_ideal(("x", "y", "z"),

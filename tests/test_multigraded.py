@@ -1,6 +1,9 @@
 """Multidegree blocks for monomial cones against the dense Koszul path."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,3 +130,49 @@ def test_skew_lines_table():
     assert {e.n: e.dim for e in table.nonzero_row(0)} == {}
     assert {e.n: e.dim for e in table.nonzero_row(1)} == {0: 1}
     assert {e.n: e.dim for e in table.nonzero_row(2)} == {-3: 4, -2: 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=5),
+       st.integers(-12, 12), st.integers(-6, 1))
+def test_multidegrees_match_box_oracle(rho, n, lowest):
+    # x_j^rho_j for each rho_j > 0: the engine's rho is exactly `rho`
+    R = PolyRing(tuple(f"x{j}" for j in range(len(rho))), 5)
+    gens = [R.variable(j) ** r for j, r in enumerate(rho) if r]
+    eng = multigraded._engine(GradedQuotientRing(Ideal(R, gens)))
+    assert eng.rho == tuple(rho)
+    got = eng.multidegrees(n, lowest)
+    assert got == tuple(oracles.box_multidegrees(rho, n, lowest))
+    assert eng.multidegrees(n, lowest) is got
+
+
+# the 6-vertex real projective plane: its triangles that are not facets are
+# the minimal nonfaces, since every edge is a face
+RP2_FACETS = ("124", "126", "135", "136", "145", "234", "235", "256", "346",
+              "456")
+
+
+def _rp2_ring(p):
+    R = PolyRing(tuple(f"x{v}" for v in range(1, 7)), p)
+    nonfaces = [tri for tri in itertools.combinations("123456", 3)
+                if "".join(tri) not in RP2_FACETS]
+    assert len(nonfaces) == 10
+    return GradedQuotientRing(Ideal(R, [
+        R.monomial(tuple(int(str(v) in tri) for v in range(1, 7)))
+        for tri in nonfaces]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rp2_default_table_depends_on_the_characteristic(p):
+    # Hochster: H^2_0 and H^3_0 are the reduced H^1 and H^2 of RP^2 over
+    # GF(p), 1 in characteristic 2 and 0 in characteristic 3
+    table = local_coh_table(_rp2_ring(p))
+    assert table.stabilized()
+    assert (table.cfg.n_lo, table.cfg.n_hi) == (-6, 9)
+    h0 = 1 if p == 2 else 0
+    assert table.dim(2, 0) == table.dim(3, 0) == h0
+    assert {e.n: e.dim for e in table.nonzero_row(3)} == {
+        -6: 181, -5: 126, -4: 81, -3: 46, -2: 21, -1: 6,
+        **({0: 1} if p == 2 else {})}
+    assert table.nonzero_row(2) == ([table.entry(2, 0)] if p == 2 else [])
+    assert all(not table.nonzero_row(i) for i in (0, 1, 4, 5, 6))
