@@ -109,16 +109,14 @@ def _instance_command(cmd: Command, r: int | None) -> Command:
 def _stabilization_config(G: GradedQuotientRing, cmd: Command,
                           config: RunConfig) -> StabilizationConfig:
     """The ring's defaults, overridden by each option the command or a flag
-    sets; the command's own option wins.  Without a `tmax`, a monomial cone
-    gets at least the power that settles the window actually used."""
+    sets; the command's own option wins."""
     window = cmd.option("window", config.window) or (None, None)
     overrides = {"t_max": cmd.option("tmax", config.t_max),
                  "margin": cmd.option("margin", config.margin),
                  "n_lo": window[0], "n_hi": window[1]}
-    cfg = dataclasses.replace(
+    return dataclasses.replace(
         StabilizationConfig.default_for(G),
         **{k: v for k, v in overrides.items() if v is not None})
-    return cfg if overrides["t_max"] is not None else cfg.settling(G)
 
 
 def _outcome(status: str, data: dict, witnesses: list | None = None,

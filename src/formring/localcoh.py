@@ -1,20 +1,15 @@
 """Local cohomology pieces as stabilized colimits of Koszul cohomology.
 
 [H^i_M(G)]_n is the colimit over t of [H^i(x^t; G)]_n along the transition
-maps.  Each entry is computed for every power up to t_max and declared
-stabilized when the trailing run of transition isomorphisms ending at t_max
-has length at least `margin`; the reported power is the start of that run.
-For 0-dimensional rings t_max is raised above the top socle degree, which
-makes the answer exact there.  In general this is a windowed heuristic: a
-run of isomorphisms longer than margin that breaks beyond t_max would be
-trusted wrongly, so entries always carry their power and stabilized flag and
-nothing downstream consumes an unstable value silently.
+maps.  Where theory fixes an entry it is read exactly; every other entry
+takes the dense detector.
 
-The dimensions and isomorphism flags come from one of two routes: for a
-monomial cone, `multigraded` reads them off the multidegree blocks without
-assembling any Koszul matrix; every other cone takes the dense route
-through `koszul_cohomology_piece` and `transition_map`.  The detector is
-the same for both.
+On a monomial cone every entry with 0 <= i <= m is exact: from the power
+T(n) on, every multidegree block of internal degree n has settled, so
+[H^i(x^T(n); G)]_n is [H^i_M(G)]_n (`multigraded.settle_power`,
+`multigraded.colimit_dims`).  Such an entry carries power T(n), whatever
+t_max and margin are.  Since T(n) >= T(n + 1), that power also settles the
+degree n + 1 a variable multiplies the entry into.
 
 A cone G = S/I that is not monomial first reads its column off the exact
 table of S/in(I) (`multigraded.colimit_dims`).  In every degree,
@@ -24,12 +19,23 @@ S/in(I) share a Hilbert function, so by the Grothendieck-Serre formula
 entry whose bound is 0 is proved zero, and an entry whose bound is the only
 nonzero one of its column equals that bound.  The second rule is used only
 at i >= dim G: below the dimension the checkers need a detector power for
-their maps.  Every other entry takes the dense detector.
+their maps.
+
+Every other entry takes the dense detector: it computes the piece for every
+power up to t_max through `koszul_cohomology_piece` and `transition_map`,
+and declares the entry stabilized when the trailing run of transition
+isomorphisms ending at t_max has length at least `margin`; the reported
+power is the start of that run.  For 0-dimensional rings t_max is raised
+above the top socle degree, which makes the answer exact there.  In general
+this is a windowed heuristic: a run of isomorphisms longer than margin that
+breaks beyond t_max would be trusted wrongly, so entries always carry their
+power and stabilized flag and nothing downstream consumes an unstable value
+silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,39 +65,32 @@ class StabilizationConfig:
 
     @classmethod
     def default_for(cls, G: GradedQuotientRing) -> "StabilizationConfig":
-        """The default window; on a monomial cone t_max also reaches
-        T(n_lo) + margin, so every window entry settles with its run."""
+        """The default window; t_max and margin keep their defaults."""
         if G.is_zero_ring():
             return cls(-1, 1)
         dim = G.krull_dimension()
         maxdeg = max(G.max_generator_degree(), 1)
-        return cls(-(dim + 3), 2 * maxdeg + 3).settling(G)
-
-    def settling(self, G: GradedQuotientRing) -> "StabilizationConfig":
-        """On a monomial cone, t_max raised to at least T(n_lo) + margin,
-        the power that settles every window entry; otherwise unchanged."""
-        if G.is_zero_ring() or not G.monomial:
-            return self
-        need = multigraded.settle_power(G, self.n_lo) + self.margin
-        return replace(self, t_max=max(self.t_max, need))
+        return cls(-(dim + 3), 2 * maxdeg + 3)
 
     def degrees(self) -> range:
         return range(self.n_lo, self.n_hi + 1)
 
 
 # How an entry's value was settled (StabilizedEntry.settled_by).
-DETECTOR = "detector"      # trailing isomorphism run; see `stabilized`
-ZERO_BOUND = "zero bound"  # its bound from S/in(I) is 0
-COLUMN_SUM = "column sum"  # the only nonzero bound of its column
-SYNTHETIC = "synthetic"    # given by a synthetic table
+DETECTOR = "detector"          # trailing isomorphism run; see `stabilized`
+SETTLE_POWER = "settle power"  # monomial cone, read exactly at power T(n)
+ZERO_BOUND = "zero bound"      # its bound from S/in(I) is 0
+COLUMN_SUM = "column sum"      # the only nonzero bound of its column
+SYNTHETIC = "synthetic"        # given by a synthetic table
 
 
 @dataclass
 class StabilizedEntry:
     """One (i, n) entry of the local cohomology table.
 
-    An entry settled by the in(I) bounds was read at no power: its `power`
-    is None and its `history` empty.
+    An entry of a monomial cone was read at power T(n); one settled by the
+    in(I) bounds was read at no power, and its `power` is None.  Neither
+    records a `history`.
     """
 
     i: int
@@ -123,33 +122,36 @@ def local_coh_piece(G: GradedQuotientRing, i: int, n: int,
                     cfg: StabilizationConfig) -> StabilizedEntry:
     """Stabilized colimit entry for [H^i_M(G)]_n.
 
-    A cone that is not monomial first tries its S/in(I) column; see the
-    module docstring.
+    A monomial cone reads it exactly at T(n); any other cone first tries its
+    S/in(I) column.  See the module docstring.
     """
-    if not G.monomial and 0 <= i <= G.ring.nvars:
-        bounds = multigraded.colimit_dims(G, n)
-        if bounds[i] == 0:
-            rule = ZERO_BOUND
-        elif i >= G.krull_dimension() and bounds.count(0) == len(bounds) - 1:
-            rule = COLUMN_SUM
-        else:
-            return _detected(G, i, n, cfg)
-        return StabilizedEntry(i=i, n=n, dim=bounds[i], power=None,
-                               stabilized=True, history=(), settled_by=rule)
-    return _detected(G, i, n, cfg)
+    if not 0 <= i <= G.ring.nvars:
+        return _detected(G, i, n, cfg)
+    bounds = multigraded.colimit_dims(G, n)
+    if G.monomial:
+        return StabilizedEntry(i=i, n=n, dim=bounds[i],
+                               power=multigraded.settle_power(G, n),
+                               stabilized=True, history=(),
+                               settled_by=SETTLE_POWER)
+    if bounds[i] == 0:
+        rule = ZERO_BOUND
+    elif i >= G.krull_dimension() and bounds.count(0) == len(bounds) - 1:
+        rule = COLUMN_SUM
+    else:
+        return _detected(G, i, n, cfg)
+    return StabilizedEntry(i=i, n=n, dim=bounds[i], power=None,
+                           stabilized=True, history=(), settled_by=rule)
 
 
 def _detected(G: GradedQuotientRing, i: int, n: int,
               cfg: StabilizationConfig) -> StabilizedEntry:
-    """The entry the trailing-run detector reads off the power history."""
+    """The entry the trailing-run detector reads off the dense Koszul
+    pieces and transition maps of powers 1..t_max."""
     t_max = _effective_t_max(G, cfg)
-    if G.monomial:
-        dims, iso = multigraded.history(G, i, n, t_max)
-    else:
-        dims = [koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n).dim
-                for t in range(1, t_max + 1)]
-        iso = [transition_map(G, t, i, n).is_isomorphism()
-               for t in range(1, t_max)]
+    dims = [koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n).dim
+            for t in range(1, t_max + 1)]
+    iso = [transition_map(G, t, i, n).is_isomorphism()
+           for t in range(1, t_max)]
     start = t_max
     while start > 1 and iso[start - 2]:
         start -= 1

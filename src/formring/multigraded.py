@@ -22,15 +22,18 @@ largest exponent of x_j among the generators of J.  Hence:
 Every multidegree of total degree n with all a_j < rho_j has
 a_j >= n - sum_k (rho_k - 1) + rho_j - 1, so each of them has settled once
 t >= T(n) = max(1, sum_j rho_j - m + 1 - n): [H^i(x^T(n); G)]_n is exactly
-[H^i_M(G)]_n (`settle_power`, `colimit_dims`).  The engine reads only the
-lead monomials of the ring's reduced basis, so for a cone that is not
-monomial the same values are those of S/in(I).
+[H^i_M(G)]_n (`settle_power`, `colimit_dims`).  Every table entry of a
+monomial cone is read this way.  The engine reads only the lead monomials
+of the ring's reduced basis, so for a cone that is not monomial the same
+values are those of S/in(I), which bound its table.
 
 Every dense cochain basis element and every matrix row is multihomogeneous.
 So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
 blockwise ones, and scattering the block results into the dense order
 (subsets in combinations order, then monomials descending) reproduces the
-dense path's representatives and transition matrices entry for entry.
+dense path's representatives and transition matrices entry for entry
+(`representatives`, `transition_matrix`).  The comparison maps, the
+annihilator check and the `koszul` command read those.
 """
 
 from __future__ import annotations
@@ -176,14 +179,6 @@ class _Engine:
             raise FormringError("transition image is not a cocycle class")
         return sol[d_in.shape[1]:]
 
-    def is_isomorphism(self, q: int, sig, nxt) -> bool:
-        """Is the transition into block nxt an isomorphism on H^q?"""
-        if sig == nxt:
-            return True
-        mat = self.block_map(q, sig, nxt)
-        return mat.shape[0] == mat.shape[1] and self._memo(
-            ("rank", q, sig, nxt), lambda: linalg.rank(mat, self.p)) == len(mat)
-
     def settle_power(self, n: int) -> int:
         """T(n): from this power on every block of degree n has settled."""
         return max(1, sum(self.rho) - self.m + 1 - n)
@@ -198,41 +193,6 @@ class _Engine:
             return tuple(sum(blk.dim(i) for blk in blocks)
                          for i in range(self.m + 1))
         return self._memo(("colimit", n), build)
-
-    def runs(self, n: int, t_max: int) -> list:
-        """Per multidegree of degree n: its first nonempty power and its
-        (signature, block) at each power up to the settled one."""
-        def build():
-            out = []
-            for a in self.multidegrees(n, -t_max):
-                first = max(1, -min(a))
-                settled = max(first, max(r - x for x, r in zip(a, self.rho)))
-                sigs = [self.signature(a, t)
-                        for t in range(first, min(settled, t_max) + 1)]
-                out.append((first, [(sig, self.block(sig)) for sig in sigs]))
-            return out
-        return self._memo(("runs", n, t_max), build)
-
-    def history(self, i: int, n: int, t_max: int):
-        return self._memo(("history", i, n, t_max),
-                          lambda: self._build_history(i, n, t_max))
-
-    def _build_history(self, i: int, n: int, t_max: int):
-        # steps[t - 1] is the change of dim H^i from power t - 1 to t; a
-        # block keeps its dimension from its settled power on
-        steps = [0] * t_max
-        iso = [True] * (t_max - 1)
-        for first, run in self.runs(n, t_max):
-            prev, prev_dim = None, 0
-            for t, (sig, blk) in enumerate(run, start=first):
-                dim = blk.dim(i)
-                steps[t - 1] += dim - prev_dim
-                # an empty block (prev None) only appears before dim 0
-                if t > 1 and (dim != prev_dim or dim and
-                              not self.is_isomorphism(i, prev, sig)):
-                    iso[t - 2] = False
-                prev, prev_dim = sig, dim
-        return tuple(itertools.accumulate(steps)), tuple(iso)
 
     def piece(self, t: int, i: int, n: int):
         """Dense representatives of [H^i(x^t; G)]_n and each column's
@@ -271,12 +231,6 @@ def _engine(G) -> _Engine:
     if eng is None:
         eng = G._koszul_cache[_ENGINE] = _Engine(G)
     return eng
-
-
-def history(G, i: int, n: int, t_max: int):
-    """dim [H^i(x^t; G)]_n for t = 1..t_max, and for t = 1..t_max - 1
-    whether the transition map t -> t + 1 is an isomorphism."""
-    return _engine(G).history(i, n, t_max)
 
 
 def settle_power(G, n: int) -> int:

@@ -44,12 +44,16 @@ tautology:
 * ``box_multidegrees`` walks the whole box of multidegrees and keeps the
   tuples of the right total degree, never bounding a coordinate by what
   the remaining ones can reach.
+* ``hochster_table`` reads the local cohomology table of a Stanley-Reisner
+  ring off Hochster's formula, from simplicial boundary ranks mod p in
+  plain Python, never building a Koszul complex or a multidegree block.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -497,3 +501,80 @@ def box_multidegrees(rho, n, lowest):
         last = n - sum(head)
         if lowest <= last < rho[-1]:
             yield head + (last,)
+
+
+def _rank_mod_p(rows, p):
+    """Rank of an integer matrix, given as a list of rows, over GF(p)."""
+
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for k, row in enumerate(rows):
+            if k != rank and row[c]:
+                rows[k] = [(a - row[c] * b) % p
+                           for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def reduced_cohomology_dims(faces, p):
+    """dim of the reduced cohomology of a simplicial complex over GF(p), as
+    {q: dim} for q = -1..dim; ``faces`` holds the empty face."""
+
+    by_size = {}
+    for face in faces:
+        by_size.setdefault(len(face), []).append(tuple(sorted(face)))
+
+    def boundary_rank(s):
+        # the boundary from faces of size s to faces of size s - 1
+        if s == 0 or s not in by_size:
+            return 0
+        index = {f: k for k, f in enumerate(by_size[s - 1])}
+        rows = []
+        for face in by_size[s]:
+            row = [0] * len(index)
+            for k in range(s):
+                row[index[face[:k] + face[k + 1:]]] = (-1) ** k
+            rows.append(row)
+        return _rank_mod_p(rows, p)
+
+    top = max(by_size)
+    ranks = [boundary_rank(s) for s in range(top + 2)]
+    return {s - 1: len(by_size[s]) - ranks[s] - ranks[s + 1]
+            for s in range(top + 1)}
+
+
+def hochster_table(faces, nvars, p, degrees):
+    """dim [H^i_m(k[D])]_n for i = 0..nvars and n in ``degrees``, where D is
+    the simplicial complex ``faces`` (its empty face included) on vertices
+    0..nvars - 1 and k = GF(p).
+
+    Hochster's formula (Bruns-Herzog 5.3.8): the multidegree a <= 0 with
+    negative support F contributes dim H~^(i - |F| - 1)(lk F) when F is a
+    face, and there are C(-n - 1, |F| - 1) such a of total degree n < 0.
+    """
+
+    faces = {frozenset(face) for face in faces}
+    links = {
+        F: reduced_cohomology_dims(
+            [g for g in faces if not g & F and g | F in faces], p)
+        for F in faces}
+    table = {}
+    for i in range(nvars + 1):
+        for n in degrees:
+            if n > 0:
+                dim = 0
+            elif n == 0:
+                dim = links[frozenset()].get(i - 1, 0)
+            else:
+                dim = sum(comb(-n - 1, len(F) - 1)
+                          * links[F].get(i - len(F) - 1, 0)
+                          for F in faces if F)
+            table[(i, n)] = dim
+    return table

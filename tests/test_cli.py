@@ -93,18 +93,43 @@ class TestExitCodes:
         assert "message" in results[0]["data"]
 
     def test_inconclusive_is_two(self, capsys, monkeypatch):
-        # over-tight stabilization: entry appears on the last transition
-        text = ("char 32003; vars x,y; ideal I = ;"
-                " table I window=-8..-8 tmax=4;")
-        # empty generator list is invalid; declare a zero generator instead
-        text = ("char 32003; vars x,y; ideal I = 0;"
-                " table I window=-8..-8 tmax=4;")
+        # over-tight stabilization on a cone that is not monomial: the
+        # dense detector sees too short a run for these entries
+        text = ("char 32003; vars x, y, z;"
+                " ideal I = x^2 + 2*x*y + y^2, x*y + y^2;"
+                " table I window=-3..1 tmax=3 margin=2;")
         code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
                                monkeypatch=monkeypatch)
         assert code == 2
         (entry,) = json.loads(out)["results"]
         assert entry["status"] == "inconclusive"
-        assert entry["data"]["unstable"] == [[2, -8]]
+        assert entry["data"]["unstable"] == [[1, -2], [1, -1], [2, -3],
+                                             [2, -2]]
+
+    def test_default_config_settles_the_same_cone(self, capsys, monkeypatch):
+        text = ("char 32003; vars x, y, z;"
+                " ideal I = x^2 + 2*x*y + y^2, x*y + y^2; table I;")
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 0
+        (entry,) = json.loads(out)["results"]
+        assert entry["status"] == "ok"
+        assert entry["data"]["unstable"] == []
+
+    def test_monomial_cone_is_exact_under_a_tight_tmax(self, capsys,
+                                                       monkeypatch):
+        # T(-6) = 6 > t_max 3 on (x*y), yet every entry is read at T(n):
+        # these are the default configuration's values
+        text = ("char 32003; vars x, y, z; ideal S = x*y;"
+                " table S window=-6..-4;")
+        code, out, _ = run_cli(capsys, ["--tmax", "3", "--margin", "1", "-"],
+                               stdin_text=text, monkeypatch=monkeypatch)
+        assert code == 0
+        (entry,) = json.loads(out)["results"]
+        assert entry["status"] == "ok"
+        assert entry["data"]["nonzero"] == [[2, -6, 11], [2, -5, 9],
+                                            [2, -4, 7]]
+        assert entry["data"]["unstable"] == []
 
     def test_saturation_cap_is_guard_two(self, capsys, monkeypatch):
         # saturating (x^51) by (x) takes 51 quotient steps, one past the cap
@@ -200,7 +225,8 @@ class TestFlagsAsDefaults:
 
     def test_default_t_max_settles_the_command_window(self, capsys,
                                                        monkeypatch):
-        # T(-8) + margin = 19 on the r = 7 cone, above the default window's
+        # a window below the default one: T(-8) = 17 on the r = 7 cone is
+        # above the default t_max 12, but each entry is read at its T(n)
         text = ("char 32003; vars x, y, z;"
                 " ideal F = x^2, x*y, x*z - y^r, y^(r+1), x*z^2;"
                 " table F r=7 imax=1 window=-8..-5;")

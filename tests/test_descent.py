@@ -40,6 +40,13 @@ def quotient(names, builder):
     return GradedQuotientRing(Ideal(R, builder(*R.gens())))
 
 
+def unsettled_cone():
+    """(x*y + y^2, x^2 - y^2): a cone that is not monomial, so its entries
+    below the S/in(I) bounds take the dense detector."""
+    return quotient(("x", "y", "z"),
+                    lambda x, y, z: [x**2 + 2 * x * y + y**2, x * y + y**2])
+
+
 def A_ideal(names, builder):
     R = PolyRing(names, P)
     return Ideal(R, builder(*R.gens()))
@@ -168,21 +175,24 @@ class TestStuckrad:
     def test_unstable_rows_above_dimension_do_not_poison(self):
         # row 2 is unstable in this tight configuration, but only rows
         # below the dimension (0 and 1, both stably zero) are consulted
-        G = corpus.graded("free-2")
+        G = unsettled_cone()
         bad = local_coh_table(
-            G, cfg=StabilizationConfig(n_lo=-8, n_hi=-8, t_max=4, margin=2))
+            G, cfg=StabilizationConfig(n_lo=-3, n_hi=-3, t_max=3, margin=2))
+        assert G.krull_dimension() == 2
+        assert not bad.row_stabilized(2)
         v = stuckrad_test(G, bad)
         assert v.satisfied
 
     def test_inconclusive_on_unstable_consulted_row(self):
-        # [H^0]_2 of the thick line first moves at t = 2; with t_max = 3
-        # the trailing isomorphism run is too short to certify stability
-        G = corpus.graded("thick-line")
+        # the dense detector cannot settle [H^1]_{-2} and [H^1]_{-1} of
+        # this non-monomial cone by t_max = 3
+        G = unsettled_cone()
         bad = local_coh_table(
-            G, cfg=StabilizationConfig(n_lo=2, n_hi=2, t_max=3, margin=2))
-        assert not bad.row_stabilized(0)
+            G, cfg=StabilizationConfig(n_lo=-3, n_hi=1, t_max=3, margin=2))
+        assert not bad.row_stabilized(1)
         v = stuckrad_test(G, bad)
         assert v.inconclusive
+        assert v.detail == "rows [1] not stabilized"
 
 
 class TestQuasiBuchsbaum:

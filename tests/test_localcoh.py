@@ -43,6 +43,16 @@ def cfg(lo, hi, t_max=8, margin=2):
     return StabilizationConfig(n_lo=lo, n_hi=hi, t_max=t_max, margin=margin)
 
 
+def unsettled_cone():
+    """A cone that is not monomial, (x*y + y^2, x^2 - y^2), whose dense
+    detector cannot settle four entries under `TIGHT`."""
+    return quotient(("x", "y", "z"),
+                    lambda x, y, z: [x**2 + 2 * x * y + y**2, x * y + y**2])
+
+
+TIGHT = cfg(-3, 1, t_max=3, margin=2)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -67,14 +77,18 @@ class TestConfig:
     def test_degrees_range(self):
         assert list(cfg(-2, 1).degrees()) == [-2, -1, 0, 1]
 
-    @pytest.mark.parametrize("r, t_max", [(3, 12), (4, 12), (5, 13),
-                                          (6, 14), (7, 15)])
+    @pytest.mark.parametrize("r, t_max", [(3, 12), (4, 12), (5, 12),
+                                          (6, 12), (7, 12)])
     def test_default_t_max_reaches_settle_power(self, r, t_max):
+        # the default t_max stays 12 on the r-family, and every entry of
+        # the default table is still read, stable, at its T(n)
         G = GradedQuotientRing(initial_forms_ideal(
             corpus.build_ideal(corpus.r_family_case(r))))
-        c = StabilizationConfig.default_for(G)
-        assert c.t_max == t_max
-        assert c.t_max >= multigraded.settle_power(G, c.n_lo) + c.margin
+        table = local_coh_table(G)
+        assert table.cfg.t_max == t_max
+        assert table.stabilized()
+        assert all(e.power == multigraded.settle_power(G, e.n)
+                   for e in table.entries.values())
 
     def test_default_t_max_of_non_monomial_cone(self):
         G = quotient(("x", "y", "z"), lambda x, y, z: [x * y - z**2, x**3])
@@ -83,12 +97,15 @@ class TestConfig:
 
 
 class TestStabilizedPieces:
+    """The dense detector's trailing run, called directly: a table of a
+    monomial cone reads every entry at T(n) instead."""
+
     def test_late_arrival_not_mistaken_for_zero(self):
         # [0 : x^t] in degree 0 of k[x]/(x^3) is zero for t = 1, 2 and k
         # for t >= 3; the trailing-run rule must report dim 1, power 3,
         # not a "stable zero" read off the early history
         G = quotient(("x",), lambda x: [x**3])
-        entry = local_coh_piece(G, 0, 0, cfg(-1, 3))
+        entry = localcoh._detected(G, 0, 0, cfg(-1, 3))
         assert entry.history[:3] == (0, 0, 1)
         assert entry.dim == 1
         assert entry.power == 3
@@ -98,7 +115,7 @@ class TestStabilizedPieces:
         # t_max=3 alone could never give the power-3 entry a margin-2 run;
         # Artinian rings extend the range to top_degree + margin + 2
         G = quotient(("x",), lambda x: [x**3])
-        entry = local_coh_piece(G, 0, 0, cfg(-1, 3, t_max=3, margin=2))
+        entry = localcoh._detected(G, 0, 0, cfg(-1, 3, t_max=3, margin=2))
         assert entry.stabilized
         assert entry.power == 3
         assert len(entry.history) >= 6
@@ -116,7 +133,7 @@ class TestStabilizedPieces:
         # [H^2]_{-8} of k[x,y] first appears at t = 4; with t_max = 4 the
         # last transition is not yet an isomorphism, so no trailing run
         G = free(("x", "y"))
-        entry = local_coh_piece(G, 2, -8, cfg(-8, -8, t_max=4, margin=2))
+        entry = localcoh._detected(G, 2, -8, cfg(-8, -8, t_max=4, margin=2))
         assert entry.history == (0, 0, 0, 1)
         assert not entry.stabilized
 
@@ -162,11 +179,12 @@ class TestTables:
             assert got == oracle, case.name
 
     def test_second_build_reuses_cached_ranks(self, monkeypatch):
-        # every transition map comes from the ring's cache the second time,
-        # and each map keeps its rank
-        G = quotient(("x", "y", "z"),
-                     lambda x, y, z: [x**2, x * y, x * z, y**4, y**3 * z])
+        # the detector's transition maps come from the ring's cache the
+        # second time, and each map keeps its rank
+        G = unsettled_cone()
         first = local_coh_table(G)
+        assert any(e.settled_by == localcoh.DETECTOR
+                   for e in first.entries.values())
         calls = []
         real_rank = linalg.rank
 
@@ -198,8 +216,8 @@ class TestTables:
 
     @pytest.mark.parametrize("r", [6, 7])
     def test_default_family_table_is_stable(self, r):
-        # with t_max fixed at 12, (1, -4) stayed unstable at r = 6 and
-        # (1, -4), (1, -3) at r = 7
+        # T(-4) = 12 at r = 6 and T(-4) = 13, T(-3) = 12 at r = 7: a
+        # trailing run ending at the default t_max 12 could not settle them
         G = GradedQuotientRing(initial_forms_ideal(
             corpus.build_ideal(corpus.r_family_case(r))))
         table = local_coh_table(G)
@@ -210,10 +228,10 @@ class TestTables:
         assert table.as_rows() == local_coh_table(G, cfg=wide).as_rows()
 
     def test_aggregate_stabilized_false_when_entry_unstable(self):
-        G = free(("x", "y"))
-        table = local_coh_table(G, cfg=cfg(-8, -8, t_max=4, margin=2))
+        table = local_coh_table(unsettled_cone(), cfg=TIGHT)
         assert not table.stabilized()
         assert not table.row_stabilized(2)
+        assert table.row_stabilized(0)
 
 
 class TestSyntheticTables:
@@ -290,11 +308,11 @@ class TestAnnihilator:
             G, 0, table)
 
     def test_inconclusive_on_unstable_row(self):
-        G = free(("x", "y"))
-        table = local_coh_table(G, cfg=cfg(-8, -8, t_max=4, margin=2))
-        ok, reasons = annihilator_is_irrelevant(G, 2, table)
+        G = unsettled_cone()
+        table = local_coh_table(G, cfg=TIGHT)
+        ok, reasons = annihilator_is_irrelevant(G, 1, table)
         assert ok is None
-        assert reasons
+        assert reasons == ["entry (i=1, n=-2) not stabilized"]
 
 
 class TestZeroRing:

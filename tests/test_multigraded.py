@@ -1,5 +1,6 @@
 """Multidegree blocks for monomial cones against the dense Koszul path."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -25,40 +26,51 @@ from formring import koszul, localcoh, multigraded
 
 
 @st.composite
-def monomial_cones(draw):
-    """GF(p)[x..] modulo a few random monomials, with a small window.
+def monomial_cones(draw, max_vars=4):
+    """GF(p)[x..] modulo a few random monomials, a small window and a random
+    t_max and margin.
 
-    Powers stay low because the dense oracle eliminates whole internal
-    degrees; four variables get the lowest.
+    The dense oracle eliminates whole internal degrees n + t*i up to the
+    power T(n) + margin.  T(n) = C - n below C = sum rho_j - nv + 1, so the
+    window starts a few degrees below C: fewer with more variables.  The
+    dense oracle takes at most three variables.
     """
     p = draw(st.sampled_from([2, 5, 32003]))
-    nv = draw(st.integers(2, 4))
+    nv = draw(st.integers(2, max_vars))
     R = PolyRing(tuple("xyzw"[:nv]), p)
-    gens = []
-    for _ in range(draw(st.integers(0, 3))):
-        exps = tuple(draw(st.integers(0, 2)) for _ in range(nv))
-        if any(exps):
-            gens.append(R.monomial(exps))
-    lo = draw(st.integers(-3, 0))
-    hi = draw(st.integers(lo, lo + 3))
-    t_max = draw(st.integers(2, 6 - nv))
-    cfg = StabilizationConfig(lo, hi, t_max=t_max, margin=1)
+    exps = [tuple(draw(st.integers(0, 2)) for _ in range(nv))
+            for _ in range(draw(st.integers(0, 3)))]
+    gens = [R.monomial(e) for e in exps if any(e)]
+    margin = draw(st.integers(1, 2))
+    t_max = draw(st.integers(margin + 1, 6))
+    # rho_j is at most the largest exponent of x_j among the generators
+    top = sum(max((e[j] for e in exps if any(e)), default=0)
+              for j in range(nv)) - nv + 1
+    lo = top - 1 - draw(st.integers(0, 5 - nv))
+    hi = draw(st.integers(lo, lo + 2))
+    cfg = StabilizationConfig(lo, hi, t_max=t_max, margin=margin)
     return GradedQuotientRing(Ideal(R, gens)), cfg
 
 
 @settings(max_examples=40, deadline=None)
-@given(monomial_cones())
+@given(monomial_cones(max_vars=3))
 def test_blocks_match_dense_oracle(cone):
+    # every entry is read at T(n) whatever t_max and margin are; the dense
+    # detector run to T(n) + margin settles it by T(n) at the same value
     G, cfg = cone
     assert G.monomial
     try:
         table = local_coh_table(G, cfg=cfg)
-        t_max = localcoh._effective_t_max(G, cfg)
         for (i, n), entry in table.entries.items():
-            dense = oracles.dense_local_coh_piece(G, i, n, cfg)
-            assert (entry.dim, entry.power, entry.stabilized,
-                    entry.history) == (dense.dim, dense.power,
-                                       dense.stabilized, dense.history)
+            settle = multigraded.settle_power(G, n)
+            assert (entry.power, entry.stabilized, entry.history,
+                    entry.settled_by) == (settle, True, (),
+                                          localcoh.SETTLE_POWER)
+            reach = dataclasses.replace(cfg, t_max=settle + cfg.margin)
+            dense = oracles.dense_local_coh_piece(G, i, n, reach)
+            assert dense.stabilized and dense.power <= settle
+            assert entry.dim == dense.dim
+            t_max = len(dense.history)
             for t in range(1, t_max + 1):
                 got = koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n)
                 assert np.array_equal(
@@ -77,9 +89,9 @@ def test_blocks_match_dense_oracle(cone):
             return
         for i in range(min(G.krull_dimension(), table.i_max + 1)):
             ok, extra = annihilator_is_irrelevant(G, i, table)
-            if ok is not None:
-                assert extra == oracles.annihilator_witnesses_per_column(
-                    G, i, table)
+            assert ok is not None
+            assert extra == oracles.annihilator_witnesses_per_column(
+                G, i, table)
     finally:
         oracles.dense_piece.cache_clear()
         oracles.dense_transition_matrix.cache_clear()
@@ -93,12 +105,13 @@ def test_settle_power_bounds_detector(cone):
     # dimension the blocks give at T(n)
     G, small = cone
     t_max = multigraded.settle_power(G, small.n_lo) + 2
-    table = local_coh_table(G, cfg=StabilizationConfig(
-        small.n_lo, small.n_hi, t_max=t_max, margin=2))
+    wide = StabilizationConfig(small.n_lo, small.n_hi, t_max=t_max, margin=2)
+    table = local_coh_table(G, cfg=small)
     for (i, n), entry in table.entries.items():
-        assert entry.stabilized
-        assert entry.power <= multigraded.settle_power(G, n)
-        assert entry.dim == multigraded.colimit_dims(G, n)[i]
+        detected = localcoh._detected(G, i, n, wide)
+        assert detected.stabilized
+        assert detected.power <= multigraded.settle_power(G, n)
+        assert detected.dim == entry.dim == multigraded.colimit_dims(G, n)[i]
 
 
 def test_permuted_sequence_keeps_dense_path():
@@ -176,3 +189,47 @@ def test_rp2_default_table_depends_on_the_characteristic(p):
         **({0: 1} if p == 2 else {})}
     assert table.nonzero_row(2) == ([table.entry(2, 0)] if p == 2 else [])
     assert all(not table.nonzero_row(i) for i in (0, 1, 4, 5, 6))
+
+
+@st.composite
+def stanley_reisner_rings(draw):
+    """k[D] over GF(p) for a random simplicial complex D on at most five
+    vertices (the downward closure of a few random faces), and a window."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    nv = draw(st.integers(1, 5))
+    facets = draw(st.lists(st.sets(st.integers(0, nv - 1), min_size=1),
+                           max_size=5))
+    faces = {frozenset(sub) for facet in facets for k in range(len(facet) + 1)
+             for sub in itertools.combinations(sorted(facet), k)}
+    faces.add(frozenset())
+    R = PolyRing(tuple(f"x{v}" for v in range(nv)), p)
+    # the minimal nonfaces generate the Stanley-Reisner ideal
+    nonfaces = [S for k in range(1, nv + 1)
+                for S in map(frozenset, itertools.combinations(range(nv), k))
+                if S not in faces and all(S - {v} in faces for v in S)]
+    G = GradedQuotientRing(Ideal(R, [
+        R.monomial(tuple(int(v in S) for v in range(nv))) for S in nonfaces]))
+    lo = draw(st.integers(-4, 0))
+    return G, faces, StabilizationConfig(lo, draw(st.integers(lo, 2)),
+                                         t_max=2, margin=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stanley_reisner_rings())
+def test_table_matches_hochster_formula(ring):
+    G, faces, cfg = ring
+    table = local_coh_table(G, cfg=cfg)
+    assert table.stabilized()
+    assert {k: e.dim for k, e in table.entries.items()} == \
+        oracles.hochster_table(faces, G.ring.nvars, G.p, cfg.degrees())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rp2_table_matches_hochster_formula(p):
+    G = _rp2_ring(p)
+    faces = {frozenset(sub) for facet in RP2_FACETS for k in range(4)
+             for sub in itertools.combinations(
+                 [int(v) - 1 for v in facet], k)}
+    table = local_coh_table(G)
+    assert {k: e.dim for k, e in table.entries.items()} == \
+        oracles.hochster_table(faces, 6, p, table.cfg.degrees())
