@@ -363,7 +363,15 @@ def _dims_by_order(A_ideal: Ideal, J: Ideal, total: int) -> dict[int, int]:
 
 
 def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
-    """Socle and full torsion of the irrelevant ideal on R/A_ideal."""
+    """Socle and full torsion of the irrelevant ideal on R/A_ideal.
+
+    The report is kept on `A_ideal`, the way its cone is."""
+    if A_ideal._h0 is None:
+        A_ideal._h0 = _h0_report(A_ideal)
+    return A_ideal._h0
+
+
+def _h0_report(A_ideal: Ideal) -> LocalH0Report:
     ring = A_ideal.ring
     if not A_ideal.in_irrelevant():
         raise NotInIrrelevantError(

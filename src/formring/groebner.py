@@ -6,6 +6,14 @@ applicable divisor in the stored basis order, and reduced bases are sorted by
 (degree, term-order key) ascending.  Reduced Groebner bases are unique, so
 ideal equality is tested by comparing them.
 
+`normal_form` keeps the terms still to reduce in a heap on
+`TermOrder.heap_key`, so each step pops the greatest one; a reduction step
+only adds smaller terms.  `_reduce_basis` tail-reduces a minimal basis in
+one pass: each normal form keeps its lead (no other lead divides it) and
+leaves every other term outside the lead ideal, and a basis element with
+those two properties is unique, so a second pass would change nothing.
+The kernel builds its results with `Polynomial._trusted`.
+
 Each new basis element goes through the pair criteria of the
 Gebauer-Moeller update (Gebauer and Moeller 1988): of its new pairs, one
 whose lcm is a multiple of another new pair's lcm is dropped, and so is one
@@ -22,6 +30,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (AmbientMismatchError, NotInIrrelevantError,
@@ -31,19 +40,19 @@ from .poly import (DEGREVLEX, ELIM_LAST, Monomial, PolyRing, Polynomial,
 
 
 def _monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _monomial_quot(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _coprime(a: Monomial, b: Monomial) -> bool:
-    return not any(x and y for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -60,43 +69,69 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
     order = order or f.ring.order
     ring = f.ring
     p = ring.characteristic
+    hkey = order.heap_key
     if leads is None:
         leads = [(g.leading_monomial(order), g) for g in basis
                  if not g.is_zero()]
     remainder: dict[Monomial, int] = {}
     work = dict(f.terms)
-    while work:
-        mono = max(work, key=order.key)
-        coeff = work[mono]
+    # every term of work is in the heap; a cancelled term leaves a stale
+    # entry behind, skipped when it comes up
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = work.pop(mono, 0)
+        if not coeff:
+            continue
         for lm, g in leads:
             if _monomial_divides(lm, mono):
-                # subtracting scale * shift * g cancels mono exactly
+                # subtracting scale * shift * g cancels mono exactly; every
+                # other term it touches is smaller than mono
                 shift = _monomial_quot(mono, lm)
-                scale = coeff * pow(g.terms[lm], -1, p)
+                lc = g.terms[lm]
+                scale = coeff if lc == 1 else coeff * pow(lc, -1, p)
                 for ge, gc in g.terms.items():
-                    key = tuple(x + y for x, y in zip(ge, shift))
-                    val = (work.get(key, 0) - scale * gc) % p
+                    if ge == lm:
+                        continue
+                    key = tuple(map(add, ge, shift))
+                    old = work.get(key)
+                    val = ((old or 0) - scale * gc) % p
                     if val:
+                        if old is None:
+                            heapq.heappush(heap, (hkey(key), key))
                         work[key] = val
-                    elif key in work:
+                    elif old is not None:
                         del work[key]
                 break
         else:
             remainder[mono] = coeff
-            del work[mono]
-    return Polynomial(ring, remainder)
+    return Polynomial._trusted(
+        ring, remainder, (order, next(iter(remainder))) if remainder else None)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial,
                  order: TermOrder | None = None) -> Polynomial:
+    """Built in one dict; the two lead terms cancel, so neither is formed."""
     order = order or f.ring.order
+    f._check_ambient(g)
+    p = f.ring.characteristic
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = _monomial_lcm(lf, lg)
-    mf = f.ring.monomial(_monomial_quot(lcm, lf),
-                         pow(f.terms[lf], -1, f.ring.characteristic))
-    mg = g.ring.monomial(_monomial_quot(lcm, lg),
-                         pow(g.terms[lg], -1, g.ring.characteristic))
-    return mf * f - mg * g
+    out: dict[Monomial, int] = {}
+    for h, lh, sign in ((f, lf, 1), (g, lg, -1)):
+        shift = _monomial_quot(lcm, lh)
+        scale = sign * pow(h.terms[lh], -1, p)
+        for e, c in h.terms.items():
+            if e == lh:
+                continue
+            key = tuple(map(add, e, shift))
+            val = (out.get(key, 0) + scale * c) % p
+            if val:
+                out[key] = val
+            elif key in out:
+                del out[key]
+    return Polynomial._trusted(f.ring, out)
 
 
 def buchberger(generators: Sequence[Polynomial],
@@ -160,30 +195,17 @@ def buchberger(generators: Sequence[Polynomial],
 
 
 def _reduce_basis(basis: list[Polynomial], order: TermOrder) -> list[Polynomial]:
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep: list[Polynomial] = []
+    # minimalize: drop elements whose lead is divisible by another lead (of
+    # equal leads the first stays)
     leads = [g.leading_monomial(order) for g in basis]
-    for i, g in enumerate(basis):
-        li = leads[i]
-        redundant = False
-        for j, ljm in enumerate(leads):
-            if i == j:
-                continue
-            if _monomial_divides(ljm, li) and (ljm != li or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-    # tail-reduce each against the others until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1:]
-            r = normal_form(keep[i], others, order).monic(order)
-            if r.terms != keep[i].terms:
-                keep[i] = r
-                changed = True
+    pairs = [(li, g) for i, (li, g) in enumerate(zip(leads, basis))
+             if not any(_monomial_divides(lj, li) and (lj != li or j < i)
+                        for j, lj in enumerate(leads) if j != i)]
+    # tail-reduce each against the others, in one pass (module docstring)
+    for i, (lm, g) in enumerate(pairs):
+        pairs[i] = lm, normal_form(g, (), order, pairs[:i] + pairs[i + 1:]
+                                   ).monic(order)
+    keep = [g for _, g in pairs]
     keep.sort(key=lambda g: (g.degree(), order.key(g.leading_monomial(order))))
     return keep
 
@@ -232,6 +254,7 @@ class Ideal:
         self._gb_cache: dict[TermOrder, GroebnerBasis] = {}
         self._cone: Ideal | None = None  # set by initial_forms_ideal
         self._graded = None  # S/self, set by GradedQuotientRing.of
+        self._h0 = None  # set by descent.local_h0_report
 
     def groebner_basis(self, order: TermOrder | None = None) -> GroebnerBasis:
         order = order or self.ring.order

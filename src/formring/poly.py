@@ -8,6 +8,7 @@ immutable once built and all operations are pure.
 
 from __future__ import annotations
 
+from operator import add, neg
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AmbientMismatchError, NotHomogeneousError
@@ -87,6 +88,15 @@ class TermOrder:
             return exps
         rest = exps[:-1]
         return (exps[-1], sum(rest), tuple(-e for e in reversed(rest)))
+
+    def heap_key(self, exps: Monomial):
+        """`key` with every entry negated: smallest heap key, greatest monomial."""
+        if self.kind == "degrevlex":
+            return (-sum(exps), exps[::-1])
+        if self.kind == "lex":
+            return tuple(map(neg, exps))
+        rest = exps[:-1]
+        return (-exps[-1], -sum(rest), rest[::-1])
 
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
@@ -177,7 +187,15 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; do not mutate the term dict."""
+    """Immutable sparse polynomial; do not mutate the term dict.
+
+    Invariant: every key of `terms` is a tuple of `ring.nvars` nonnegative
+    exponents and every value lies in [1, p).  `__init__` enforces it on any
+    input; `_trusted` takes a dict that already satisfies it, which is how
+    `+`, `-`, `*`, `monic` and the Groebner kernel build their results (they
+    reduce mod p and drop zeros themselves, and their exponents are sums or
+    differences of valid ones).
+    """
 
     # _lead: (order, leading monomial) of the last leading_monomial lookup;
     # valid forever because the terms never change
@@ -197,6 +215,16 @@ class Polynomial:
         self.ring = ring
         self.terms = clean
         self._lead = None
+
+    @classmethod
+    def _trusted(cls, ring: PolyRing, terms: dict[Monomial, int],
+                 lead=None) -> "Polynomial":
+        """A polynomial on `terms` as given; it must meet the invariant."""
+        f = cls.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        f._lead = lead
+        return f
 
     # -- basic structure ---------------------------------------------------
 
@@ -222,39 +250,49 @@ class Polynomial:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other) -> "Polynomial":
+    def _plus(self, other, sign: int) -> "Polynomial":
+        """self + sign * other, for sign = 1 or -1."""
         if isinstance(other, int):
             other = self.ring.constant(other)
         self._check_ambient(other)
+        p = self.ring.characteristic
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return Polynomial(self.ring, out)
+            c = (out.get(exps, 0) + sign * c) % p
+            if c:
+                out[exps] = c
+            else:
+                del out[exps]  # c is nonzero unless exps was already there
+        return Polynomial._trusted(self.ring, out)
+
+    def __add__(self, other) -> "Polynomial":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        p = self.ring.characteristic
+        return Polynomial._trusted(
+            self.ring, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            other = self.ring.constant(other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
-            return Polynomial(
-                self.ring, {e: c * other for e, c in self.terms.items()})
+            other = self.ring.constant(other)
         self._check_ambient(other)
+        p = self.ring.characteristic
         out: dict[Monomial, int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 out[key] = out.get(key, 0) + ca * cb
-        return Polynomial(self.ring, out)
+        return Polynomial._trusted(
+            self.ring, {e: r for e, c in out.items() if (r := c % p)})
 
     __rmul__ = __mul__
 
@@ -313,7 +351,7 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         order = order or self.ring.order
         lead = self._lead
-        if lead is None or lead[0] != order:
+        if lead is None or (lead[0] is not order and lead[0] != order):
             lead = self._lead = (order, max(self.terms, key=order.key))
         return lead[1]
 
@@ -323,8 +361,13 @@ class Polynomial:
     def monic(self, order: TermOrder | None = None) -> "Polynomial":
         if not self.terms:
             return self
-        inv = pow(self.leading_coefficient(order), -1, self.ring.characteristic)
-        return self * inv
+        p = self.ring.characteristic
+        inv = pow(self.leading_coefficient(order), -1, p)
+        if inv == 1:
+            return self
+        return Polynomial._trusted(
+            self.ring, {e: c * inv % p for e, c in self.terms.items()},
+            self._lead)
 
     def sorted_terms(self, order: TermOrder | None = None) -> list[tuple[Monomial, int]]:
         order = order or self.ring.order

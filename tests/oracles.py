@@ -14,7 +14,12 @@ tautology:
 * ``greedy_quotient_columns`` admits columns one at a time by recomputing
   the rank, never reading pivot positions.
 * ``naive_buchberger`` re-sorts every pair on every pop and prunes only by
-  the product criterion, never using the Gebauer-Moeller update.
+  the product criterion, never using the Gebauer-Moeller update.  It calls
+  nothing from ``groebner``: ``max_scan_normal_form`` picks each next
+  term by a scan of the whole remainder (never a heap),
+  ``arith_s_polynomial`` is built with ``Polynomial`` arithmetic (never one
+  dict), and the basis is tail-reduced until a pass changes nothing (never
+  a single pass).
 * ``annihilator_witnesses_per_column`` asks ``is_coboundary`` once per
   moved representative column of a dense piece, never sharing an
   elimination.
@@ -60,14 +65,14 @@ import numpy as np
 from formring import (CohomologyPiece, GradedQuotientRing,
                       GradedVectorSpaceMap, Ideal, KoszulComplexSpec,
                       StabilizedEntry, chain_multiplication, ideal_quotient,
-                      is_coboundary, normal_form, s_polynomial,
-                      standard_monomials)
+                      is_coboundary, normal_form, standard_monomials)
 from formring import groebner, koszul, linalg, localcoh
 from formring.descent import LocalH0Report, _coefficient_matrix
 from formring.dsl import Token
 from formring.errors import (NotInIrrelevantError, ParseError,
                              SaturationLimitError)
-from formring.groebner import _reduce_basis, monomials_of_degree, saturate
+from formring.groebner import monomials_of_degree, saturate
+from formring.poly import Polynomial
 
 
 def _degree_ideal(ideal: Ideal, k: int) -> Ideal:
@@ -171,21 +176,73 @@ def greedy_quotient_columns(sub: np.ndarray, vecs: np.ndarray,
     return picked
 
 
+def _lead(f, order):
+    return max(f.terms, key=order.key)
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def max_scan_normal_form(f, basis, order):
+    """Fully reduce ``f`` by ``basis``, the greatest remaining term found by
+    a scan of the whole remainder at every step; each term is reduced by the
+    first basis element whose lead divides it."""
+
+    p = f.ring.characteristic
+    leads = [(_lead(g, order), g) for g in basis if not g.is_zero()]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        mono = max(work, key=order.key)
+        coeff = work.pop(mono)
+        for lm, g in leads:
+            if _divides(lm, mono):
+                scale = coeff * pow(g.terms[lm], -1, p)
+                for ge, gc in g.terms.items():
+                    if ge != lm:
+                        key = tuple(x + y - z for x, y, z in zip(ge, mono, lm))
+                        work[key] = (work.get(key, 0) - scale * gc) % p
+                        if not work[key]:
+                            del work[key]
+                break
+        else:
+            remainder[mono] = coeff
+    return Polynomial(f.ring, remainder)
+
+
+def arith_s_polynomial(f, g, order):
+    """The S-polynomial as ``u*f - v*g`` in ``Polynomial`` arithmetic."""
+
+    ring = f.ring
+    p = ring.characteristic
+    lf, lg = _lead(f, order), _lead(g, order)
+    lcm = tuple(max(x, y) for x, y in zip(lf, lg))
+    u = ring.monomial([x - y for x, y in zip(lcm, lf)], pow(f.terms[lf], -1, p))
+    v = ring.monomial([x - y for x, y in zip(lcm, lg)], pow(g.terms[lg], -1, p))
+    return u * f - v * g
+
+
+def _monic(f, order):
+    return f * pow(f.terms[_lead(f, order)], -1, f.ring.characteristic)
+
+
 def naive_buchberger(generators, order, max_spolys=None):
     """Reduced Groebner basis by the textbook pair loop.
 
     All pairs are kept in one list that is re-sorted by (lcm total degree,
     i, j) before every pop; only coprime-lead pairs are skipped.  Returns
     None once more than ``max_spolys`` S-polynomials would be reduced: on a
-    few small random ideals this loop runs for minutes.
+    few small random ideals this loop runs for minutes.  The basis is then
+    minimalized and tail-reduced until a whole pass changes nothing.
     """
 
-    basis = [g.monic(order) for g in generators if not g.is_zero()]
+    basis = [_monic(g, order) for g in generators if not g.is_zero()]
     if not basis:
         return []
 
     def lm(i):
-        return max(basis[i].terms, key=order.key)
+        return _lead(basis[i], order)
 
     def lcm(a, b):
         return tuple(max(x, y) for x, y in zip(a, b))
@@ -201,13 +258,30 @@ def naive_buchberger(generators, order, max_spolys=None):
             if max_spolys == 0:
                 return None
             max_spolys -= 1
-        s = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        s = max_scan_normal_form(arith_s_polynomial(basis[i], basis[j], order),
+                                 basis, order)
         if s.is_zero():
             continue
-        basis.append(s.monic(order))
+        basis.append(_monic(s, order))
         new = len(basis) - 1
         pairs.extend((k, new) for k in range(new))
-    return _reduce_basis(basis, order)
+
+    leads = [_lead(g, order) for g in basis]
+    basis = [g for i, g in enumerate(basis)
+             if not any(_divides(leads[j], leads[i])
+                        and (leads[j] != leads[i] or j < i)
+                        for j in range(len(basis)) if j != i)]
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(basis):
+            r = _monic(max_scan_normal_form(g, basis[:i] + basis[i + 1:],
+                                            order), order)
+            if r != g:
+                basis[i] = r
+                changed = True
+    basis.sort(key=lambda g: (g.degree(), order.key(_lead(g, order))))
+    return basis
 
 
 def annihilator_witnesses_per_column(G, i, table):

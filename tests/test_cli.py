@@ -502,6 +502,26 @@ class TestSessionReuse:
         # one ring each for F r=3, L and N; one cone computation for F r=3
         assert counts == {"rings": 3, "f3_cone": 1}
 
+    def test_h0_report_computed_once(self, capsys, monkeypatch):
+        from formring import descent
+
+        commands = ["localh0 F r=3;", "cor41 F r=3;",
+                    "cor41 F r=3 window=-2..2;"]
+        alone = [entry for command in commands
+                 for entry in session_results(capsys, monkeypatch, [],
+                                              [command])]
+        calls = []
+        torsion_ideal = descent._torsion_ideal
+
+        def counting_torsion_ideal(ideal):
+            calls.append(ideal)
+            return torsion_ideal(ideal)
+
+        monkeypatch.setattr(descent, "_torsion_ideal", counting_torsion_ideal)
+        shared = session_results(capsys, monkeypatch, [], commands)
+        assert len(calls) == 1
+        assert shared == alone
+
 
 class TestCharacteristicBound:
     """A characteristic at or above 2**30 is refused before any primality

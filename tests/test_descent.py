@@ -315,7 +315,8 @@ class TestLocalH0Report:
         assert rep.torsion_dims_by_order == {2: 1}
         assert rep.saturation_exponent == 1
         monkeypatch.setattr(descent, "SATURATION_CAP", 1)
-        for I in (family, cone):
+        # fresh ideals: a report is kept on the ideal it was computed for
+        for I in (Ideal(J.ring, J.generators) for J in (family, cone)):
             with pytest.raises(SaturationLimitError) as info:
                 local_h0_report(I)
             assert str(info.value) == message

@@ -272,11 +272,11 @@ def test_cone_is_kept_on_the_ideal(monkeypatch):
 # --- independent Groebner routes --------------------------------------------
 
 @st.composite
-def small_ideals(draw):
+def small_ideals(draw, max_vars=3):
     """A ring over GF(p) with a few sparse generators of low degree."""
     p = draw(st.sampled_from([2, 5, 32003]))
-    nv = draw(st.integers(2, 3))
-    R = PolyRing(tuple("xyz"[:nv]), p)
+    nv = draw(st.integers(2, max_vars))
+    R = PolyRing(tuple("xyzw"[:nv]), p)
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         terms = {}
@@ -292,7 +292,7 @@ def _terms(basis):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_ideals(), st.sampled_from([DEGREVLEX, LEX, ELIM_LAST]))
+@given(small_ideals(max_vars=4), st.sampled_from([DEGREVLEX, LEX, ELIM_LAST]))
 def test_buchberger_matches_naive_pair_loop(gens, order):
     # the naive loop exceeds this budget on about one ideal in a hundred;
     # the sympy comparison below has no budget
@@ -330,3 +330,68 @@ def test_saturate_by_variable_matches_quotient_chain(gens, j):
     I = Ideal(R, gens)
     chain, _ = saturate(I, Ideal(R, [R.variable(j)]))
     assert saturate_by_variable(I, j).equals(chain)
+
+
+# --- the kernel builds its results without validation ----------------------
+
+def assert_meets_invariant(f):
+    """Exponent tuples of length nvars, coefficients in [1, p), and terms the
+    validating constructor keeps unchanged."""
+    ring = f.ring
+    assert all(len(e) == ring.nvars and min(e) >= 0 for e in f.terms)
+    assert all(1 <= c < ring.characteristic for c in f.terms.values())
+    assert Polynomial(ring, f.terms).terms == f.terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(max_vars=4), st.sampled_from([DEGREVLEX, LEX, ELIM_LAST]))
+def test_kernel_results_match_max_scan_and_arithmetic(gens, order):
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    R = gens[0].ring
+    products = [x * g for x in R.gens() for g in gens]
+    for f in gens:
+        for g in gens:
+            s = s_polynomial(f, g, order)
+            assert_meets_invariant(s)
+            assert s == oracles.arith_s_polynomial(f, g, order)
+    # any basis, Groebner or not: the heap and the scan reduce alike
+    for f in products:
+        r = normal_form(f, gens, order)
+        assert_meets_invariant(r)
+        assert r.terms == oracles.max_scan_normal_form(f, gens, order).terms
+    gb = buchberger(gens, order)
+    for g in gb:
+        assert_meets_invariant(g)
+    for f in products:
+        assert normal_form(f, gb, order).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(max_vars=4), st.sampled_from([DEGREVLEX, LEX, ELIM_LAST]),
+       st.randoms(use_true_random=False))
+def test_reduce_basis_in_one_pass(gens, order, rng):
+    gb = buchberger(gens, order)
+    assume(gb)
+    R = gb[0].ring
+    leads = [g.leading_monomial(order) for g in gb]
+    # the same leads with tails in the lead ideal, plus redundant multiples:
+    # still a Groebner basis, neither minimal nor reduced
+    untidy = []
+    for g, lg in zip(gb, leads):
+        for h, lh in zip(gb, leads):
+            for x in [R.one(), *R.gens()]:
+                m = x * h
+                if order.greater(lg, m.leading_monomial(order)):
+                    g = g + m * rng.randrange(1, R.characteristic)
+        untidy.append(g * rng.randrange(1, R.characteristic))
+    untidy += [x * g for x in R.gens() for g in gb]
+    rng.shuffle(untidy)
+    reduced = groebner._reduce_basis(untidy, order)
+    assert [g.terms for g in reduced] == [g.terms for g in gb]
+    for g in reduced:
+        lead = g.leading_monomial(order)
+        assert g.terms[lead] == 1
+        assert not any(groebner._monomial_divides(lm, e)
+                       for e in g.terms if e != lead
+                       for lm in leads)

@@ -12,6 +12,7 @@ from formring import (
     LEX,
     MAX_CHARACTERISTIC,
     PolyRing,
+    Polynomial,
     TermOrder,
     poly,
 )
@@ -233,3 +234,61 @@ def test_components_sum_back(data):
     lambda p: polynomials(PolyRing(("x", "y", "z"), p))))
 def test_str_matches_term_loop(f):
     assert str(f) == oracles.term_loop_str(f)
+
+
+# --- hypothesis: results built without validation ---------------------------
+
+def _validated(ring, pairs):
+    """Sum of (exponents, coefficient) pairs through the validating
+    constructor."""
+    out = {}
+    for exps, c in pairs:
+        out[exps] = out.get(exps, 0) + c
+    return Polynomial(ring, out)
+
+
+@st.composite
+def ring_and_polys4(draw):
+    p = draw(st.sampled_from(PRIMES))
+    nv = draw(st.integers(1, 4))
+    ring = PolyRing(tuple("xyzw"[:nv]), p)
+    return ring, draw(polynomials(ring)), draw(polynomials(ring))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_and_polys4(), st.integers(-10**6, 10**6), st.integers(-3, 3),
+       st.sampled_from([DEGREVLEX, LEX, ELIM_LAST]))
+def test_arithmetic_results_meet_the_invariant(data, k, m, order):
+    ring, f, g = data
+    p = ring.characteristic
+    neg_g = [(e, -c) for e, c in g]
+    expected = [
+        (f + g, [*f, *g]),
+        (f - g, [*f, *neg_g]),
+        (-g, neg_g),
+        (f * g, [(tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+                 for ea, ca in f for eb, cb in g]),
+    ]
+    for c in (k, m * p):  # m * p is 0 mod p
+        scaled = [(e, a * c) for e, a in f]
+        expected += [(f * c, scaled), (c * f, scaled),
+                     (f + c, [*f, ((0,) * ring.nvars, c)]),
+                     (c - f, [((0,) * ring.nvars, c), *((e, -a) for e, a in f)])]
+    if not f.is_zero():
+        inv = pow(f.leading_coefficient(order), -1, p)
+        expected.append((f.monic(order), [(e, a * inv) for e, a in f]))
+    for result, pairs in expected:
+        assert all(len(e) == ring.nvars and min(e, default=0) >= 0
+                   for e in result.terms)
+        assert all(1 <= c < p for c in result.terms.values())
+        assert result.terms == Polynomial(ring, result.terms).terms
+        assert result.terms == _validated(ring, pairs).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 3), min_size=1,
+                max_size=12, unique=True),
+       st.sampled_from([DEGREVLEX, LEX, ELIM_LAST]))
+def test_heap_key_reverses_the_order(monos, order):
+    by_heap = sorted(monos, key=order.heap_key)
+    assert by_heap == sorted(monos, key=order.key, reverse=True)
