@@ -5,7 +5,7 @@ mechanical descent checkers between a filtered ring and its graded cone.
 
 from .errors import (AmbientMismatchError, FormringError, NotHomogeneousError,
                      NotInIrrelevantError, ParseError, RangeLimitError,
-                     SaturationLimitError, ZeroRingError)
+                     SaturationLimitError, SizeLimitError, ZeroRingError)
 from .poly import (DEGREVLEX, ELIM_LAST, LEX, MAX_CHARACTERISTIC, PolyRing,
                    Polynomial, TermOrder, is_prime)
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_quotient,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientMismatchError", "FormringError", "NotHomogeneousError",
     "NotInIrrelevantError", "ParseError", "RangeLimitError",
-    "SaturationLimitError",
+    "SaturationLimitError", "SizeLimitError",
     "ZeroRingError",
     "DEGREVLEX", "ELIM_LAST", "LEX", "MAX_CHARACTERISTIC",
     "PolyRing", "Polynomial", "TermOrder", "is_prime",

@@ -3,7 +3,8 @@ emit a deterministic JSON or text report.
 
 Exit codes: 0 when every command ran (negative verdicts included); 1 on
 usage, parse, or per-command input errors; 2 when an internal guard tripped
-(unstabilized colimit entries, saturation cap, an `r` range over its cap).
+(unstabilized colimit entries, saturation cap, an `r` range over its cap,
+a dense Koszul matrix over its size cap).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 from . import __version__
 from .dsl import Command, Session, parse_session
 from .errors import (FormringError, ParseError, RangeLimitError,
-                     SaturationLimitError)
+                     SaturationLimitError, SizeLimitError)
 from .graded import GradedQuotientRing
 from .groebner import Ideal, initial_forms_ideal
 from .koszul import KoszulComplexSpec, cochain_dim, koszul_cohomology_piece
@@ -126,7 +127,8 @@ def _outcome(status: str, data: dict, witnesses: list | None = None,
 
 
 def _failure(exc: Exception) -> dict:
-    guard = isinstance(exc, (SaturationLimitError, RangeLimitError))
+    guard = isinstance(exc, (SaturationLimitError, RangeLimitError,
+                             SizeLimitError))
     return _outcome("guard" if guard else "error",
                     {"message": str(exc), "kind": type(exc).__name__})
 

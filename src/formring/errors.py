@@ -37,6 +37,10 @@ class RangeLimitError(FormringError):
                          f"the cap of {cap}")
 
 
+class SizeLimitError(FormringError):
+    """A dense Koszul matrix would hold more cells than the cap allows."""
+
+
 class ParseError(FormringError):
     """Malformed session or polynomial text."""
 

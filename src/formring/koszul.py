@@ -1,10 +1,10 @@
 """Graded Koszul cochain complexes on powers of the variables.
 
 For a graded quotient G with m variables and a power t, the complex is built
-on the sequence x_1^t, .., x_m^t (optionally permuted).  Exterior basis
-elements e_J are indexed by sorted subsets J of sequence positions in
-lexicographic (itertools.combinations) order; inserting j into J carries the
-sign (-1)^(number of entries of J below j).  With deg x_j^t = t the piece
+on the sequence x_1^t, .., x_m^t.  Exterior basis elements e_J are indexed
+by sorted subsets J of variable positions in lexicographic
+(itertools.combinations) order; inserting j into J carries the sign
+(-1)^(number of entries of J below j).  With deg x_j^t = t the piece
 [K^p]_n is a sum of copies of [G]_{n + t p}, one per subset, so each complex
 piece at internal degree n is finite and exact linear algebra applies.
 
@@ -13,13 +13,14 @@ which commutes with both differentials and induces the comparison maps on
 cohomology; their composite from t=1 to a stabilization power is the
 canonical comparison map into the colimit.
 
-Two routes give the same bytes.  A monomial cone in the plain variable
-order is computed by `multigraded`, one multidegree block at a time, and
-its pieces and transition matrices are scattered into the storage order
-above.  Every other cone, and every permuted sequence, takes the dense
-route: the matrices of a whole internal degree, read off the ring's
-per-degree normal-form table (`GradedQuotientRing.mult_matrix`), and
-eliminated at once.
+The cone alone picks one of two routes, and both give the same bytes.  A
+monomial cone is computed by `multigraded`, one multidegree block at a
+time, and its pieces and transition matrices are scattered into the
+storage order above.  Every other cone takes the dense route: the matrices
+of a whole internal degree, assembled from the ring's multiplication
+matrices (`GradedQuotientRing.mult_matrix`) and eliminated at once.  A
+dense matrix of more than `MAX_DENSE_CELLS` cells raises `SizeLimitError`
+before it is allocated.
 """
 
 from __future__ import annotations
@@ -30,44 +31,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, multigraded
-from .errors import FormringError
+from .errors import FormringError, SizeLimitError
 from .graded import GradedQuotientRing, GradedVectorSpaceMap
-from .poly import Polynomial
+
+# Most cells in one dense Koszul matrix; skew lines in P^3 need 288 x 288.
+MAX_DENSE_CELLS = 200_000
 
 
 @dataclass(frozen=True)
 class KoszulComplexSpec:
-    """The complex K(x_seq^t; G) at one power t >= 1."""
+    """The complex K(x^t; G) at one power t >= 1."""
 
     G: GradedQuotientRing
     t: int = 1
-    sequence: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("power t must be >= 1")
-        m = self.G.ring.nvars
-        seq = self.sequence or tuple(range(m))
-        if sorted(seq) != list(range(m)):
-            raise ValueError("sequence must be a permutation of the variables")
-        object.__setattr__(self, "sequence", tuple(seq))
 
     @property
     def m(self) -> int:
-        return len(self.sequence)
+        return self.G.ring.nvars
 
-    def generator(self, j: int) -> Polynomial:
-        """The j-th sequence element x_seq[j]^t."""
-        exps = [0] * self.m
-        exps[self.sequence[j]] = self.t
-        return self.G.ring.monomial(exps)
-
-    def multiplier(self, subset: tuple[int, ...]) -> Polynomial:
-        """prod of the plain variables indexed by the subset (degree-1 each)."""
-        out = self.G.ring.one()
-        for j in subset:
-            out = out * self.G.ring.variable(self.sequence[j])
-        return out
+    @property
+    def sequence(self) -> tuple[int, ...]:
+        """The variable order of the sequence: always the plain one."""
+        return tuple(range(self.m))
 
 
 @dataclass
@@ -90,11 +79,6 @@ def _subsets(m: int, p: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(m), p))
 
 
-def _insert_sign(j: int, subset: tuple[int, ...]) -> int:
-    below = sum(1 for l in subset if l < j)
-    return -1 if below % 2 else 1
-
-
 def cochain_dim(spec: KoszulComplexSpec, p: int, n: int) -> int:
     subsets = _subsets(spec.m, p)
     if not subsets:
@@ -110,11 +94,10 @@ def cochain_labels(spec: KoszulComplexSpec, p: int, n: int):
 
 def _cached(spec: KoszulComplexSpec, kind: str, key, build):
     cache = spec.G._koszul_cache
-    full_key = (kind, spec.sequence, spec.t) + key
+    full_key = (kind, spec.t) + key
     hit = cache.get(full_key)
     if hit is None:
-        hit = build()
-        cache[full_key] = hit
+        hit = cache[full_key] = build()
     return hit
 
 
@@ -129,24 +112,34 @@ def differential(spec: KoszulComplexSpec, p: int, n: int) -> np.ndarray:
 def _build_differential(spec: KoszulComplexSpec, p: int, n: int) -> np.ndarray:
     m, t, G = spec.m, spec.t, spec.G
     src_sets = _subsets(m, p)
-    tgt_sets = _subsets(m, p + 1)
-    src_block = G.dim(n + t * p)
-    tgt_block = G.dim(n + t * (p + 1))
-    mat = linalg.zeros(len(tgt_sets) * tgt_block, len(src_sets) * src_block)
-    if not src_sets or not tgt_sets or src_block == 0:
-        return mat
-    tgt_pos = {J: k for k, J in enumerate(tgt_sets)}
-    for a, J in enumerate(src_sets):
-        for j in range(m):
-            if j in J:
-                continue
-            K = tuple(sorted(J + (j,)))
-            sign = _insert_sign(j, J)
-            mult = G.mult_matrix(spec.generator(j), n + t * p).matrix
-            b = tgt_pos[K]
-            rows = slice(b * tgt_block, (b + 1) * tgt_block)
-            cols = slice(a * src_block, (a + 1) * src_block)
-            mat[rows, cols] = (mat[rows, cols] + sign * mult) % G.p
+    tgt_pos = {K: b for b, K in enumerate(_subsets(m, p + 1))}
+    blocks = []
+    for j in range(m):
+        places = [(tgt_pos[tuple(sorted(J + (j,)))], a,
+                   (-1) ** sum(l < j for l in J))
+                  for a, J in enumerate(src_sets) if j not in J]
+        blocks.append((G.ring.monomial([t * (k == j) for k in range(m)]),
+                       places))
+    return _assemble(G, len(tgt_pos), len(src_sets), n + t * p, t, blocks)
+
+
+def _assemble(G: GradedQuotientRing, nrows: int, ncols: int, degree: int,
+              shift: int, blocks) -> np.ndarray:
+    """An nrows x ncols grid of blocks [G]_degree -> [G]_(degree + shift):
+    for each (f, places) in `blocks` and (row, col, sign) in places, block
+    (row, col) is sign times multiplication by f; every other block is 0."""
+    src, tgt = G.dim(degree), G.dim(degree + shift)
+    rows, cols = nrows * tgt, ncols * src
+    if rows * cols > MAX_DENSE_CELLS:
+        raise SizeLimitError(f"a {rows} x {cols} Koszul matrix has more than "
+                             f"{MAX_DENSE_CELLS} cells")
+    mat = linalg.zeros(rows, cols)
+    if mat.size:
+        for f, places in blocks:
+            mult = G.mult_matrix(f, degree).matrix
+            for row, col, sign in places:
+                mat[row * tgt:(row + 1) * tgt,
+                    col * src:(col + 1) * src] = sign * mult % G.p
     return mat
 
 
@@ -157,13 +150,8 @@ def koszul_cohomology_piece(spec: KoszulComplexSpec, i: int, n: int) -> Cohomolo
     return _cached(spec, "piece", (i, n), lambda: _build_piece(spec, i, n))
 
 
-def _blockwise(spec: KoszulComplexSpec) -> bool:
-    """Monomial cone in the plain variable order: take the block route."""
-    return spec.G.monomial and spec.sequence == tuple(range(spec.m))
-
-
 def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
-    if _blockwise(spec):
+    if spec.G.monomial:
         reps = multigraded.representatives(spec.G, spec.t, i, n)
     else:
         reps = _dense_representatives(spec, i, n)
@@ -177,11 +165,7 @@ def _dense_representatives(spec: KoszulComplexSpec, i: int,
     d_in = differential(spec, i - 1, n)
     if d_in.shape[1] and d_out.shape[0]:
         assert not linalg.matmul(d_out, d_in, p).any(), "d o d != 0"
-    ker = linalg.kernel(d_out, p)
-    # kernel columns at pivots of [d_in | ker]: a basis of ker modulo image
-    _, pivots = linalg.rref(np.hstack([d_in, ker]), p)
-    off = d_in.shape[1]
-    return ker[:, [c - off for c in pivots if c >= off]]
+    return linalg.cohomology(d_in, d_out, p)
 
 
 def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int) -> np.ndarray:
@@ -191,39 +175,22 @@ def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int) -> np.ndarray
 
 
 def _build_transition(spec: KoszulComplexSpec, pdeg: int, n: int) -> np.ndarray:
-    G, t = spec.G, spec.t
-    subsets = _subsets(spec.m, pdeg)
-    src_block = G.dim(n + t * pdeg)
-    tgt_block = G.dim(n + (t + 1) * pdeg)
-    mat = linalg.zeros(len(subsets) * tgt_block, len(subsets) * src_block)
-    for a, J in enumerate(subsets):
-        if src_block == 0 or tgt_block == 0:
-            continue
-        if pdeg == 0:
-            block = linalg.identity(src_block)
-        else:
-            block = G.mult_matrix(spec.multiplier(J), n + t * pdeg).matrix
-        rows = slice(a * tgt_block, (a + 1) * tgt_block)
-        cols = slice(a * src_block, (a + 1) * src_block)
-        mat[rows, cols] = block
-    return mat
+    G, m = spec.G, spec.m
+    subsets = _subsets(m, pdeg)
+    blocks = [(G.ring.monomial([int(k in J) for k in range(m)]), [(a, a, 1)])
+              for a, J in enumerate(subsets)]
+    return _assemble(G, len(subsets), len(subsets), n + spec.t * pdeg, pdeg,
+                     blocks)
 
 
 def chain_multiplication(spec: KoszulComplexSpec, i: int, n: int,
                          var_index: int) -> np.ndarray:
     """Multiplication by the variable class: [K^i]_n -> [K^i]_{n+1}."""
-    G, t = spec.G, spec.t
-    subsets = _subsets(spec.m, i)
-    src_block = G.dim(n + t * i)
-    tgt_block = G.dim(n + 1 + t * i)
-    mat = linalg.zeros(len(subsets) * tgt_block, len(subsets) * src_block)
-    if src_block and tgt_block:
-        block = G.mult_matrix(G.ring.variable(var_index), n + t * i).matrix
-        for a in range(len(subsets)):
-            rows = slice(a * tgt_block, (a + 1) * tgt_block)
-            cols = slice(a * src_block, (a + 1) * src_block)
-            mat[rows, cols] = block
-    return mat
+    G = spec.G
+    count = len(_subsets(spec.m, i))
+    places = [(a, a, 1) for a in range(count)]
+    return _assemble(G, count, count, n + spec.t * i, 1,
+                     [(G.ring.variable(var_index), places)])
 
 
 def express_in_cohomology(spec: KoszulComplexSpec, piece: CohomologyPiece,
@@ -260,7 +227,7 @@ def transition_map(G: GradedQuotientRing, t: int, i: int,
 
 def _build_transition_map(G: GradedQuotientRing, spec: KoszulComplexSpec,
                           i: int, n: int) -> GradedVectorSpaceMap:
-    if _blockwise(spec):
+    if G.monomial:
         mat = multigraded.transition_matrix(G, spec.t, i, n)
     else:
         mat = _dense_transition_matrix(

@@ -96,6 +96,20 @@ def kernel(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
+def cohomology(d_in: np.ndarray, d_out: np.ndarray, p: int) -> np.ndarray:
+    """Columns forming a basis of ker(d_out) modulo im(d_in).
+
+    They are the kernel columns at the pivots of [d_in | ker]; d_out @ d_in
+    must be zero.
+    """
+    ker = kernel(d_out, p)
+    if not ker.shape[1] or not d_in.shape[1]:
+        return ker
+    _, pivots = rref(np.hstack([d_in, ker]), p)
+    off = d_in.shape[1]
+    return ker[:, [c - off for c in pivots if c >= off]]
+
+
 def solve(a: np.ndarray, b: np.ndarray, p: int):
     """One solution x of a @ x = b (columns of b solved jointly), or None."""
     if b.ndim == 1:

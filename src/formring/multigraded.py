@@ -86,18 +86,13 @@ class _Block:
         return hit
 
     def _build_cohomology(self, q: int):
-        p = self.eng.p
         if self.size(q) == 0:
             return linalg.zeros(0, 0), []
-        ker = linalg.kernel(self.differential(q), p)
-        d_in = self.differential(q - 1)
-        if ker.shape[1] and d_in.shape[1]:
-            _, pivots = linalg.rref(np.hstack([d_in, ker]), p)
-            off = d_in.shape[1]
-            ker = ker[:, [c - off for c in pivots if c >= off]]
+        reps = linalg.cohomology(self.differential(q - 1),
+                                 self.differential(q), self.eng.p)
         # a kernel vector's free column is its last nonzero entry
-        free = [int(np.nonzero(col)[0][-1]) for col in ker.T]
-        return ker, free
+        free = [int(np.nonzero(col)[0][-1]) for col in reps.T]
+        return reps, free
 
     def dim(self, q: int) -> int:
         return len(self.cohomology(q)[1])

@@ -37,6 +37,11 @@ tautology:
 * ``nf_mult_matrix`` fills a multiplication matrix one column at a time,
   each column one ``normal_form`` call on ``f`` times a basis monomial,
   never reading ``GradedQuotientRing``'s per-degree normal-form table.
+* ``column_differential``, ``column_transition_cochain`` and
+  ``column_chain_multiplication`` build the dense Koszul matrices one
+  column at a time, each column the ``coordinates`` of f times a basis
+  monomial, with f built by ``Polynomial`` powers and products, never
+  placing a whole ``mult_matrix`` block.
 * ``loop_kernel`` fills the null-space basis entry by entry from the
   ``rref`` pivots, never with one vectorized assignment.
 * ``chain_local_h0_report`` builds the filtered-side report from the
@@ -449,6 +454,63 @@ def nf_mult_matrix(G, f, n):
         for exps, c in prod.terms.items():
             mat[index[exps], j] = c
     return mat
+
+
+def _column_by_column(G, src_sets, tgt_sets, degree, shift, images):
+    """The map e_J * u -> sum of sign * (f * u) e_K over (K, sign, f) in
+    ``images(J)``, for u a basis monomial of [G]_degree, one column each."""
+
+    size = G.dim(degree + shift)
+    tgt = {K: b for b, K in enumerate(tgt_sets)}
+    labels = [(J, mono) for J in src_sets for mono in G.graded_basis(degree)]
+    mat = linalg.zeros(len(tgt_sets) * size, len(labels))
+    for c, (J, mono) in enumerate(labels):
+        u = G.ring.monomial(mono)
+        for K, sign, f in images(J):
+            b = tgt[K]
+            mat[b * size:(b + 1) * size, c] += sign * G.coordinates(
+                f * u, degree + shift)
+    return mat % G.p
+
+
+def _exterior(m, q):
+    return list(itertools.combinations(range(m), q)) if q >= 0 else []
+
+
+def column_differential(spec, q, n):
+    """``koszul.differential`` at degree q, column by column."""
+
+    m, t, x = spec.m, spec.t, spec.G.ring.gens()
+    return _column_by_column(
+        spec.G, _exterior(m, q), _exterior(m, q + 1), n + t * q, t,
+        lambda J: [(tuple(sorted(J + (j,))),
+                    (-1) ** len([l for l in J if l < j]), x[j] ** t)
+                   for j in range(m) if j not in J])
+
+
+def column_transition_cochain(spec, q, n):
+    """``koszul.transition_cochain`` at degree q, column by column."""
+
+    x = spec.G.ring.gens()
+
+    def images(J):
+        f = spec.G.ring.one()
+        for j in J:
+            f = f * x[j]
+        return [(J, 1, f)]
+
+    subsets = _exterior(spec.m, q)
+    return _column_by_column(spec.G, subsets, subsets, n + spec.t * q, q,
+                             images)
+
+
+def column_chain_multiplication(spec, q, n, var_index):
+    """``koszul.chain_multiplication`` at degree q, column by column."""
+
+    subsets = _exterior(spec.m, q)
+    xj = spec.G.ring.gens()[var_index]
+    return _column_by_column(spec.G, subsets, subsets, n + spec.t * q, 1,
+                             lambda J: [(J, 1, xj)])
 
 
 def loop_kernel(a, p):

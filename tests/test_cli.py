@@ -287,6 +287,20 @@ class TestParameterExpansion:
                                 "of 3"},
             "witnesses": [], "window": None, "timing_ms": 0}
 
+    def test_dense_matrix_over_size_cap_is_guard(self):
+        # a non-monomial cone in four variables: without the cap its dense
+        # Koszul matrices grow past 2000 x 1200 and the table runs for
+        # minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "formring.cli", "-"],
+            input="char 32003; vars x, y, z, w;"
+                  " ideal Q = x*y + y^2, x^2 - y^2; table Q;",
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        (entry,) = json.loads(proc.stdout)["results"]
+        assert entry["status"] == "guard"
+        assert entry["data"]["kind"] == "SizeLimitError"
+
     def test_huge_range_ends_in_guard(self):
         # a subprocess with a timeout: a range that runs every instance
         # (3,000 of them here) fails instead of hanging the suite

@@ -141,3 +141,49 @@ def test_pivots_match_greedy_rank_loop(rows, nsub, nvecs, data):
     _, pivots = linalg.rref(a, p)
     picked = [c - nsub for c in pivots if c >= nsub]
     assert picked == greedy_quotient_columns(sub, vecs, p)
+
+
+def _complex(rng, nin, mid, nout, r, p):
+    """d_in (mid x nin) of rank at most r, and d_out (nout x mid) whose rows
+    lie in the left null space of d_in, so d_out @ d_in = 0."""
+    d_in = linalg.matmul(random_matrix(rng, mid, r, p),
+                         random_matrix(rng, r, nin, p), p)
+    left = linalg.kernel(d_in.T, p)
+    d_out = linalg.matmul(random_matrix(rng, nout, left.shape[1], p),
+                          left.T, p)
+    return d_in, d_out
+
+
+def _assert_cohomology_is_greedy(d_in, d_out, p):
+    assert not linalg.matmul(d_out, d_in, p).any()
+    ker = loop_kernel(d_out, p)
+    got = linalg.cohomology(d_in, d_out, p)
+    assert np.array_equal(got, ker[:, greedy_quotient_columns(d_in, ker, p)])
+    assert got.shape[1] == ker.shape[1] - linalg.rank(d_in, p)
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4),
+       st.integers(0, 3), st.sampled_from([2, 5, 32003]),
+       st.integers(0, 2**32 - 1))
+def test_cohomology_matches_greedy_quotient(nin, mid, nout, r, p, seed):
+    rng = np.random.default_rng(seed)
+    _assert_cohomology_is_greedy(*_complex(rng, nin, mid, nout, r, p), p)
+
+
+@pytest.mark.parametrize("nin, mid, nout", [
+    (0, 3, 2),  # d_in has no columns: the kernel itself
+    (2, 3, 0),  # d_out has no rows: everything modulo the image
+    (2, 0, 2),  # d_out has no columns: the zero space
+])
+def test_cohomology_empty_shapes(nin, mid, nout):
+    rng = np.random.default_rng(5)
+    d_in, d_out = _complex(rng, nin, mid, nout, 2, 5)
+    got = _assert_cohomology_is_greedy(d_in, d_out, 5)
+    if nin == 0:
+        assert np.array_equal(got, loop_kernel(d_out, 5))
+    if nout == 0:
+        assert got.shape == (mid, mid - linalg.rank(d_in, 5))
+    if mid == 0:
+        assert got.shape == (0, 0)

@@ -22,7 +22,7 @@ from formring import (
     local_coh_table,
     transition_map,
 )
-from formring import koszul, localcoh, multigraded
+from formring import localcoh, multigraded
 
 
 @st.composite
@@ -112,21 +112,6 @@ def test_settle_power_bounds_detector(cone):
         assert detected.stabilized
         assert detected.power <= multigraded.settle_power(G, n)
         assert detected.dim == entry.dim == multigraded.colimit_dims(G, n)[i]
-
-
-def test_permuted_sequence_keeps_dense_path():
-    G = corpus.graded("line-with-point")
-    nonzero = 0
-    for i in range(3):
-        for n in range(-3, 3):
-            spec = KoszulComplexSpec(G, 2, sequence=(1, 0))
-            piece = koszul_cohomology_piece(spec, i, n)
-            assert np.array_equal(piece.representatives,
-                                  koszul._dense_representatives(spec, i, n))
-            plain = koszul_cohomology_piece(KoszulComplexSpec(G, 2), i, n)
-            assert piece.dim == plain.dim
-            nonzero += piece.dim > 0
-    assert nonzero >= 3
 
 
 def test_non_monomial_cone_is_dense():
