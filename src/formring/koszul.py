@@ -18,9 +18,9 @@ monomial cone is computed by `multigraded`, one multidegree block at a
 time, and its pieces and transition matrices are scattered into the
 storage order above.  Every other cone takes the dense route: the matrices
 of a whole internal degree, assembled from the ring's multiplication
-matrices (`GradedQuotientRing.mult_matrix`) and eliminated at once.  A
-dense matrix of more than `MAX_DENSE_CELLS` cells raises `SizeLimitError`
-before it is allocated.
+matrices (`GradedQuotientRing.mult_matrix`) and eliminated at once.  The
+dense route raises `SizeLimitError` before it builds a differential of more
+than `MAX_DENSE_CELLS` cells to eliminate.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from . import linalg, multigraded
 from .errors import FormringError, SizeLimitError
 from .graded import GradedQuotientRing, GradedVectorSpaceMap
 
-# Most cells in one dense Koszul matrix; skew lines in P^3 need 288 x 288.
+# Most cells in a differential the dense route eliminates; skew lines in P^3
+# need 288 x 288.
 MAX_DENSE_CELLS = 200_000
 
 
@@ -129,11 +130,7 @@ def _assemble(G: GradedQuotientRing, nrows: int, ncols: int, degree: int,
     for each (f, places) in `blocks` and (row, col, sign) in places, block
     (row, col) is sign times multiplication by f; every other block is 0."""
     src, tgt = G.dim(degree), G.dim(degree + shift)
-    rows, cols = nrows * tgt, ncols * src
-    if rows * cols > MAX_DENSE_CELLS:
-        raise SizeLimitError(f"a {rows} x {cols} Koszul matrix has more than "
-                             f"{MAX_DENSE_CELLS} cells")
-    mat = linalg.zeros(rows, cols)
+    mat = linalg.zeros(nrows * tgt, ncols * src)
     if mat.size:
         for f, places in blocks:
             mult = G.mult_matrix(f, degree).matrix
@@ -160,6 +157,11 @@ def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
 
 def _dense_representatives(spec: KoszulComplexSpec, i: int,
                            n: int) -> np.ndarray:
+    for q in (i - 1, i):
+        rows, cols = cochain_dim(spec, q + 1, n), cochain_dim(spec, q, n)
+        if rows * cols > MAX_DENSE_CELLS:
+            raise SizeLimitError(f"a {rows} x {cols} Koszul differential has "
+                                 f"more than {MAX_DENSE_CELLS} cells")
     p = spec.G.p
     d_out = differential(spec, i, n)
     d_in = differential(spec, i - 1, n)

@@ -250,11 +250,17 @@ def test_assembled_matrices_match_column_oracle(spec, q, n, data):
             oracles.column_chain_multiplication(spec, q, n, j))
 
 
-def test_dense_matrix_over_the_cap_raises(monkeypatch):
-    spec = KoszulComplexSpec(free(("x", "y")), 1)
-    assert differential(spec, 0, 2).shape == (8, 3)
-    monkeypatch.setattr(koszul, "MAX_DENSE_CELLS", 23)
-    with pytest.raises(SizeLimitError, match="4 x 6"):
-        differential(spec, 1, 1)
-    # a cached matrix was built under the old cap and stays readable
-    assert differential(spec, 0, 2).shape == (8, 3)
+def test_dense_elimination_over_the_cap_raises(monkeypatch):
+    G = quotient(("x", "y", "z"), lambda x, y, z: [x * y + y ** 2])
+    assert not G.monomial
+    spec = KoszulComplexSpec(G, 1)
+    assert koszul_cohomology_piece(spec, 0, 0).dim == 0
+    monkeypatch.setattr(koszul, "MAX_DENSE_CELLS", 134)
+    # [H^1]_0 would eliminate d: [K^1]_0 -> [K^2]_0, 15 x 9
+    with pytest.raises(SizeLimitError, match="15 x 9"):
+        koszul_cohomology_piece(spec, 1, 0)
+    # the cap is on elimination: the matrices themselves are still built,
+    # and a piece kept from before stays readable
+    assert differential(spec, 1, 0).shape == (15, 9)
+    assert chain_multiplication(spec, 1, 0, 0).shape == (15, 9)
+    assert koszul_cohomology_piece(spec, 0, 0).dim == 0

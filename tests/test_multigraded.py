@@ -20,6 +20,7 @@ from formring import (
     f_map,
     koszul_cohomology_piece,
     local_coh_table,
+    quasi_buchsbaum_test,
     transition_map,
 )
 from formring import localcoh, multigraded
@@ -174,6 +175,16 @@ def test_rp2_default_table_depends_on_the_characteristic(p):
         **({0: 1} if p == 2 else {})}
     assert table.nonzero_row(2) == ([table.entry(2, 0)] if p == 2 else [])
     assert all(not table.nonzero_row(i) for i in (0, 1, 4, 5, 6))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rp2_is_quasi_buchsbaum(p):
+    # k[RP^2] is Buchsbaum.  In characteristic 2 the annihilator check
+    # multiplies dense cochains of 15 blocks [G]_2 -> [G]_3 (690 x 315), which
+    # is larger than the dense route's elimination cap and must still run
+    G = _rp2_ring(p)
+    verdict = quasi_buchsbaum_test(G, local_coh_table(G))
+    assert verdict.status == "satisfied"
 
 
 @st.composite
