@@ -14,7 +14,8 @@ from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_quotient,
                        saturate_by_variable, standard_monomials)
 from .graded import GradedQuotientRing, GradedVectorSpaceMap
 from .koszul import (CohomologyPiece, KoszulComplexSpec, cochain_dim,
-                     chain_multiplication, differential, f_map, is_coboundary,
+                     chain_multiplication, comparison_rank, differential,
+                     f_map, is_coboundary,
                      koszul_cohomology_piece, transition_cochain,
                      transition_map)
 from .localcoh import (CohomologyTable, StabilizationConfig, StabilizedEntry,
@@ -41,7 +42,8 @@ __all__ = [
     "standard_monomials",
     "GradedQuotientRing", "GradedVectorSpaceMap",
     "CohomologyPiece", "KoszulComplexSpec", "cochain_dim",
-    "chain_multiplication", "differential", "f_map", "is_coboundary",
+    "chain_multiplication", "comparison_rank", "differential", "f_map",
+    "is_coboundary",
     "koszul_cohomology_piece", "transition_cochain", "transition_map",
     "CohomologyTable", "StabilizationConfig", "StabilizedEntry",
     "annihilator_is_irrelevant", "h0_via_saturation", "local_coh_piece",

@@ -19,7 +19,7 @@ from .graded import GradedQuotientRing
 from .groebner import (SATURATION_CAP, Ideal, buchberger,
                        initial_forms_ideal, intersect, saturate_by_variable,
                        standard_monomials)
-from .koszul import f_map
+from .koszul import comparison_rank
 from .localcoh import (CohomologyTable, StabilizationConfig,
                        annihilator_is_irrelevant, local_coh_table)
 from .poly import DEGREVLEX, Polynomial
@@ -205,12 +205,12 @@ def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable) -> Verdict:
             if entry.dim == 0:
                 surjectivity.append([i, entry.n, 1])
                 continue
-            fmap = f_map(G, i, entry.n, entry.power)
-            ok = fmap.rank() == entry.dim
+            rank = comparison_rank(G, i, entry.n, entry.power)
+            ok = rank == entry.dim
             surjectivity.append([i, entry.n, 1 if ok else 0])
             if not ok:
                 failures.append({"i": i, "n": entry.n,
-                                 "rank": fmap.rank(), "dim": entry.dim})
+                                 "rank": rank, "dim": entry.dim})
     data = {"dimension": d, "surjectivity": surjectivity}
     if failures:
         return Verdict("violated", witnesses=failures,

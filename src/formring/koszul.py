@@ -20,7 +20,8 @@ storage order above.  Every other cone takes the dense route: the matrices
 of a whole internal degree, assembled from the ring's multiplication
 matrices (`GradedQuotientRing.mult_matrix`) and eliminated at once.  The
 dense route raises `SizeLimitError` before it builds a differential of more
-than `MAX_DENSE_CELLS` cells to eliminate.
+than `MAX_DENSE_CELLS` cells to eliminate.  `comparison_rank` picks its
+route the same way; on a monomial cone it builds no dense matrix at all.
 """
 
 from __future__ import annotations
@@ -85,12 +86,6 @@ def cochain_dim(spec: KoszulComplexSpec, p: int, n: int) -> int:
     if not subsets:
         return 0
     return len(subsets) * spec.G.dim(n + spec.t * p)
-
-
-def cochain_labels(spec: KoszulComplexSpec, p: int, n: int):
-    """Basis labels (subset, monomial) in storage order."""
-    block = spec.G.graded_basis(n + spec.t * p)
-    return [(J, mono) for J in _subsets(spec.m, p) for mono in block]
 
 
 def _cached(spec: KoszulComplexSpec, kind: str, key, build):
@@ -203,14 +198,8 @@ def express_in_cohomology(spec: KoszulComplexSpec, piece: CohomologyPiece,
     same shape with one row per representative.  The coordinates are unique
     because the representatives are independent modulo the coboundaries.
     """
-    if piece.dim == 0 or vecs.size == 0:
-        return np.zeros((piece.dim,) + vecs.shape[1:], dtype=np.int64)
-    d_in = differential(spec, piece.i - 1, piece.n)
-    sol = linalg.solve(np.hstack([d_in, piece.representatives]), vecs,
-                       spec.G.p)
-    if sol is None:
-        return None
-    return sol[d_in.shape[1]:]
+    return linalg.coordinates(differential(spec, piece.i - 1, piece.n),
+                              piece.representatives, vecs, spec.G.p)
 
 
 def is_coboundary(spec: KoszulComplexSpec, i: int, n: int,
@@ -264,3 +253,16 @@ def f_map(G: GradedQuotientRing, i: int, n: int,
     for t in range(1, power):
         acc = transition_map(G, t, i, n).compose(acc)
     return acc
+
+
+def comparison_rank(G: GradedQuotientRing, i: int, n: int, power: int) -> int:
+    """Rank of the comparison map [H^i(x; G)]_n -> [H^i(x^power; G)]_n.
+
+    A monomial cone sums the ranks of its multidegree blocks
+    (`multigraded.comparison_rank`); any other cone ranks `f_map`.
+    """
+    if power < 1:
+        raise ValueError("power must be >= 1")
+    if G.monomial:
+        return multigraded.comparison_rank(G, i, n, power)
+    return f_map(G, i, n, power).rank()

@@ -110,6 +110,22 @@ def cohomology(d_in: np.ndarray, d_out: np.ndarray, p: int) -> np.ndarray:
     return ker[:, [c - off for c in pivots if c >= off]]
 
 
+def coordinates(d_in: np.ndarray, reps: np.ndarray, vecs: np.ndarray,
+                p: int) -> np.ndarray | None:
+    """Coordinates of cocycles modulo im(d_in) in the basis `reps`.
+
+    `reps` are the columns `cohomology` returns; `vecs` is one cocycle or a
+    block of cocycle columns, and the answer has the same shape with one row
+    per representative: the rows past d_in of a solution of
+    [d_in | reps] x = vecs.  They are unique, and all zero exactly when the
+    class is a coboundary.  None when some column is not a cocycle class.
+    """
+    if reps.shape[1] == 0 or vecs.size == 0:
+        return np.zeros((reps.shape[1],) + vecs.shape[1:], dtype=np.int64)
+    sol = solve(np.hstack([d_in, reps]), vecs, p)
+    return None if sol is None else sol[d_in.shape[1]:]
+
+
 def solve(a: np.ndarray, b: np.ndarray, p: int):
     """One solution x of a @ x = b (columns of b solved jointly), or None."""
     if b.ndim == 1:

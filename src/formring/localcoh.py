@@ -309,7 +309,9 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
     is unstable.  A witness is (variable name, internal degree, representative
     coordinates); the check multiplies stabilized Koszul representatives by
     each variable and asks whether the image is a coboundary at a power where
-    both source and target entries have settled.
+    both source and target entries have settled.  A monomial cone asks it
+    block by block (`multigraded.moved_classes`); any other cone eliminates
+    the dense Koszul matrices.
     """
     witnesses = []
     for entry in table.row(i):
@@ -326,22 +328,34 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
             n = consulted[powers.index(None)].n
             return None, [f"entry (i={i}, n={n}) not stabilized"]
         t_star = max(powers)
-        spec = KoszulComplexSpec(G, t_star)
-        piece = koszul_cohomology_piece(spec, i, entry.n)
-        d_in = differential(spec, i - 1, entry.n + 1)
-        off = d_in.shape[1]
-        for j, name in enumerate(G.ring.variables):
-            mult = chain_multiplication(spec, i, entry.n, j)
-            moved = linalg.matmul(mult, piece.representatives, G.p)
-            # a moved column is a coboundary exactly when its rref column
-            # vanishes in every row whose pivot lies in the moved block
-            r, pivots = linalg.rref(np.hstack([d_in, moved]), G.p)
-            rows = [k for k, c in enumerate(pivots) if c >= off]
-            for col in range(piece.dim):
-                if r[rows, off + col].any():
-                    vec = piece.representatives[:, col]
-                    witnesses.append(
-                        (name, entry.n, [int(c) for c in vec]))
+        if G.monomial:
+            reps = multigraded.representatives(G, t_star, i, entry.n)
+            moved = multigraded.moved_classes(G, t_star, i, entry.n)
+        else:
+            reps, moved = _dense_moved_classes(G, t_star, i, entry.n)
+        witnesses.extend((G.ring.variables[j], entry.n,
+                          [int(c) for c in reps[:, col]])
+                         for j, col in moved)
     if witnesses:
         return False, witnesses
     return True, []
+
+
+def _dense_moved_classes(G: GradedQuotientRing, t: int, i: int, n: int):
+    """The representatives of [H^i(x^t; G)]_n and (j, column) for each class
+    x_j does not move into a coboundary, from the dense Koszul matrices."""
+    spec = KoszulComplexSpec(G, t)
+    reps = koszul_cohomology_piece(spec, i, n).representatives
+    d_in = differential(spec, i - 1, n + 1)
+    off = d_in.shape[1]
+    moved = []
+    for j in range(G.ring.nvars):
+        mult = chain_multiplication(spec, i, n, j)
+        # a moved column is a coboundary exactly when its rref column
+        # vanishes in every row whose pivot lies in the moved block
+        r, pivots = linalg.rref(
+            np.hstack([d_in, linalg.matmul(mult, reps, G.p)]), G.p)
+        rows = [k for k, c in enumerate(pivots) if c >= off]
+        moved.extend((j, col) for col in range(reps.shape[1])
+                     if r[rows, off + col].any())
+    return reps, moved

@@ -32,8 +32,16 @@ So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
 blockwise ones, and scattering the block results into the dense order
 (subsets in combinations order, then monomials descending) reproduces the
 dense path's representatives and transition matrices entry for entry
-(`representatives`, `transition_matrix`).  The comparison maps, the
-annihilator check and the `koszul` command read those.
+(`representatives`, `transition_matrix`).  The `koszul` command and
+`f_map` read those.
+
+The two Buchsbaum checks stay blockwise.  Every map they ask about keeps
+each basis subset L and moves a block to one block (`block_map`), so its
+rank is the sum of block ranks and a class maps to a coboundary exactly
+when its block image has zero coordinates.  Stueckrad's criterion ranks the
+map from power 1 to power T(n) (`comparison_rank`); the annihilator test
+sends block a to block a + e_j by x_j (`moved_classes`), and only its
+witnesses are read off the scattered representatives.
 """
 
 from __future__ import annotations
@@ -55,10 +63,18 @@ class _Block:
         outside, inside = sig
         m = eng.m
         self.eng = eng
-        self.basis = [[L for L in eng.subsets[q]
-                       if eng.standard(tuple(inside[j] if j in L
-                                             else outside[j]
-                                             for j in range(m)))]
+        # L's monomial x^b has b_j = inside_j on L and outside_j off it, and
+        # inside_j >= max(outside_j, 0) since -t <= a_j < rho_j.  So b >= 0
+        # asks L to cover the negative coordinates, and a lead divides x^b
+        # exactly when it fits under `inside` and L covers the j with lead_j
+        # above outside_j: x^b is standard when L contains none of those.
+        negative = _mask(j for j in range(m) if outside[j] < 0)
+        required = [_mask(j for j in range(m) if lead[j] > outside[j])
+                    for lead in eng.leads
+                    if all(l <= c for l, c in zip(lead, inside))]
+        self.basis = [[L for L, mask in zip(eng.subsets[q], eng.masks[q])
+                       if mask & negative == negative
+                       and not any(mask & r == r for r in required)]
                       for q in range(m + 1)]
         self._cohomology: dict[int, tuple[np.ndarray, list[int]]] = {}
 
@@ -109,6 +125,7 @@ class _Engine:
                          for j in range(m))
         self.subsets = [list(itertools.combinations(range(m), q))
                         for q in range(m + 1)]
+        self.masks = [[_mask(L) for L in level] for level in self.subsets]
         self._cache: dict[tuple, object] = {}
 
     def _memo(self, key: tuple, build):
@@ -116,11 +133,6 @@ class _Engine:
         if hit is None:
             hit = self._cache[key] = build()
         return hit
-
-    def standard(self, exps: tuple[int, ...]) -> bool:
-        """x^exps is a nonzero standard monomial (capped exponents suffice)."""
-        return min(exps) >= 0 and not any(
-            all(l <= e for l, e in zip(lead, exps)) for lead in self.leads)
 
     def multidegrees(self, n: int, lowest: int) -> tuple:
         """Multidegrees of total degree n with lowest <= a_j < rho_j, in
@@ -147,32 +159,69 @@ class _Engine:
     def block(self, sig) -> _Block:
         return self._memo(("block", sig), lambda: _Block(self, sig))
 
-    def block_map(self, q: int, sig, nxt) -> np.ndarray:
-        """Induced map on block H^q from power t (sig) to t + 1 (nxt)."""
-        return self._memo(("map", q, sig, nxt),
-                          lambda: self._build_block_map(q, sig, nxt))
+    def block_map(self, q: int, src, tgt) -> np.ndarray:
+        """Induced map on H^q from block `src` to block `tgt` of the cochain
+        map that keeps each basis subset L: (L, b) -> (L, b + c).
 
-    def _build_block_map(self, q: int, sig, nxt) -> np.ndarray:
-        src, tgt = self.block(sig), self.block(nxt)
+        The transition to the next power (c = 1_L), the comparison map to a
+        higher power and multiplication by x_j (c = e_j, into multidegree
+        a + e_j) all have this form."""
+        return self._memo(("map", q, src, tgt),
+                          lambda: self._build_block_map(q, src, tgt))
+
+    def _build_block_map(self, q: int, src_sig, tgt_sig) -> np.ndarray:
+        src, tgt = self.block(src_sig), self.block(tgt_sig)
         src_reps, _ = src.cohomology(q)
-        tgt_reps, _ = tgt.cohomology(q)
-        if sig == nxt:
+        if src_sig == tgt_sig:
             return linalg.identity(src_reps.shape[1])
-        mat = linalg.zeros(tgt_reps.shape[1], src_reps.shape[1])
-        if mat.size == 0:
-            return mat
-        # (L, b) -> (L, b + 1_L): kept when it stays a standard monomial
+        tgt_reps, _ = tgt.cohomology(q)
+        if not src_reps.shape[1]:
+            return linalg.zeros(tgt_reps.shape[1], 0)
+        # (L, b) -> (L, b + c): kept when it stays a standard monomial
         row = {L: k for k, L in enumerate(tgt.basis[q])}
         cochain = linalg.zeros(tgt.size(q), src.size(q))
         for c, L in enumerate(src.basis[q]):
             if L in row:
                 cochain[row[L], c] = 1
         moved = linalg.matmul(cochain, src_reps, self.p)
-        d_in = tgt.differential(q - 1)
-        sol = linalg.solve(np.hstack([d_in, tgt_reps]), moved, self.p)
-        if sol is None:
-            raise FormringError("transition image is not a cocycle class")
-        return sol[d_in.shape[1]:]
+        mat = linalg.coordinates(tgt.differential(q - 1), tgt_reps, moved,
+                                 self.p)
+        if mat is None:
+            raise FormringError("block map image is not a cocycle class")
+        return mat
+
+    def comparison_rank(self, i: int, n: int, power: int) -> int:
+        """Rank of [H^i(x; G)]_n -> [H^i(x^power; G)]_n, summed over blocks.
+
+        From block signature(a, 1) to signature(a, power) the cochain map
+        (L, b) -> (L, b + (power - 1) 1_L) is the composite of the
+        transitions: a monomial that leaves the standard set never comes
+        back.  At power 1 only multidegrees with every a_j >= -1 occur.
+        """
+        return self._memo(("rank", i, n, power), lambda: sum(
+            linalg.rank(self.block_map(i, self.signature(a, 1),
+                                       self.signature(a, power)), self.p)
+            for a in self.multidegrees(n, -1)))
+
+    def moved_classes(self, t: int, i: int, n: int) -> list[tuple[int, int]]:
+        """(j, c) for each column c of piece(t, i, n) that x_j does not move
+        into a coboundary of degree n + 1, in (variable, column) order.
+
+        x_j keeps L and sends block signature(a, t) to signature(a + e_j,
+        t), which is acyclic once a_j + 1 >= rho_j.
+        """
+        owners = self.piece(t, i, n)[1]
+        moved = []
+        for j in range(self.m):
+            for c, (a, k) in enumerate(owners):
+                if a[j] + 1 >= self.rho[j]:
+                    continue
+                up = a[:j] + (a[j] + 1,) + a[j + 1:]
+                block = self.block_map(i, self.signature(a, t),
+                                       self.signature(up, t))
+                if block[:, k].any():
+                    moved.append((j, c))
+        return moved
 
     def settle_power(self, n: int) -> int:
         """T(n): from this power on every block of degree n has settled."""
@@ -221,6 +270,10 @@ class _Engine:
         return out, [(a, k) for _, _, _, a, k in columns]
 
 
+def _mask(subset) -> int:
+    return sum(1 << j for j in subset)
+
+
 def _engine(G) -> _Engine:
     eng = G._koszul_cache.get(_ENGINE)
     if eng is None:
@@ -241,6 +294,17 @@ def colimit_dims(G, n: int) -> tuple[int, ...]:
 def representatives(G, t: int, i: int, n: int) -> np.ndarray:
     """The dense path's representative cocycles of [H^i(x^t; G)]_n."""
     return _engine(G).piece(t, i, n)[0]
+
+
+def comparison_rank(G, i: int, n: int, power: int) -> int:
+    """Rank of [H^i(x; G)]_n -> [H^i(x^power; G)]_n on a monomial cone."""
+    return _engine(G).comparison_rank(i, n, power)
+
+
+def moved_classes(G, t: int, i: int, n: int) -> list[tuple[int, int]]:
+    """(j, c): x_j moves column c of `representatives(G, t, i, n)` to a
+    class that is not a coboundary, in (variable, column) order."""
+    return _engine(G).moved_classes(t, i, n)
 
 
 def transition_matrix(G, t: int, i: int, n: int) -> np.ndarray:

@@ -42,6 +42,8 @@ tautology:
   column at a time, each column the ``coordinates`` of f times a basis
   monomial, with f built by ``Polynomial`` powers and products, never
   placing a whole ``mult_matrix`` block.
+* ``cochain_labels`` spells out the dense storage order that every
+  matrix above and every scattered block answer is written in.
 * ``loop_kernel`` fills the null-space basis entry by entry from the
   ``rref`` pivots, never with one vectorized assignment.
 * ``chain_local_h0_report`` builds the filtered-side report from the
@@ -475,6 +477,14 @@ def _column_by_column(G, src_sets, tgt_sets, degree, shift, images):
 
 def _exterior(m, q):
     return list(itertools.combinations(range(m), q)) if q >= 0 else []
+
+
+def cochain_labels(spec, q, n):
+    """The dense storage order of [K^q]_n: (subset, monomial) labels,
+    subsets in combinations order, each followed by the graded basis."""
+
+    block = spec.G.graded_basis(n + spec.t * q)
+    return [(J, mono) for J in _exterior(spec.m, q) for mono in block]
 
 
 def column_differential(spec, q, n):

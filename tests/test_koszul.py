@@ -25,7 +25,6 @@ from formring import koszul, transition_cochain
 from formring.errors import SizeLimitError
 from formring.koszul import (
     chain_multiplication,
-    cochain_labels,
     express_in_cohomology,
     is_coboundary,
 )
@@ -60,7 +59,7 @@ class TestCochainSpaces:
 
     def test_labels_in_combinations_order(self):
         spec = KoszulComplexSpec(free(("x", "y", "z")), 1)
-        labels = cochain_labels(spec, 2, 0)
+        labels = oracles.cochain_labels(spec, 2, 0)
         subsets = [lab[0] for lab in labels]
         expected = list(itertools.combinations(range(3), 2))
         assert sorted(set(subsets), key=expected.index) == expected
@@ -190,6 +189,20 @@ class TestComparisonMaps:
         m = f_map(G, 0, 2, 3)
         assert m.source_dim == 0 and m.target_dim == 1
         assert not m.is_surjective()
+        assert koszul.comparison_rank(G, 0, 2, 3) == 0
+
+    def test_comparison_rank_of_a_non_monomial_cone_ranks_f_map(self):
+        G = quotient(("x", "y", "z"),
+                     lambda x, y, z: [x * y + y**2, x**2 - y**2])
+        assert not G.monomial
+        ranks = {(i, n, power): f_map(G, i, n, power).rank()
+                 for i in range(3) for n in range(-2, 3)
+                 for power in (1, 2, 3)}
+        assert any(ranks.values())
+        assert ranks == {key: koszul.comparison_rank(G, *key)
+                         for key in ranks}
+        with pytest.raises(ValueError):
+            koszul.comparison_rank(G, 0, 0, 0)
 
 
 class TestChainMultiplication:

@@ -187,3 +187,35 @@ def test_cohomology_empty_shapes(nin, mid, nout):
         assert got.shape == (mid, mid - linalg.rank(d_in, 5))
     if mid == 0:
         assert got.shape == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.integers(0, 4),
+       st.integers(0, 3), st.sampled_from([2, 5, 32003]),
+       st.integers(0, 2**32 - 1))
+def test_coordinates_recover_a_combination(nin, mid, nout, r, p, seed):
+    # reps @ c + d_in @ y has coordinates c: zero exactly on coboundaries
+    rng = np.random.default_rng(seed)
+    d_in, d_out = _complex(rng, nin, mid, nout, r, p)
+    reps = linalg.cohomology(d_in, d_out, p)
+    coeffs = random_matrix(rng, reps.shape[1], 3, p)
+    shift = random_matrix(rng, d_in.shape[1], 3, p)
+    vecs = (linalg.matmul(reps, coeffs, p)
+            + linalg.matmul(d_in, shift, p)) % p
+    assert np.array_equal(linalg.coordinates(d_in, reps, vecs, p), coeffs)
+    assert not linalg.coordinates(
+        d_in, reps, linalg.matmul(d_in, shift, p), p).any()
+
+
+def test_coordinates_outside_the_span_and_with_no_classes():
+    d_in = np.array([[1], [0], [0]], dtype=np.int64)
+    reps = np.array([[0], [1], [0]], dtype=np.int64)
+    assert linalg.coordinates(d_in, reps, np.array([0, 0, 1]), 5) is None
+    assert linalg.coordinates(d_in, reps, np.array([3, 2, 0]), 5).tolist() \
+        == [2]
+    # no classes: an empty answer of the vectors' shape, nothing eliminated
+    empty = linalg.zeros(3, 0)
+    assert linalg.coordinates(d_in, empty, np.array([0, 0, 1]), 5).shape \
+        == (0,)
+    assert linalg.coordinates(d_in, empty, linalg.zeros(3, 2), 5).shape \
+        == (0, 2)

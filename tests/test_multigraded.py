@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from formring import (
     PolyRing,
     StabilizationConfig,
     annihilator_is_irrelevant,
+    descent_verdict,
     f_map,
     koszul_cohomology_piece,
     local_coh_table,
     quasi_buchsbaum_test,
     transition_map,
 )
-from formring import localcoh, multigraded
+from formring import descent, koszul, localcoh, multigraded
 
 
 @st.composite
@@ -81,6 +83,9 @@ def test_blocks_match_dense_oracle(cone):
                     assert np.array_equal(
                         transition_map(G, t, i, n).matrix,
                         oracles.dense_transition_matrix(G, t, i, n))
+                # at every power, not only at entry.power <= t_max
+                assert koszul.comparison_rank(G, i, n, t) == \
+                    oracles.dense_f_map(G, i, n, t).rank()
             if entry.dim:
                 ours = f_map(G, i, n, entry.power)
                 theirs = oracles.dense_f_map(G, i, n, entry.power)
@@ -113,6 +118,19 @@ def test_settle_power_bounds_detector(cone):
         assert detected.stabilized
         assert detected.power <= multigraded.settle_power(G, n)
         assert detected.dim == entry.dim == multigraded.colimit_dims(G, n)[i]
+
+
+def test_annihilator_reads_every_coordinate_of_a_block_image():
+    # x and y send each class of H^1_0 into a block whose H^1 has dimension
+    # 2, and the image has one zero coordinate there
+    R = PolyRing(("x", "y", "z"), 32003)
+    x, y, z = R.gens()
+    G = GradedQuotientRing(Ideal(R, [y**2 * z**2, x * y * z, x * y**2]))
+    table = local_coh_table(G)
+    ok, extra = annihilator_is_irrelevant(G, 1, table)
+    assert ok is False
+    assert {(name, n) for name, n, _ in extra} >= {("x", 0), ("y", 0)}
+    assert extra == oracles.annihilator_witnesses_per_column(G, 1, table)
 
 
 def test_non_monomial_cone_is_dense():
@@ -151,14 +169,26 @@ RP2_FACETS = ("124", "126", "135", "136", "145", "234", "235", "256", "346",
               "456")
 
 
-def _rp2_ring(p):
-    R = PolyRing(tuple(f"x{v}" for v in range(1, 7)), p)
-    nonfaces = [tri for tri in itertools.combinations("123456", 3)
-                if "".join(tri) not in RP2_FACETS]
-    assert len(nonfaces) == 10
+# the 7-vertex torus: facets {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS_FACETS = tuple("".join(sorted(str((i + k) % 7 + 1) for k in ks))
+                     for i in range(7) for ks in ((0, 1, 3), (0, 2, 3)))
+
+
+def _surface_ring(facets, nv, p):
+    """k[D] for a triangulated surface D with every edge a face: its
+    minimal nonfaces are the triangles that are not facets."""
+    digits = "".join(str(v) for v in range(1, nv + 1))
+    R = PolyRing(tuple(f"x{v}" for v in digits), p)
+    nonfaces = [tri for tri in itertools.combinations(digits, 3)
+                if "".join(tri) not in facets]
+    assert len(nonfaces) == comb(nv, 3) - len(facets)
     return GradedQuotientRing(Ideal(R, [
-        R.monomial(tuple(int(str(v) in tri) for v in range(1, 7)))
+        R.monomial(tuple(int(v in tri) for v in digits))
         for tri in nonfaces]))
+
+
+def _rp2_ring(p):
+    return _surface_ring(RP2_FACETS, 6, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -179,12 +209,46 @@ def test_rp2_default_table_depends_on_the_characteristic(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_rp2_is_quasi_buchsbaum(p):
-    # k[RP^2] is Buchsbaum.  In characteristic 2 the annihilator check
-    # multiplies dense cochains of 15 blocks [G]_2 -> [G]_3 (690 x 315), which
-    # is larger than the dense route's elimination cap and must still run
+    # k[RP^2] is Buchsbaum.  In characteristic 2 the dense form of the
+    # annihilator check would multiply cochains of 15 blocks [G]_2 -> [G]_3
+    # (690 x 315), larger than the dense route's elimination cap; the block
+    # route has no cap and must run
     G = _rp2_ring(p)
     verdict = quasi_buchsbaum_test(G, local_coh_table(G))
     assert verdict.status == "satisfied"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a dense Koszul matrix was built")
+
+
+def test_torus_verdict_builds_no_dense_koszul_matrix(monkeypatch):
+    # on a monomial cone both Buchsbaum checks run block by block; every
+    # dense Koszul matrix goes through koszul._assemble
+    for module in (koszul, localcoh, descent):
+        for name in ("chain_multiplication", "transition_map", "_assemble"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    report = descent_verdict(_surface_ring(TORUS_FACETS, 7, 32003).ideal)
+    assert report.g_buchsbaum.status == "satisfied"
+    assert report.g_quasi_buchsbaum.status == "satisfied"
+    # Hochster: H^2_0 is the reduced H^1 of the torus
+    assert report.table.dim(2, 0) == 2
+
+
+def test_bowtie_is_not_buchsbaum():
+    # two triangles sharing the vertex a: the link of a is disconnected, so
+    # H^2 is 1 in every window degree below 0, and the comparison map from
+    # power 1 is zero onto it below -1
+    R = PolyRing(tuple("abcde"), 32003)
+    _, b, c, d, e = R.gens()
+    report = descent_verdict(Ideal(R, [b * d, b * e, c * d, c * e]))
+    assert {entry.n: entry.dim for entry in report.table.nonzero_row(2)} \
+        == {n: 1 for n in range(-6, 0)}
+    assert report.g_buchsbaum.status == "violated"
+    assert [(w["i"], w["n"], w["rank"])
+            for w in report.g_buchsbaum.witnesses] == [
+        (2, n, 0) for n in range(-6, -1)]
 
 
 @st.composite
