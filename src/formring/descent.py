@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, multigraded
 from .errors import NotInIrrelevantError, SaturationLimitError, ZeroRingError
 from .graded import GradedQuotientRing
 from .groebner import (SATURATION_CAP, Ideal, buchberger,
@@ -365,6 +365,24 @@ def _dims_by_order(A_ideal: Ideal, J: Ideal, total: int) -> dict[int, int]:
 def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
     """Socle and full torsion of the irrelevant ideal on R/A_ideal.
 
+    When the cone S/in(A) has no H^0_M the report is zero, and no
+    elimination runs (`_cone_has_no_h0`).  This is exact:
+
+    * (A : M^inf)/A is supported at M, so it is the torsion of the local
+      ring R_M/A_M, whose associated graded ring is G = S/in(A);
+    * a nonzero torsion class f there has a finite order d (Krull's
+      intersection theorem), and its initial form f* in G_d is nonzero; if
+      M^s f lies in A, every x^u f with |u| = s is zero in R/A, so x^u f*
+      is zero in G_(d+s) and f* is a nonzero element of H^0_M(G);
+    * Sbarra's bound dim [H^0_M(G)]_n <= dim [H^0_M(S/in(IG))]_n, with
+      in(IG) the lead ideal of the cone, leaves only the degrees
+      0 <= n <= `multigraded.degree_bound(G)` to check, on multidegree
+      blocks.
+
+    So H^0_M(S/in(IG)) = 0 gives H^0_M(G) = 0, and that gives
+    (A : M^inf) = A.  Every other ideal takes the elimination route,
+    `_torsion_report`.
+
     The report is kept on `A_ideal`, the way its cone is."""
     if A_ideal._h0 is None:
         A_ideal._h0 = _h0_report(A_ideal)
@@ -372,10 +390,24 @@ def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
 
 
 def _h0_report(A_ideal: Ideal) -> LocalH0Report:
-    ring = A_ideal.ring
     if not A_ideal.in_irrelevant():
         raise NotInIrrelevantError(
             "the input ideal must lie inside the irrelevant ideal")
+    if _cone_has_no_h0(A_ideal):
+        return LocalH0Report(0, 0, [], [], {}, {}, [], 0, True)
+    return _torsion_report(A_ideal)
+
+
+def _cone_has_no_h0(A_ideal: Ideal) -> bool:
+    """H^0_M(S/in(IG)) = 0, read off the blocks of the cone's leads."""
+    G = GradedQuotientRing.of(initial_forms_ideal(A_ideal))
+    return not any(multigraded.colimit_dims(G, n)[0]
+                   for n in range(multigraded.degree_bound(G) + 1))
+
+
+def _torsion_report(A_ideal: Ideal) -> LocalH0Report:
+    """The report from T = (A : M^inf), computed by elimination."""
+    ring = A_ideal.ring
     torsion_ideal = _torsion_ideal(A_ideal)
     gens = [g for g in torsion_ideal.generators if not A_ideal.contains(g)]
     if not gens:

@@ -313,13 +313,9 @@ def _dehomogenize(f: Polynomial, ring: PolyRing) -> Polynomial:
 def initial_forms_ideal(ideal: Ideal) -> Ideal:
     """Ideal generated by the lowest-degree forms of all members.
 
-    Computed by homogenizing the generators with an auxiliary last variable,
-    taking a Groebner basis under the order that eliminates that variable
-    (elim_last: homogenizer exponent compared first), dehomogenizing and
-    keeping the lowest-degree form of each basis element.  With the
-    homogenizer dominant, the lead of a homogeneous element sits in its
-    minimal original-degree part, which is what makes the lowest forms of the
-    basis generate the whole form ideal.
+    A homogeneous ideal is its own cone: its basis is its reduced DEGREVLEX
+    basis, so no elimination runs.  Any other ideal goes through
+    `_cone_by_elimination`.
 
     The cone is kept on `ideal`, and its generators are its reduced
     DEGREVLEX basis, so neither is computed twice.
@@ -328,15 +324,32 @@ def initial_forms_ideal(ideal: Ideal) -> Ideal:
         raise NotInIrrelevantError(
             "initial forms need an ideal inside the irrelevant maximal ideal")
     if ideal._cone is None:
-        ring = ideal.ring
-        nonzero = [g for g in ideal.generators if not g.is_zero()]
-        ext = ring.extended()
-        gb = buchberger([_homogenize(g, ext) for g in nonzero], ELIM_LAST)
-        forms = [_dehomogenize(g, ring).initial_form() for g in gb]
-        basis = buchberger(forms, DEGREVLEX)
-        ideal._cone = Ideal(ring, basis)
-        ideal._cone._gb_cache[DEGREVLEX] = GroebnerBasis(basis, DEGREVLEX)
+        if all(g.is_homogeneous() for g in ideal.generators):
+            gb = ideal.groebner_basis(DEGREVLEX)
+        else:
+            gb = GroebnerBasis(_cone_by_elimination(ideal), DEGREVLEX)
+        ideal._cone = Ideal(ideal.ring, gb.elements)
+        ideal._cone._gb_cache[DEGREVLEX] = gb
     return ideal._cone
+
+
+def _cone_by_elimination(ideal: Ideal) -> list[Polynomial]:
+    """The reduced DEGREVLEX basis of the cone of any ideal inside M.
+
+    Homogenize the generators with an auxiliary last variable, take a
+    Groebner basis under the order that eliminates that variable
+    (elim_last: homogenizer exponent compared first), dehomogenize and keep
+    the lowest-degree form of each basis element.  With the homogenizer
+    dominant, the lead of a homogeneous element sits in its minimal
+    original-degree part, which is what makes the lowest forms of the basis
+    generate the whole form ideal.
+    """
+    ring = ideal.ring
+    ext = ring.extended()
+    gb = buchberger([_homogenize(g, ext) for g in ideal.generators
+                     if not g.is_zero()], ELIM_LAST)
+    forms = [_dehomogenize(g, ring).initial_form() for g in gb]
+    return buchberger(forms, DEGREVLEX)
 
 
 # -- elimination, intersection, quotient, saturation ------------------------

@@ -22,7 +22,8 @@ largest exponent of x_j among the generators of J.  Hence:
 Every multidegree of total degree n with all a_j < rho_j has
 a_j >= n - sum_k (rho_k - 1) + rho_j - 1, so each of them has settled once
 t >= T(n) = max(1, sum_j rho_j - m + 1 - n): [H^i(x^T(n); G)]_n is exactly
-[H^i_M(G)]_n (`settle_power`, `colimit_dims`).  Every table entry of a
+[H^i_M(G)]_n (`settle_power`, `colimit_dims`), and no [H^i_M(G)]_n with
+n > sum_j rho_j - m is nonzero (`degree_bound`).  Every table entry of a
 monomial cone is read this way.  The engine reads only the lead monomials
 of the ring's reduced basis, so for a cone that is not monomial the same
 values are those of S/in(I), which bound its table.
@@ -47,6 +48,7 @@ witnesses are read off the scattered representatives.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 
@@ -223,18 +225,24 @@ class _Engine:
                     moved.append((j, c))
         return moved
 
+    def degree_bound(self) -> int:
+        """sum_j (rho_j - 1): every visited multidegree has a_j < rho_j."""
+        return sum(self.rho) - self.m
+
     def settle_power(self, n: int) -> int:
         """T(n): from this power on every block of degree n has settled."""
-        return max(1, sum(self.rho) - self.m + 1 - n)
+        return max(1, self.degree_bound() + 1 - n)
 
     def colimit_dims(self, n: int) -> tuple[int, ...]:
-        """dim [H^i_M(S/in(I))]_n for i = 0..m, read off at T(n)."""
+        """dim [H^i_M(S/in(I))]_n for i = 0..m, read off at T(n); each
+        signature counts once, times the multidegrees that share it."""
         def build():
             t = self.settle_power(n)
-            blocks = [self.block(sig) for sig in
-                      (self.signature(a, t) for a in self.multidegrees(n, -t))
-                      if sig is not None]
-            return tuple(sum(blk.dim(i) for blk in blocks)
+            shared = Counter(self.signature(a, t)
+                             for a in self.multidegrees(n, -t))
+            shared.pop(None, None)
+            blocks = [(self.block(sig), k) for sig, k in shared.items()]
+            return tuple(sum(k * blk.dim(i) for blk, k in blocks)
                          for i in range(self.m + 1))
         return self._memo(("colimit", n), build)
 
@@ -284,6 +292,12 @@ def _engine(G) -> _Engine:
 def settle_power(G, n: int) -> int:
     """T(n) of the lead monomials of G's reduced basis."""
     return _engine(G).settle_power(n)
+
+
+def degree_bound(G) -> int:
+    """sum_j rho_j - m for the lead monomials of G's reduced basis: no
+    H^i_M(S/in(I)) is nonzero in a degree above it."""
+    return _engine(G).degree_bound()
 
 
 def colimit_dims(G, n: int) -> tuple[int, ...]:

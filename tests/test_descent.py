@@ -1,6 +1,9 @@
 """Mechanical checkers for the descent criteria and the full pipeline."""
 
+import hashlib
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -405,6 +408,45 @@ def test_h0_report_matches_chain_oracle(case):
         oracles.chain_local_h0_report, Ideal(R, gens))
 
 
+@st.composite
+def nonhomogeneous_ideals(draw):
+    """Generators without constant term in x, y, z over GF(p); the first
+    has terms of two different degrees."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    R = PolyRing(("x", "y", "z"), p)
+    monomial = st.tuples(*[st.integers(0, 3)] * 3).filter(any)
+    coeff = st.integers(1, p - 1)
+    low = draw(monomial)
+    high = draw(monomial.filter(lambda e: sum(e) != sum(low)))
+    gens = [R.from_terms({low: draw(coeff), high: draw(coeff)})]
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(R.from_terms({e: draw(coeff) for e in draw(
+            st.lists(monomial, min_size=1, max_size=3))}))
+    return R, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonhomogeneous_ideals())
+def test_cone_without_h0_means_no_torsion(case):
+    # the shortcut's claim, against the quotient chain: when S/in(IG) has
+    # no H^0, (A : m^inf) = A; and on every draw the report is the one the
+    # elimination route gives
+    R, gens = case
+    if descent._cone_has_no_h0(Ideal(R, gens)):
+        A = Ideal(R, gens)
+        torsion, _ = saturate(A, Ideal(R, R.gens()))
+        assert torsion.equals(A)
+    assert _h0_outcome(local_h0_report, Ideal(R, gens)) == _h0_outcome(
+        descent._torsion_report, Ideal(R, gens))
+
+
+def test_cone_shortcut_fires_only_without_torsion():
+    assert descent._cone_has_no_h0(PINNED_H0_CASES["x(x-1)"]()) is False
+    assert descent._cone_has_no_h0(_family(3)) is False
+    N = A_ideal(("x", "y", "z"), lambda x, y, z: [x**2 - 5 * y**3, z])
+    assert descent._cone_has_no_h0(N) is True
+
+
 @settings(max_examples=40, deadline=None)
 @given(ideals_inside_m())
 def test_annihilating_exponent_matches_monomial_loop(case):
@@ -520,3 +562,75 @@ class TestDescentVerdict:
         out = rep.to_dict()
         assert json.dumps(out, sort_keys=True)
         assert out["higher_length_equalities"] == "not checked"
+
+
+# -- verdicts that need no elimination on the filtered side ----------------
+
+def _coords_quadric():
+    # l1 * l2 for two generic linear forms: all six terms of the product
+    R = PolyRing(("x", "y", "z"), P)
+    x, y, z = R.gens()
+    return (Ideal(R, [(3 * x + 5 * y + 7 * z) * (2 * x + 11 * y + 13 * z)]),
+            StabilizationConfig(-3, 1, t_max=5))
+
+
+def _bowtie():
+    R = PolyRing(tuple("abcde"), P)
+    _, b, c, d, e = R.gens()
+    return Ideal(R, [b * d, b * e, c * d, c * e]), None
+
+
+def _ten_vertex_complex():
+    # a pure 2-complex: 40 seeded triangles on 10 vertices, closed
+    # downwards; its minimal nonfaces generate the Stanley-Reisner ideal
+    nv = 10
+    facets = random.Random(1).sample(
+        list(itertools.combinations(range(nv), 3)), 40)
+    faces = {frozenset(sub) for facet in facets for k in range(4)
+             for sub in itertools.combinations(facet, k)}
+    R = PolyRing(tuple(f"x{v}" for v in range(nv)), P)
+    nonfaces = [S for k in range(1, nv + 1)
+                for S in map(frozenset, itertools.combinations(range(nv), k))
+                if S not in faces and all(S - {v} in faces for v in S)]
+    return Ideal(R, [R.monomial(tuple(int(v in S) for v in range(nv)))
+                     for S in nonfaces]), None
+
+
+def _n_ideal():
+    # not homogeneous: its cone (x^2, z) is eliminated before the patch
+    I = A_ideal(("x", "y", "z"), lambda x, y, z: [x**2 - 5 * y**3, z])
+    initial_forms_ideal(I)
+    return I, None
+
+
+# sha256 of json.dumps(descent_verdict(...).to_dict(), sort_keys=True), as
+# the elimination route gives it
+NO_ELIMINATION_CASES = {
+    "coords-quadric": (_coords_quadric, "0a87c54c6441bcdba4241a1a76f0b97f"
+                       "5340c019253bcfe94665b950216f3de9"),
+    "N": (_n_ideal, "c14ffe3249e39c6c801dd351320764ca"
+          "d856f640a25e5be26d7465e484d8355c"),
+    "bowtie": (_bowtie, "41bc37d448287c1252e710557742917"
+               "464609dda642efcda7c3a79c7f744dbf9"),
+    "10-vertex": (_ten_vertex_complex, "a62fbc0b8bcbedafb998f9c363bf8226"
+                  "3cb4954c4500bf70429e6cdd322d0118"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_ELIMINATION_CASES))
+def test_verdict_bytes_without_elimination(monkeypatch, case):
+    build, digest = NO_ELIMINATION_CASES[case]
+    I, cfg = build()
+    real = groebner.buchberger
+
+    def no_elimination(generators, order=None):
+        assert order != groebner.ELIM_LAST, "an elimination ran"
+        return real(generators, order)
+
+    def forbidden(*args):
+        raise AssertionError("saturate_by_variable ran")
+
+    monkeypatch.setattr(groebner, "buchberger", no_elimination)
+    monkeypatch.setattr(descent, "saturate_by_variable", forbidden)
+    text = json.dumps(descent_verdict(I, cfg=cfg).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

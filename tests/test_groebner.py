@@ -221,10 +221,18 @@ class TestInitialForms:
         cone = initial_forms_ideal(Ideal(R, [y - x**2]))
         assert [str(g) for g in cone.groebner_basis().elements] == ["y"]
 
-    def test_homogeneous_ideal_is_fixed(self):
+    def test_homogeneous_ideal_is_fixed(self, monkeypatch):
         R = ring("x", "y", "z")
         x, y, z = R.gens()
         I = Ideal(R, [x * z - y**2, x**2 * y - z**3])
+        real = groebner.buchberger
+
+        def no_elimination(generators, order=None):
+            assert order != ELIM_LAST, "an elimination ran"
+            return real(generators, order)
+
+        # a homogeneous ideal is its own cone: no elimination runs
+        monkeypatch.setattr(groebner, "buchberger", no_elimination)
         cone = initial_forms_ideal(I)
         assert sorted(str(g) for g in cone.groebner_basis().elements) == \
             sorted(str(g) for g in I.groebner_basis().elements)
@@ -267,6 +275,37 @@ def test_cone_is_kept_on_the_ideal(monkeypatch):
     # the cone's generators are its reduced basis, already known
     assert cone.groebner_basis().elements == list(cone.generators)
     assert calls == []
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """A few homogeneous generators of positive degree over GF(p)."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    nv = draw(st.integers(1, 4))
+    R = PolyRing(tuple("xyzw"[:nv]), p)
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        degree = draw(st.integers(1, 3))
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            exps = [0] * nv
+            for _ in range(degree):
+                exps[draw(st.integers(0, nv - 1))] += 1
+            terms[tuple(exps)] = draw(st.integers(1, p - 1))
+        gens.append(R.from_terms(terms))
+    return R, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_ideals())
+def test_homogeneous_cone_matches_elimination_route(case):
+    # a homogeneous ideal is its own cone; both routes give its reduced
+    # DEGREVLEX basis, term for term and in the same order
+    R, gens = case
+    cone = initial_forms_ideal(Ideal(R, gens))
+    eliminated = groebner._cone_by_elimination(Ideal(R, gens))
+    assert _terms(cone.generators) == _terms(eliminated)
+    assert [str(g) for g in cone.generators] == [str(g) for g in eliminated]
 
 
 # --- independent Groebner routes --------------------------------------------
