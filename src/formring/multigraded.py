@@ -28,6 +28,17 @@ monomial cone is read this way.  The engine reads only the lead monomials
 of the ring's reduced basis, so for a cone that is not monomial the same
 values are those of S/in(I), which bound its table.
 
+At t = T(n) the same bound gives a_j + t >= rho_j, so the inside part of
+every signature is rho itself, and a_j >= rho_j - t >= -t, so no block is
+empty: the block of a is fixed by its cap, c_j = max(a_j, -1).  A cap c
+with k coordinates at -1 and s = sum of its other coordinates minus n is
+shared by the ways of writing s as k negated parts a_j <= -1, that is
+comb(s - 1, k - 1) multidegrees when s >= k >= 1, and one when k = s = 0.
+So `colimit_dims` sums each cap's block dimensions times that count, over
+the prod_j (rho_j + 1) caps, and never lists a multidegree.  A block's
+dimensions are size - rank(d_q) - rank(d_(q-1)); its representatives are
+eliminated only when a map or a scattered piece asks for them.
+
 Every dense cochain basis element and every matrix row is multihomogeneous.
 So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
 blockwise ones, and scattering the block results into the dense order
@@ -48,7 +59,7 @@ witnesses are read off the scattered representatives.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
 
 import numpy as np
 
@@ -79,6 +90,7 @@ class _Block:
                        and not any(mask & r == r for r in required)]
                       for q in range(m + 1)]
         self._cohomology: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._dims: list[int] | None = None
 
     def size(self, q: int) -> int:
         return len(self.basis[q]) if 0 <= q <= self.eng.m else 0
@@ -113,7 +125,16 @@ class _Block:
         return reps, free
 
     def dim(self, q: int) -> int:
-        return len(self.cohomology(q)[1])
+        """dim H^q: size(q) - rank(d_q) - rank(d_(q-1)), all q at once."""
+        if self._dims is None:
+            # ranks[d + 1] is the rank of d_d for d = -1..m; a differential
+            # with an empty side is never built
+            ranks = [linalg.rank(self.differential(d), self.eng.p)
+                     if self.size(d) and self.size(d + 1) else 0
+                     for d in range(-1, self.eng.m + 1)]
+            self._dims = [self.size(d) - ranks[d + 1] - ranks[d]
+                          for d in range(self.eng.m + 1)]
+        return self._dims[q]
 
 
 class _Engine:
@@ -233,17 +254,30 @@ class _Engine:
         """T(n): from this power on every block of degree n has settled."""
         return max(1, self.degree_bound() + 1 - n)
 
-    def colimit_dims(self, n: int) -> tuple[int, ...]:
-        """dim [H^i_M(S/in(I))]_n for i = 0..m, read off at T(n); each
-        signature counts once, times the multidegrees that share it."""
+    def caps(self) -> tuple:
+        """(k, sum of the nonnegative coordinates, settled signature) for
+        each cap c with -1 <= c_j < rho_j; k counts the c_j = -1."""
         def build():
-            t = self.settle_power(n)
-            shared = Counter(self.signature(a, t)
-                             for a in self.multidegrees(n, -t))
-            shared.pop(None, None)
-            blocks = [(self.block(sig), k) for sig, k in shared.items()]
-            return tuple(sum(k * blk.dim(i) for blk, k in blocks)
-                         for i in range(self.m + 1))
+            return tuple((c.count(-1), sum(x for x in c if x >= 0),
+                          (c, self.rho))
+                         for c in itertools.product(
+                             *(range(-1, r) for r in self.rho)))
+        return self._memo(("caps",), build)
+
+    def colimit_dims(self, n: int) -> tuple[int, ...]:
+        """dim [H^i_M(S/in(I))]_n for i = 0..m, read off at T(n): each
+        cap's block, times the multidegrees of degree n that share it."""
+        def build():
+            dims = [0] * (self.m + 1)
+            for k, top, sig in self.caps():
+                s = top - n
+                count = (math.comb(s - 1, k - 1) if s >= k >= 1
+                         else int(k == s == 0))
+                if count:
+                    blk = self.block(sig)
+                    for i in range(self.m + 1):
+                        dims[i] += count * blk.dim(i)
+            return tuple(dims)
         return self._memo(("colimit", n), build)
 
     def piece(self, t: int, i: int, n: int):

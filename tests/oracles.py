@@ -56,6 +56,10 @@ tautology:
 * ``box_multidegrees`` walks the whole box of multidegrees and keeps the
   tuples of the right total degree, never bounding a coordinate by what
   the remaining ones can reach.
+* ``enumerated_colimit_dims`` lists every multidegree of degree n, takes
+  its block signature at T(n) on an engine of its own and sums the
+  representative counts of the blocks, never counting the multidegrees of
+  a cap in closed form or reading a block dimension off ranks.
 * ``hochster_table`` reads the local cohomology table of a Stanley-Reisner
   ring off Hochster's formula, from simplicial boundary ranks mod p in
   plain Python, never building a Koszul complex or a multidegree block.
@@ -64,6 +68,7 @@ tautology:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -73,7 +78,7 @@ from formring import (CohomologyPiece, GradedQuotientRing,
                       GradedVectorSpaceMap, Ideal, KoszulComplexSpec,
                       StabilizedEntry, chain_multiplication, ideal_quotient,
                       is_coboundary, normal_form, standard_monomials)
-from formring import groebner, koszul, linalg, localcoh
+from formring import groebner, koszul, linalg, localcoh, multigraded
 from formring.descent import LocalH0Report, _coefficient_matrix
 from formring.dsl import Token
 from formring.errors import (NotInIrrelevantError, ParseError,
@@ -647,6 +652,19 @@ def box_multidegrees(rho, n, lowest):
         last = n - sum(head)
         if lowest <= last < rho[-1]:
             yield head + (last,)
+
+
+def enumerated_colimit_dims(G, n):
+    """dim [H^i_M(S/in(I))]_n for i = 0..m: the multidegrees a of degree n
+    with -T(n) <= a_j < rho_j, one count per block signature at T(n)."""
+
+    eng = multigraded._Engine(G)
+    t = eng.settle_power(n)
+    shared = Counter(eng.signature(a, t) for a in eng.multidegrees(n, -t))
+    shared.pop(None, None)
+    blocks = [(eng.block(sig), k) for sig, k in shared.items()]
+    return tuple(sum(k * len(blk.cohomology(i)[1]) for blk, k in blocks)
+                 for i in range(eng.m + 1))
 
 
 def _rank_mod_p(rows, p):

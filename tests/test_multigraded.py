@@ -120,6 +120,23 @@ def test_settle_power_bounds_detector(cone):
         assert detected.dim == entry.dim == multigraded.colimit_dims(G, n)[i]
 
 
+@settings(max_examples=40, deadline=None)
+@given(monomial_cones())
+def test_colimit_dims_match_enumerated_multidegrees(cone):
+    # D = sum rho_j - m; with D < 0 (a free ring, say) the window still
+    # reaches the degrees below -m where the top cohomology lives
+    G, _ = cone
+    bound = abs(multigraded.degree_bound(G))
+    for n in range(-bound - 6, bound + 3):
+        assert multigraded.colimit_dims(G, n) == \
+            oracles.enumerated_colimit_dims(G, n)
+    eng = multigraded._engine(G)
+    for key, blk in eng._cache.items():
+        if key[0] == "block":
+            assert [blk.dim(q) for q in range(eng.m + 1)] == \
+                [len(blk.cohomology(q)[1]) for q in range(eng.m + 1)]
+
+
 def test_annihilator_reads_every_coordinate_of_a_block_image():
     # x and y send each class of H^1_0 into a block whose H^1 has dimension
     # 2, and the image has one zero coordinate there
@@ -234,6 +251,27 @@ def test_torus_verdict_builds_no_dense_koszul_matrix(monkeypatch):
     assert report.g_quasi_buchsbaum.status == "satisfied"
     # Hochster: H^2_0 is the reduced H^1 of the torus
     assert report.table.dim(2, 0) == 2
+
+
+def _refuse_walk(*args, **kwargs):
+    raise AssertionError("a multidegree was listed")
+
+
+def test_deep_torus_table_lists_no_multidegree(monkeypatch):
+    # every column is read off the caps, whose multidegrees are counted in
+    # closed form and never listed, however deep the window
+    monkeypatch.setattr(multigraded._Engine, "multidegrees", _refuse_walk)
+    monkeypatch.setattr(multigraded._Engine, "signature", _refuse_walk)
+    table = local_coh_table(_surface_ring(TORUS_FACETS, 7, 32003),
+                            cfg=StabilizationConfig(-20, 3))
+    assert table.stabilized()
+    # Hochster: H^2_0 and H^3_0 are the reduced H^1 and H^2 of the torus;
+    # in degree -k < 0 the 14 triangles, 21 edges and 7 vertices give
+    # 14 C(k-1, 2) + 21 (k-1) + 7 = 7k^2
+    assert {e.n: e.dim for e in table.nonzero_row(2)} == {0: 2}
+    assert {e.n: e.dim for e in table.nonzero_row(3)} == {
+        **{-k: 7 * k * k for k in range(1, 21)}, 0: 1}
+    assert all(not table.nonzero_row(i) for i in (0, 1, 4, 5, 6, 7))
 
 
 def test_bowtie_is_not_buchsbaum():
