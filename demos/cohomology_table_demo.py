@@ -1,8 +1,7 @@
-"""Print a stabilized graded local-cohomology table for a corpus ring.
+"""Print a graded local-cohomology table for a corpus ring.
 
-The table is computed through power-stabilized Koszul cohomology: each
-entry (i, n) reports the dimension once the transition maps between
-consecutive powers have been isomorphisms for a configured margin.
+Each entry (i, n) is the Koszul cohomology [H^i(x^T(n); G)]_n at the power
+T(n) from which it equals [H^i_M(G)]_n exactly.
 
 Run:  python3 demos/cohomology_table_demo.py
 """
@@ -29,11 +28,10 @@ def parse_generators(variables, generators):
     return ring, [p.materialize(ring) for p in decl.polynomials]
 
 
-def show(name, variables, generators, window, i_max, t_max=10):
+def show(name, variables, generators, window, i_max):
     ring, gens = parse_generators(variables, generators)
     G = GradedQuotientRing(Ideal(ring, gens))
-    cfg = StabilizationConfig(n_lo=window[0], n_hi=window[1],
-                              t_max=t_max, margin=2)
+    cfg = StabilizationConfig(n_lo=window[0], n_hi=window[1])
     table = local_coh_table(G, i_max=i_max, cfg=cfg)
 
     print(f"== {name} ==")
@@ -48,13 +46,6 @@ def show(name, variables, generators, window, i_max, t_max=10):
             d = table.dim(i, n)
             row += f"{d if d else '.':>4}"
         print(row)
-    if not table.stabilized():
-        unstable = [(e.i, e.n) for e in
-                    (table.entry(i, n)
-                     for i in range(i_max + 1)
-                     for n in range(window[0], window[1] + 1))
-                    if not e.stabilized]
-        print(f"  UNSTABLE entries (raise t_max): {unstable}")
     print()
 
 
@@ -69,7 +60,7 @@ def main() -> None:
     # and its infinite tail of 1s is the obstruction measured by the
     # two-diagonal admissibility check.
     show("two planes through a line", ("x", "y", "z"), ("x*z", "y*z"),
-         (-4, 2), i_max=3, t_max=9)
+         (-4, 2), i_max=3)
     # A hypersurface: only the top row, pure tail.
     show("hypersurface x*y = 0", ("x", "y", "z"), ("x*y",),
          (-4, 2), i_max=3)

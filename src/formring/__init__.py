@@ -12,12 +12,10 @@ from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_quotient,
                        initial_forms_ideal, intersect, monomials_of_degree,
                        normal_form, s_polynomial, saturate,
                        saturate_by_variable, standard_monomials)
-from .graded import GradedQuotientRing, GradedVectorSpaceMap
+from .graded import GradedQuotientRing
 from .koszul import (CohomologyPiece, KoszulComplexSpec, cochain_dim,
                      chain_multiplication, comparison_rank, differential,
-                     f_map, is_coboundary,
-                     koszul_cohomology_piece, transition_cochain,
-                     transition_map)
+                     koszul_cohomology_piece, transition_cochain)
 from .localcoh import (CohomologyTable, StabilizationConfig, StabilizedEntry,
                        annihilator_is_irrelevant, h0_via_saturation,
                        local_coh_piece, local_coh_table, saturation_exponent)
@@ -40,11 +38,10 @@ __all__ = [
     "initial_forms_ideal", "intersect", "monomials_of_degree",
     "normal_form", "s_polynomial", "saturate", "saturate_by_variable",
     "standard_monomials",
-    "GradedQuotientRing", "GradedVectorSpaceMap",
+    "GradedQuotientRing",
     "CohomologyPiece", "KoszulComplexSpec", "cochain_dim",
-    "chain_multiplication", "comparison_rank", "differential", "f_map",
-    "is_coboundary",
-    "koszul_cohomology_piece", "transition_cochain", "transition_map",
+    "chain_multiplication", "comparison_rank", "differential",
+    "koszul_cohomology_piece", "transition_cochain",
     "CohomologyTable", "StabilizationConfig", "StabilizedEntry",
     "annihilator_is_irrelevant", "h0_via_saturation", "local_coh_piece",
     "local_coh_table", "saturation_exponent",

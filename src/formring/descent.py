@@ -1,10 +1,11 @@
 """Decision procedures over cohomology tables and comparison maps.
 
-Every checker returns a three-valued Verdict: "satisfied", "violated" (always
-with concrete witnesses), or "inconclusive" when an entry it depends on did
-not stabilize.  Affirmative answers are scoped to the computation window —
-the scope metadata travels with the verdict so reports stay honest about
-what was actually examined.
+Every checker returns a Verdict: "satisfied", "violated" (always with
+concrete witnesses), or, for the length comparison only, "inconclusive"
+when row 0 is not visibly finite in the window.  Every entry of a computed
+table is exact, so no checker waits on a colimit.  Affirmative answers are
+scoped to the computation window — the scope metadata travels with the
+verdict so reports stay honest about what was actually examined.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ def _scope(table: CohomologyTable) -> dict:
     }
 
 
-def _unstable_rows(table: CohomologyTable, upto: int) -> list[int]:
-    return [i for i in range(upto + 1)
-            if i <= table.i_max and not table.row_stabilized(i)]
-
-
 @dataclass
 class AdmissibleSet:
     """Solutions k of the two-diagonal conditions.
@@ -115,11 +111,6 @@ def two_diagonal_check(table: CohomologyTable, t: int) -> Verdict:
     """
     if t < 0 or (t > table.i_max and not table.complete):
         raise ValueError(f"row index t={t} outside table rows 0..{table.i_max}")
-    unstable = _unstable_rows(table, t)
-    if unstable:
-        return Verdict("inconclusive", witnesses=[],
-                       detail=f"rows {unstable} not stabilized",
-                       scope=_scope(table))
     constraints = []  # (i, n, p, dim) from rows below t
     candidate: set[int] | None = None
     for i in range(min(t, table.i_max + 1)):
@@ -161,11 +152,6 @@ def degree_gap_check(table: CohomologyTable, t: int) -> Verdict:
         raise ValueError(
             f"row bound t={t} exceeds table rows 0..{table.i_max}")
     top = min(t - 1, table.i_max)
-    unstable = _unstable_rows(table, top)
-    if unstable:
-        return Verdict("inconclusive", witnesses=[],
-                       detail=f"rows {unstable} not stabilized",
-                       scope=_scope(table))
     violations = []
     for i in range(top + 1):
         for j in range(i + 1, top + 1):
@@ -185,19 +171,15 @@ def degree_gap_check(table: CohomologyTable, t: int) -> Verdict:
 
 
 def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable) -> Verdict:
-    """Is every comparison map into stabilized cohomology surjective below d?
+    """Is every comparison map into local cohomology surjective below d?
 
-    Surjectivity of [K-cohomology at power 1] -> [stabilized value] in every
-    window degree for all i < d is the Buchsbaum criterion for G.
+    Surjectivity of [K-cohomology at power 1] -> [H^i_M(G)]_n, read at the
+    entry's power T(n), in every window degree for all i < d is the
+    Buchsbaum criterion for G.
     """
     if G.is_zero_ring():
         raise ZeroRingError("the quotient ring is zero")
     d = G.krull_dimension()
-    unstable = _unstable_rows(table, d - 1)
-    if unstable:
-        return Verdict("inconclusive", witnesses=[],
-                       detail=f"rows {unstable} not stabilized",
-                       scope=_scope(table))
     surjectivity = []  # [i, n, 0/1]
     failures = []
     for i in range(d):
@@ -223,16 +205,13 @@ def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable) -> Verdict:
 
 def quasi_buchsbaum_test(G: GradedQuotientRing,
                          table: CohomologyTable) -> Verdict:
-    """Does every variable annihilate the stabilized cohomology below d?"""
+    """Does every variable annihilate the local cohomology below d?"""
     if G.is_zero_ring():
         raise ZeroRingError("the quotient ring is zero")
     d = G.krull_dimension()
     witnesses = []
     for i in range(d):
         ok, extra = annihilator_is_irrelevant(G, i, table)
-        if ok is None:
-            return Verdict("inconclusive", witnesses=[],
-                           detail="; ".join(extra), scope=_scope(table))
         if not ok:
             witnesses.extend(
                 {"i": i, "variable": name, "n": n, "representative": rep}

@@ -24,48 +24,6 @@ from .groebner import (DEGREVLEX, GroebnerBasis, Ideal, _monomial_divides,
 from .poly import Monomial, Polynomial, require_homogeneous
 
 
-class GradedVectorSpaceMap:
-    """A map between two graded pieces, stored as a (target x source) matrix.
-
-    The matrix is never modified after construction, so the rank is computed
-    once and kept.
-    """
-
-    def __init__(self, matrix: np.ndarray, p: int):
-        self.matrix = matrix
-        self.p = p
-        self._rank: int | None = None
-
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = linalg.rank(self.matrix, self.p)
-        return self._rank
-
-    def is_surjective(self) -> bool:
-        return self.rank() == self.target_dim
-
-    def is_injective(self) -> bool:
-        return self.rank() == self.source_dim
-
-    def is_isomorphism(self) -> bool:
-        return self.source_dim == self.target_dim and self.is_surjective()
-
-    def compose(self, inner: "GradedVectorSpaceMap") -> "GradedVectorSpaceMap":
-        """self o inner (apply inner first)."""
-        if inner.target_dim != self.source_dim:
-            raise ValueError("composition dimension mismatch")
-        return GradedVectorSpaceMap(
-            linalg.matmul(self.matrix, inner.matrix, self.p), self.p)
-
-
 class GradedQuotientRing:
     """S/I for a homogeneous ideal I, with exact degreewise linear algebra."""
 
@@ -167,8 +125,9 @@ class GradedQuotientRing:
         self._nf_cache[d] = rows, nf
         return rows, nf
 
-    def mult_matrix(self, f: Polynomial, n: int) -> GradedVectorSpaceMap:
-        """Multiplication by homogeneous f as a map [G]_n -> [G]_{n+deg f}."""
+    def mult_matrix(self, f: Polynomial, n: int) -> np.ndarray:
+        """Multiplication by homogeneous f, [G]_n -> [G]_{n+deg f}, as a
+        read-only (target x source) matrix."""
         e = require_homogeneous(f)
         key = (tuple(sorted(f.terms.items())), n)
         hit = self._mult_cache.get(key)
@@ -183,9 +142,9 @@ class GradedQuotientRing:
                 moved = [rows[tuple(a + b for a, b in zip(exps, mono))]
                          for mono in source]
                 mat = (mat + c * nf[moved].T) % self.p
-        out = GradedVectorSpaceMap(mat, self.p)
-        self._mult_cache[key] = out
-        return out
+        mat.flags.writeable = False  # shared by every caller of this key
+        self._mult_cache[key] = mat
+        return mat
 
     # -- global invariants ---------------------------------------------------
 

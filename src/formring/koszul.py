@@ -8,18 +8,18 @@ by sorted subsets J of variable positions in lexicographic
 [K^p]_n is a sum of copies of [G]_{n + t p}, one per subset, so each complex
 piece at internal degree n is finite and exact linear algebra applies.
 
-Transition to power t+1 is the cochain map e_J -> (prod_{j in J} x_j) e_J,
-which commutes with both differentials and induces the comparison maps on
-cohomology; their composite from t=1 to a stabilization power is the
-canonical comparison map into the colimit.
+The cochain map e_J -> (prod_{j in J} x_j)^s e_J from power t to power
+t + s commutes with both differentials (`transition_cochain`).  From t = 1
+to the power T(n) of an entry it induces the comparison map into the
+colimit, whose rank is Stueckrad's criterion (`comparison_rank`).
 
 The cone alone picks one of two routes, and both give the same bytes.  A
 monomial cone is computed by `multigraded`, one multidegree block at a
-time, and its pieces and transition matrices are scattered into the
-storage order above.  Every other cone takes the dense route: the matrices
-of a whole internal degree, assembled from the ring's multiplication
-matrices (`GradedQuotientRing.mult_matrix`) and eliminated at once.  The
-dense route raises `SizeLimitError` before it builds a differential of more
+time, and its pieces are scattered into the storage order above.  Every
+other cone takes the dense route: the matrices of a whole internal degree,
+assembled from the ring's multiplication matrices
+(`GradedQuotientRing.mult_matrix`) and eliminated at once.  The dense
+route raises `SizeLimitError` before it builds a differential of more
 than `MAX_DENSE_CELLS` cells to eliminate.  `comparison_rank` picks its
 route the same way; on a monomial cone it builds no dense matrix at all.
 """
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg, multigraded
 from .errors import FormringError, SizeLimitError
-from .graded import GradedQuotientRing, GradedVectorSpaceMap
+from .graded import GradedQuotientRing
 
 # Most cells in a differential the dense route eliminates; skew lines in P^3
 # need 288 x 288.
@@ -128,7 +128,7 @@ def _assemble(G: GradedQuotientRing, nrows: int, ncols: int, degree: int,
     mat = linalg.zeros(nrows * tgt, ncols * src)
     if mat.size:
         for f, places in blocks:
-            mult = G.mult_matrix(f, degree).matrix
+            mult = G.mult_matrix(f, degree)
             for row, col, sign in places:
                 mat[row * tgt:(row + 1) * tgt,
                     col * src:(col + 1) * src] = sign * mult % G.p
@@ -165,19 +165,23 @@ def _dense_representatives(spec: KoszulComplexSpec, i: int,
     return linalg.cohomology(d_in, d_out, p)
 
 
-def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int) -> np.ndarray:
-    """Cochain-level map [K^pdeg(x^t)]_n -> [K^pdeg(x^(t+1))]_n."""
-    return _cached(spec, "trans", (pdeg, n),
-                   lambda: _build_transition(spec, pdeg, n))
+def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int,
+                       step: int = 1) -> np.ndarray:
+    """Cochain-level map [K^pdeg(x^t)]_n -> [K^pdeg(x^(t+step))]_n,
+    e_J -> (prod_{j in J} x_j)^step e_J."""
+    return _cached(spec, "trans", (pdeg, n, step),
+                   lambda: _build_transition(spec, pdeg, n, step))
 
 
-def _build_transition(spec: KoszulComplexSpec, pdeg: int, n: int) -> np.ndarray:
+def _build_transition(spec: KoszulComplexSpec, pdeg: int, n: int,
+                      step: int) -> np.ndarray:
     G, m = spec.G, spec.m
     subsets = _subsets(m, pdeg)
-    blocks = [(G.ring.monomial([int(k in J) for k in range(m)]), [(a, a, 1)])
+    blocks = [(G.ring.monomial([step * (k in J) for k in range(m)]),
+               [(a, a, 1)])
               for a, J in enumerate(subsets)]
-    return _assemble(G, len(subsets), len(subsets), n + spec.t * pdeg, pdeg,
-                     blocks)
+    return _assemble(G, len(subsets), len(subsets), n + spec.t * pdeg,
+                     step * pdeg, blocks)
 
 
 def chain_multiplication(spec: KoszulComplexSpec, i: int, n: int,
@@ -202,67 +206,24 @@ def express_in_cohomology(spec: KoszulComplexSpec, piece: CohomologyPiece,
                               piece.representatives, vecs, spec.G.p)
 
 
-def is_coboundary(spec: KoszulComplexSpec, i: int, n: int,
-                  vec: np.ndarray) -> bool:
-    return linalg.solve(differential(spec, i - 1, n), vec,
-                        spec.G.p) is not None
-
-
-def transition_map(G: GradedQuotientRing, t: int, i: int,
-                   n: int) -> GradedVectorSpaceMap:
-    """Induced map [H^i(x^t)]_n -> [H^i(x^(t+1))]_n on representative bases."""
-    spec = KoszulComplexSpec(G, t)
-    return _cached(spec, "hmap", (i, n),
-                   lambda: _build_transition_map(G, spec, i, n))
-
-
-def _build_transition_map(G: GradedQuotientRing, spec: KoszulComplexSpec,
-                          i: int, n: int) -> GradedVectorSpaceMap:
-    if G.monomial:
-        mat = multigraded.transition_matrix(G, spec.t, i, n)
-    else:
-        mat = _dense_transition_matrix(
-            spec, koszul_cohomology_piece(spec, i, n),
-            koszul_cohomology_piece(KoszulComplexSpec(G, spec.t + 1), i, n))
-    return GradedVectorSpaceMap(mat, G.p)
-
-
-def _dense_transition_matrix(spec: KoszulComplexSpec, src: CohomologyPiece,
-                             tgt: CohomologyPiece) -> np.ndarray:
-    """The transition from src at power t to tgt at t + 1, in coordinates."""
-    nxt = KoszulComplexSpec(spec.G, spec.t + 1)
-    moved = linalg.matmul(transition_cochain(spec, src.i, src.n),
-                          src.representatives, spec.G.p)
-    mat = express_in_cohomology(nxt, tgt, moved)
-    if mat is None:
-        raise FormringError("transition image is not a cocycle class")
-    return mat
-
-
-def f_map(G: GradedQuotientRing, i: int, n: int,
-          power: int) -> GradedVectorSpaceMap:
-    """Composite comparison map [H^i(x; G)]_n -> [H^i(x^power; G)]_n.
-
-    `power` should be a stabilization power produced by the colimit layer, so
-    the target piece computes the limit value.
-    """
-    if power < 1:
-        raise ValueError("power must be >= 1")
-    start = koszul_cohomology_piece(KoszulComplexSpec(G, 1), i, n)
-    acc = GradedVectorSpaceMap(linalg.identity(start.dim), G.p)
-    for t in range(1, power):
-        acc = transition_map(G, t, i, n).compose(acc)
-    return acc
-
-
 def comparison_rank(G: GradedQuotientRing, i: int, n: int, power: int) -> int:
     """Rank of the comparison map [H^i(x; G)]_n -> [H^i(x^power; G)]_n.
 
     A monomial cone sums the ranks of its multidegree blocks
-    (`multigraded.comparison_rank`); any other cone ranks `f_map`.
+    (`multigraded.comparison_rank`).  Any other cone moves the power-1
+    representatives by the one cochain map e_J -> (prod_{j in J}
+    x_j)^(power - 1) e_J and ranks their coordinates at `power`.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
     if G.monomial:
         return multigraded.comparison_rank(G, i, n, power)
-    return f_map(G, i, n, power).rank()
+    spec, top = KoszulComplexSpec(G, 1), KoszulComplexSpec(G, power)
+    src = koszul_cohomology_piece(spec, i, n)
+    moved = linalg.matmul(transition_cochain(spec, i, n, power - 1),
+                          src.representatives, G.p)
+    coords = express_in_cohomology(top, koszul_cohomology_piece(top, i, n),
+                                   moved)
+    if coords is None:
+        raise FormringError("comparison image is not a cocycle class")
+    return linalg.rank(coords, G.p)

@@ -1,36 +1,34 @@
-"""Local cohomology pieces as stabilized colimits of Koszul cohomology.
+"""Local cohomology tables, each entry read exactly at one Koszul power.
 
 [H^i_M(G)]_n is the colimit over t of [H^i(x^t; G)]_n along the transition
-maps.  Where theory fixes an entry it is read exactly; every other entry
-takes the dense detector.
+maps.  Every entry of a computed table is read at the single power
+T(n) = `multigraded.settle_power(G, n)`, and that reading is exact on every
+cone, monomial or not.
 
-On a monomial cone every entry with 0 <= i <= m is exact: from the power
-T(n) on, every multidegree block of internal degree n has settled, so
-[H^i(x^T(n); G)]_n is [H^i_M(G)]_n (`multigraded.settle_power`,
-`multigraded.colimit_dims`).  Such an entry carries power T(n), whatever
-t_max and margin are.  Since T(n) >= T(n + 1), that power also settles the
-degree n + 1 a variable multiplies the entry into.
+The Cech-Koszul double complex of a graded G gives a spectral sequence
+E_1^{p,q} = K^p(x^t; H^q_M(G)) => H^{p+q}(x^t; G) (Brodmann-Sharp, Local
+Cohomology).  In internal degree n its term E_1^{p,q} is a sum of copies
+of [H^q_M(G)]_(n + t p).  Let a*(G) be the largest degree in which some
+H^q_M(G) is nonzero.  Once t > a*(G) - n, every column p >= 1 vanishes in
+degree n, and the natural map [H^q(x^t; G)]_n -> [H^q_M(G)]_n is an
+isomorphism for every q.  Sbarra's bound
+a*(S/I) <= a*(S/in(I)) <= sum_j rho_j - m (Sbarra 2001;
+`multigraded.degree_bound`) makes T(n) such a t.  Since T(n) >= T(n + 1),
+the same power also reads the degree n + 1 a variable multiplies the entry
+into, which is where the annihilator test looks.
 
-A cone G = S/I that is not monomial first reads its column off the exact
-table of S/in(I) (`multigraded.colimit_dims`).  In every degree,
+A monomial cone reads its entry off the multidegree blocks
+(`multigraded.colimit_dims`).  A cone G = S/I that is not monomial first
+reads its column off the exact table of S/in(I).  In every degree,
 dim [H^i_M(S/I)]_n <= dim [H^i_M(S/in(I))]_n (Sbarra 2001), and S/I and
 S/in(I) share a Hilbert function, so by the Grothendieck-Serre formula
 (Bruns-Herzog 4.4) their columns have the same alternating sum.  So an
 entry whose bound is 0 is proved zero, and an entry whose bound is the only
-nonzero one of its column equals that bound.  The second rule is used only
-at i >= dim G: below the dimension the checkers need a detector power for
-their maps.
+nonzero one of its column equals that bound.  Every other entry is one
+dense elimination, [H^i(x^T(n); G)]_n through `koszul_cohomology_piece`.
 
-Every other entry takes the dense detector: it computes the piece for every
-power up to t_max through `koszul_cohomology_piece` and `transition_map`,
-and declares the entry stabilized when the trailing run of transition
-isomorphisms ending at t_max has length at least `margin`; the reported
-power is the start of that run.  For 0-dimensional rings t_max is raised
-above the top socle degree, which makes the answer exact there.  In general
-this is a windowed heuristic: a run of isomorphisms longer than margin that
-breaks beyond t_max would be trusted wrongly, so entries always carry their
-power and stabilized flag and nothing downstream consumes an unstable value
-silently.
+The stabilization controls t_max and margin of `StabilizationConfig` are
+accepted and echoed in report scopes, but they change no computed entry.
 """
 
 from __future__ import annotations
@@ -40,15 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, multigraded
+from .errors import FormringError
 from .graded import GradedQuotientRing
 from .groebner import Ideal, saturate, standard_monomials
 from .koszul import (KoszulComplexSpec, chain_multiplication, differential,
-                     koszul_cohomology_piece, transition_map)
+                     koszul_cohomology_piece)
 
 
 @dataclass(frozen=True)
 class StabilizationConfig:
-    """Window of internal degrees plus colimit stabilization controls."""
+    """Window of internal degrees; t_max and margin are only echoed in
+    report scopes."""
 
     n_lo: int
     n_hi: int
@@ -77,8 +77,7 @@ class StabilizationConfig:
 
 
 # How an entry's value was settled (StabilizedEntry.settled_by).
-DETECTOR = "detector"          # trailing isomorphism run; see `stabilized`
-SETTLE_POWER = "settle power"  # monomial cone, read exactly at power T(n)
+SETTLE_POWER = "settle power"  # read exactly at power T(n)
 ZERO_BOUND = "zero bound"      # its bound from S/in(I) is 0
 COLUMN_SUM = "column sum"      # the only nonzero bound of its column
 SYNTHETIC = "synthetic"        # given by a synthetic table
@@ -88,77 +87,42 @@ SYNTHETIC = "synthetic"        # given by a synthetic table
 class StabilizedEntry:
     """One (i, n) entry of the local cohomology table.
 
-    An entry of a monomial cone was read at power T(n); one settled by the
-    in(I) bounds was read at no power, and its `power` is None.  Neither
-    records a `history`.
+    A computed entry carries `power` T(n), the power its maps are read at,
+    also when the in(I) bounds settled its value.  It is always
+    `stabilized` and records no `history`.
     """
 
     i: int
     n: int
     dim: int
-    power: int | None
+    power: int
     stabilized: bool
     history: tuple[int, ...]
-    settled_by: str = DETECTOR
+    settled_by: str
 
     def as_row(self) -> list[int]:
         return [self.i, self.n, self.dim]
 
 
-def _effective_t_max(G: GradedQuotientRing, cfg: StabilizationConfig) -> int:
-    if G.is_zero_ring():
-        return cfg.t_max
-    if G.krull_dimension() == 0:
-        # Every cochain block in window degree n lives in ring degree
-        # >= n + t, so all rows vanish for good once t exceeds
-        # top_degree - n; add the margin so the detector can see the
-        # settled tail even at the leftmost window degree.
-        floor = G.top_degree() - min(cfg.n_lo, 0) + cfg.margin + 2
-        return max(cfg.t_max, G.top_degree() + cfg.margin + 2, floor)
-    return cfg.t_max
-
-
-def local_coh_piece(G: GradedQuotientRing, i: int, n: int,
-                    cfg: StabilizationConfig) -> StabilizedEntry:
-    """Stabilized colimit entry for [H^i_M(G)]_n.
-
-    A monomial cone reads it exactly at T(n); any other cone first tries its
-    S/in(I) column.  See the module docstring.
-    """
+def local_coh_piece(G: GradedQuotientRing, i: int,
+                    n: int) -> StabilizedEntry:
+    """[H^i_M(G)]_n, read exactly at power T(n); see the module docstring."""
     if not 0 <= i <= G.ring.nvars:
-        return _detected(G, i, n, cfg)
+        raise FormringError(
+            f"cohomology index {i} outside [0, {G.ring.nvars}]")
     bounds = multigraded.colimit_dims(G, n)
-    if G.monomial:
-        return StabilizedEntry(i=i, n=n, dim=bounds[i],
-                               power=multigraded.settle_power(G, n),
-                               stabilized=True, history=(),
-                               settled_by=SETTLE_POWER)
-    if bounds[i] == 0:
-        rule = ZERO_BOUND
-    elif i >= G.krull_dimension() and bounds.count(0) == len(bounds) - 1:
-        rule = COLUMN_SUM
-    else:
-        return _detected(G, i, n, cfg)
-    return StabilizedEntry(i=i, n=n, dim=bounds[i], power=None,
-                           stabilized=True, history=(), settled_by=rule)
-
-
-def _detected(G: GradedQuotientRing, i: int, n: int,
-              cfg: StabilizationConfig) -> StabilizedEntry:
-    """The entry the trailing-run detector reads off the dense Koszul
-    pieces and transition maps of powers 1..t_max."""
-    t_max = _effective_t_max(G, cfg)
-    dims = [koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n).dim
-            for t in range(1, t_max + 1)]
-    iso = [transition_map(G, t, i, n).is_isomorphism()
-           for t in range(1, t_max)]
-    start = t_max
-    while start > 1 and iso[start - 2]:
-        start -= 1
-    run = t_max - start
-    stable = run >= cfg.margin
-    return StabilizedEntry(i=i, n=n, dim=dims[start - 1], power=start,
-                           stabilized=stable, history=tuple(dims))
+    power = multigraded.settle_power(G, n)
+    dim, rule = bounds[i], SETTLE_POWER
+    if not G.monomial:
+        if bounds[i] == 0:
+            rule = ZERO_BOUND
+        elif bounds.count(0) == len(bounds) - 1:
+            rule = COLUMN_SUM
+        else:
+            dim = koszul_cohomology_piece(KoszulComplexSpec(G, power),
+                                          i, n).dim
+    return StabilizedEntry(i=i, n=n, dim=dim, power=power, stabilized=True,
+                           history=(), settled_by=rule)
 
 
 class CohomologyTable:
@@ -211,9 +175,6 @@ class CohomologyTable:
         return [self.entries[(i, n)] for n in self.cfg.degrees()
                 if (i, n) in self.entries]
 
-    def row_stabilized(self, i: int) -> bool:
-        return all(e.stabilized for e in self.row(i))
-
     def nonzero_row(self, i: int) -> list[StabilizedEntry]:
         return [e for e in self.row(i) if e.dim != 0]
 
@@ -222,11 +183,9 @@ class CohomologyTable:
         return [(e.n + i, e.dim) for e in self.nonzero_row(i)]
 
     def row_finite_length(self, i: int) -> bool:
-        """Support visibly finite: boundary entries vanish, row stabilized."""
+        """Support visibly finite: both boundary entries vanish."""
         if self.synthetic:
             return True
-        if not self.row_stabilized(i):
-            return False
         lo, hi = self.cfg.n_lo, self.cfg.n_hi
         dlo, dhi = self.dim(i, lo), self.dim(i, hi)
         return dlo == 0 and dhi == 0
@@ -235,9 +194,6 @@ class CohomologyTable:
         if not self.row_finite_length(i):
             return None
         return sum(e.dim for e in self.row(i))
-
-    def stabilized(self) -> bool:
-        return all(e.stabilized for e in self.entries.values())
 
     def as_rows(self) -> list[list[int]]:
         """Sorted [i, n, dim] triples for every entry (zeros included)."""
@@ -259,7 +215,7 @@ def local_coh_table(G: GradedQuotientRing, i_max: int | None = None,
     entries = {}
     for i in range(i_max + 1):
         for n in cfg.degrees():
-            entries[(i, n)] = local_coh_piece(G, i, n, cfg)
+            entries[(i, n)] = local_coh_piece(G, i, n)
     return CohomologyTable(entries, i_max, cfg, complete=(i_max == m))
 
 
@@ -289,50 +245,31 @@ def saturation_exponent(G: GradedQuotientRing) -> int:
     return s
 
 
-def _power(G: GradedQuotientRing, entry: StabilizedEntry,
-           cfg: StabilizationConfig) -> int | None:
-    """The power an entry's maps are read at, or None if it never settles.
-
-    A value fixed by its column (only at i >= dim G) was read at no power,
-    so the detector supplies one.
-    """
-    if entry.power is None:
-        entry = _detected(G, entry.i, entry.n, cfg)
-    return entry.power if entry.stabilized else None
-
-
 def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
                               table: CohomologyTable):
     """Does every variable multiply [H^i_M(G)] to zero?
 
-    Returns (True, []), (False, witnesses) or (None, reasons) when some entry
-    is unstable.  A witness is (variable name, internal degree, representative
-    coordinates); the check multiplies stabilized Koszul representatives by
-    each variable and asks whether the image is a coboundary at a power where
-    both source and target entries have settled.  A monomial cone asks it
-    block by block (`multigraded.moved_classes`); any other cone eliminates
-    the dense Koszul matrices.
+    Returns (True, []) or (False, witnesses).  A witness is (variable
+    name, internal degree, representative coordinates); the check multiplies
+    the Koszul representatives of each nonzero entry by each variable and
+    asks whether the image is a coboundary at the entry's power T(n), which
+    also settles the target degree n + 1.  A monomial cone asks it block by
+    block (`multigraded.moved_classes`); any other cone eliminates the dense
+    Koszul matrices.
     """
     witnesses = []
     for entry in table.row(i):
         if entry.dim == 0:
             continue
-        if not entry.stabilized:
-            return None, [f"entry (i={i}, n={entry.n}) not stabilized"]
         target = table.entry(i, entry.n + 1)
         if target is not None and target.settled_by == ZERO_BOUND:
             continue  # every x_j maps into a piece proved zero
-        consulted = [e for e in (entry, target) if e is not None]
-        powers = [_power(G, e, table.cfg) for e in consulted]
-        if None in powers:
-            n = consulted[powers.index(None)].n
-            return None, [f"entry (i={i}, n={n}) not stabilized"]
-        t_star = max(powers)
+        t = entry.power
         if G.monomial:
-            reps = multigraded.representatives(G, t_star, i, entry.n)
-            moved = multigraded.moved_classes(G, t_star, i, entry.n)
+            reps = multigraded.representatives(G, t, i, entry.n)
+            moved = multigraded.moved_classes(G, t, i, entry.n)
         else:
-            reps, moved = _dense_moved_classes(G, t_star, i, entry.n)
+            reps, moved = _dense_moved_classes(G, t, i, entry.n)
         witnesses.extend((G.ring.variables[j], entry.n,
                           [int(c) for c in reps[:, col]])
                          for j, col in moved)

@@ -6,8 +6,8 @@ Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 13).  In
 multidegree a, the degree-p cochains have the basis e_L * x^b for the subsets
 L of size p with b = a + t*1_L >= 0 and x^b outside J.  The differential
 sends it to the sum over j outside L of sign(j, L) e_(L+j) * x^(b + t e_j),
-so its entries are 0/±1 lookups, and the transition to power t + 1 sends
-(L, b) to (L, b + 1_L) inside the same multidegree.
+so its entries are 0/±1 lookups, and the comparison map to power t + s
+sends (L, b) to (L, b + s 1_L) inside the same multidegree.
 
 Whether x^b lies in J depends only on min(b_j, rho_j), where rho_j is the
 largest exponent of x_j among the generators of J.  Hence:
@@ -15,7 +15,7 @@ largest exponent of x_j among the generators of J.  Hence:
 * a block with some a_j >= rho_j is acyclic (x_j^t pairs L with L + j), so
   only multidegrees with a_j < rho_j are visited;
 * a block is empty for t < -min(a), and once also t >= max_j(rho_j - a_j)
-  it no longer changes with t and its transition map is the identity;
+  it no longer changes with t and its comparison maps are the identity;
 * a block is fixed by its signature: per variable, the capped exponent
   outside L and inside L.  Each signature is eliminated once per ring.
 
@@ -43,9 +43,8 @@ Every dense cochain basis element and every matrix row is multihomogeneous.
 So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
 blockwise ones, and scattering the block results into the dense order
 (subsets in combinations order, then monomials descending) reproduces the
-dense path's representatives and transition matrices entry for entry
-(`representatives`, `transition_matrix`).  The `koszul` command and
-`f_map` read those.
+dense path's representatives entry for entry (`representatives`).  The
+`koszul` command and the annihilator test's witnesses read those.
 
 The two Buchsbaum checks stay blockwise.  Every map they ask about keeps
 each basis subset L and moves a block to one block (`block_map`), so its
@@ -186,9 +185,9 @@ class _Engine:
         """Induced map on H^q from block `src` to block `tgt` of the cochain
         map that keeps each basis subset L: (L, b) -> (L, b + c).
 
-        The transition to the next power (c = 1_L), the comparison map to a
-        higher power and multiplication by x_j (c = e_j, into multidegree
-        a + e_j) all have this form."""
+        The comparison map to a higher power (c = s 1_L) and
+        multiplication by x_j (c = e_j, into multidegree a + e_j) both have
+        this form."""
         return self._memo(("map", q, src, tgt),
                           lambda: self._build_block_map(q, src, tgt))
 
@@ -217,9 +216,8 @@ class _Engine:
         """Rank of [H^i(x; G)]_n -> [H^i(x^power; G)]_n, summed over blocks.
 
         From block signature(a, 1) to signature(a, power) the cochain map
-        (L, b) -> (L, b + (power - 1) 1_L) is the composite of the
-        transitions: a monomial that leaves the standard set never comes
-        back.  At power 1 only multidegrees with every a_j >= -1 occur.
+        is (L, b) -> (L, b + (power - 1) 1_L).  At power 1 only
+        multidegrees with every a_j >= -1 occur.
         """
         return self._memo(("rank", i, n, power), lambda: sum(
             linalg.rank(self.block_map(i, self.signature(a, 1),
@@ -354,16 +352,3 @@ def moved_classes(G, t: int, i: int, n: int) -> list[tuple[int, int]]:
     class that is not a coboundary, in (variable, column) order."""
     return _engine(G).moved_classes(t, i, n)
 
-
-def transition_matrix(G, t: int, i: int, n: int) -> np.ndarray:
-    """The dense path's matrix of [H^i(x^t)]_n -> [H^i(x^(t+1))]_n."""
-    eng = _engine(G)
-    src_reps, src = eng.piece(t, i, n)
-    tgt_reps, tgt = eng.piece(t + 1, i, n)
-    row = {owner: r for r, owner in enumerate(tgt)}
-    mat = linalg.zeros(tgt_reps.shape[1], src_reps.shape[1])
-    for c, (a, k) in enumerate(src):
-        block = eng.block_map(i, eng.signature(a, t), eng.signature(a, t + 1))
-        for k2 in np.nonzero(block[:, k])[0]:
-            mat[row[(a, int(k2))], c] = block[k2, k]
-    return mat

@@ -14,6 +14,7 @@ joins only the row-0 suites.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,6 +83,18 @@ def _parse_generator(ring: PolyRing, text: str) -> Polynomial:
                     term = term * ring.variable(factor)
         result = result + term
     return result
+
+
+def generic_forms(ring: PolyRing, seed: int) -> list[Polynomial]:
+    """One linear form per variable, in order, each with one
+    ``random.Random(seed).randrange(1, p)`` coefficient per variable: the
+    generic change of coordinates of the named inputs."""
+
+    rng = random.Random(seed)
+    x = ring.gens()
+    return [sum((rng.randrange(1, ring.characteristic) * v for v in x),
+                ring.zero())
+            for _ in x]
 
 
 def build_ring(case: RingCase) -> PolyRing:

@@ -20,12 +20,22 @@ tautology:
   ``arith_s_polynomial`` is built with ``Polynomial`` arithmetic (never one
   dict), and the basis is tail-reduced until a pass changes nothing (never
   a single pass).
-* ``annihilator_witnesses_per_column`` asks ``is_coboundary`` once per
-  moved representative column of a dense piece, never sharing an
+* ``annihilator_witnesses_per_column`` solves against the coboundaries
+  once per moved representative column of a dense piece, never sharing an
   elimination.
 * ``dense_piece``, ``dense_transition_matrix``, ``dense_local_coh_piece``
   and ``dense_f_map`` eliminate the whole Koszul matrices in internal degree
   n, never splitting a monomial cone into multidegree blocks.
+  ``dense_local_coh_piece`` is the trailing-run detector: it reads the
+  pieces and transition maps of every power up to t_max and trusts a run of
+  transition isomorphisms of at least ``margin`` powers, never reading an
+  entry at the settle power T(n) alone.  ``dense_f_map`` composes the
+  transition maps one power at a time, never moving a class by one
+  cochain map.
+* ``block_local_coh_piece`` runs the same detector on a monomial cone's
+  multidegree blocks, for cones too large for the dense matrices: it ranks
+  each transition t -> t + 1 block by block, never reading an entry at
+  T(n) alone or a block dimension off a cap vector.
 * ``char_loop_tokenize`` scans session text one character at a time with
   ``str.isdigit``/``str.isalpha``, never using a regular expression.  It
   is the lexer's earlier form: it accepts non-ASCII letters and digits,
@@ -74,11 +84,12 @@ from math import comb
 
 import numpy as np
 
-from formring import (CohomologyPiece, GradedQuotientRing,
-                      GradedVectorSpaceMap, Ideal, KoszulComplexSpec,
-                      StabilizedEntry, chain_multiplication, ideal_quotient,
-                      is_coboundary, normal_form, standard_monomials)
-from formring import groebner, koszul, linalg, localcoh, multigraded
+from formring import (CohomologyPiece, GradedQuotientRing, Ideal,
+                      KoszulComplexSpec,
+                      StabilizedEntry, chain_multiplication, differential,
+                      ideal_quotient, koszul_cohomology_piece, normal_form,
+                      standard_monomials, transition_cochain)
+from formring import groebner, koszul, linalg, multigraded
 from formring.descent import LocalH0Report, _coefficient_matrix
 from formring.dsl import Token
 from formring.errors import (NotInIrrelevantError, ParseError,
@@ -125,7 +136,7 @@ def socle_dims_oracle(G: GradedQuotientRing, degrees) -> dict[int, int]:
         if dim == 0:
             out[n] = 0
             continue
-        blocks = [G.mult_matrix(v, n).matrix for v in G.ring.gens()]
+        blocks = [G.mult_matrix(v, n) for v in G.ring.gens()]
         stacked = np.vstack(blocks) if blocks else linalg.zeros(0, dim)
         out[n] = dim - linalg.rank(stacked, G.p)
     return out
@@ -311,12 +322,13 @@ def annihilator_witnesses_per_column(G, i, table):
                                                         target.power)
         spec = KoszulComplexSpec(G, t_star)
         piece = dense_piece(G, t_star, i, entry.n)
+        d_in = differential(spec, i - 1, entry.n + 1)
         for j, name in enumerate(G.ring.variables):
             mult = chain_multiplication(spec, i, entry.n, j)
             for col in range(piece.dim):
                 vec = piece.representatives[:, col]
                 moved = linalg.matmul(mult, vec.reshape(-1, 1), G.p)[:, 0]
-                if not is_coboundary(spec, i, entry.n + 1, moved):
+                if linalg.solve(d_in, moved, G.p) is None:
                     witnesses.append((name, entry.n, [int(c) for c in vec]))
     return witnesses
 
@@ -333,38 +345,86 @@ def dense_piece(G, t, i, n):
 def dense_transition_matrix(G, t, i, n):
     """The transition map t -> t + 1 on the dense pieces, in coordinates."""
 
-    return koszul._dense_transition_matrix(
-        KoszulComplexSpec(G, t), dense_piece(G, t, i, n),
-        dense_piece(G, t + 1, i, n))
+    src, tgt = dense_piece(G, t, i, n), dense_piece(G, t + 1, i, n)
+    moved = linalg.matmul(transition_cochain(KoszulComplexSpec(G, t), i, n),
+                          src.representatives, G.p)
+    mat = linalg.coordinates(
+        differential(KoszulComplexSpec(G, t + 1), i - 1, n),
+        tgt.representatives, moved, G.p)
+    assert mat is not None, "transition image is not a cocycle class"
+    return mat
 
 
 def dense_f_map(G, i, n, power):
     """The composite of the dense transition maps from t = 1 to ``power``."""
 
-    acc = GradedVectorSpaceMap(linalg.identity(dense_piece(G, 1, i, n).dim),
-                               G.p)
+    acc = linalg.identity(dense_piece(G, 1, i, n).dim)
     for t in range(1, power):
-        step = GradedVectorSpaceMap(dense_transition_matrix(G, t, i, n), G.p)
-        acc = step.compose(acc)
+        acc = linalg.matmul(dense_transition_matrix(G, t, i, n), acc, G.p)
     return acc
 
 
-def dense_local_coh_piece(G, i, n, cfg):
-    """The stabilized entry read off the dense pieces and transition maps."""
+def _detector_t_max(G, cfg):
+    """cfg.t_max, raised on a 0-dimensional ring past the top degree.
 
-    t_max = localcoh._effective_t_max(G, cfg)
+    There every cochain block in degree n lives in ring degree >= n + t, so
+    every row vanishes for good once t passes the top degree minus n; t_max
+    is raised past that, plus the margin, so the settled tail shows even at
+    the window's left end.
+    """
+
+    if not G.is_zero_ring() and G.krull_dimension() == 0:
+        top = G.top_degree()
+        return max(cfg.t_max, top - min(cfg.n_lo, 0) + cfg.margin + 2)
+    return cfg.t_max
+
+
+def _trailing_run(i, n, dims, iso, cfg):
+    """The entry at the start of the trailing run of isomorphisms."""
+
+    t_max = len(dims)
+    start = t_max
+    while start > 1 and iso[start - 2]:
+        start -= 1
+    return StabilizedEntry(i=i, n=n, dim=dims[start - 1], power=start,
+                           stabilized=t_max - start >= cfg.margin,
+                           history=tuple(dims), settled_by="detector")
+
+
+def dense_local_coh_piece(G, i, n, cfg):
+    """The entry the trailing-run detector reads off the dense pieces and
+    transition maps of the powers 1..t_max."""
+
+    t_max = _detector_t_max(G, cfg)
     dims = [dense_piece(G, t, i, n).dim for t in range(1, t_max + 1)]
     iso = []
     for t in range(1, t_max):
         mat = dense_transition_matrix(G, t, i, n)
         iso.append(mat.shape[0] == mat.shape[1]
                    and linalg.rank(mat, G.p) == mat.shape[0])
-    start = t_max
-    while start > 1 and iso[start - 2]:
-        start -= 1
-    return StabilizedEntry(i=i, n=n, dim=dims[start - 1], power=start,
-                           stabilized=t_max - start >= cfg.margin,
-                           history=tuple(dims))
+    return _trailing_run(i, n, dims, iso, cfg)
+
+
+def block_local_coh_piece(G, i, n, cfg):
+    """The same detector on a monomial cone's multidegree blocks.
+
+    The dimensions are those of ``koszul_cohomology_piece`` at each power;
+    the transition t -> t + 1 keeps every multidegree a with -t <= a_j <
+    rho_j, so it is an isomorphism when both dimensions equal the sum of
+    its block ranks.
+    """
+
+    eng = multigraded._engine(G)
+    t_max = _detector_t_max(G, cfg)
+    dims = [koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n).dim
+            for t in range(1, t_max + 1)]
+    iso = []
+    for t in range(1, t_max):
+        rank = sum(linalg.rank(eng.block_map(i, eng.signature(a, t),
+                                             eng.signature(a, t + 1)), G.p)
+                   for a in eng.multidegrees(n, -t))
+        iso.append(dims[t - 1] == dims[t] == rank)
+    return _trailing_run(i, n, dims, iso, cfg)
 
 
 def char_loop_tokenize(text: str) -> list[Token]:
@@ -503,7 +563,7 @@ def column_differential(spec, q, n):
                    for j in range(m) if j not in J])
 
 
-def column_transition_cochain(spec, q, n):
+def column_transition_cochain(spec, q, n, step=1):
     """``koszul.transition_cochain`` at degree q, column by column."""
 
     x = spec.G.ring.gens()
@@ -511,12 +571,12 @@ def column_transition_cochain(spec, q, n):
     def images(J):
         f = spec.G.ring.one()
         for j in J:
-            f = f * x[j]
+            f = f * x[j] ** step
         return [(J, 1, f)]
 
     subsets = _exterior(spec.m, q)
-    return _column_by_column(spec.G, subsets, subsets, n + spec.t * q, q,
-                             images)
+    return _column_by_column(spec.G, subsets, subsets, n + spec.t * q,
+                             step * q, images)
 
 
 def column_chain_multiplication(spec, q, n, var_index):

@@ -93,18 +93,33 @@ class TestExitCodes:
         assert "message" in results[0]["data"]
 
     def test_inconclusive_is_two(self, capsys, monkeypatch):
-        # over-tight stabilization on a cone that is not monomial: the
-        # dense detector sees too short a run for these entries
-        text = ("char 32003; vars x, y, z;"
-                " ideal I = x^2 + 2*x*y + y^2, x*y + y^2;"
-                " table I window=-3..1 tmax=3 margin=2;")
+        # a tight tmax and margin on a cone that is not monomial change no
+        # entry: every entry is read at T(n), so the table is the default
+        # configuration's, H^1_{-3} = 1 included
+        cone = ("char 32003; vars x, y, z;"
+                " ideal I = x^2 + 2*x*y + y^2, x*y + y^2;")
+        dims = []
+        for options in (" tmax=3 margin=2", ""):
+            code, out, _ = run_cli(
+                capsys, ["-"], stdin_text=cone + f" table I window=-3..1"
+                                                 f"{options};",
+                monkeypatch=monkeypatch)
+            assert code == 0
+            (entry,) = json.loads(out)["results"]
+            assert (entry["status"], entry["data"]["unstable"]) == ("ok", [])
+            dims.append(entry["data"]["dims"])
+        assert dims[0] == dims[1]
+        assert [1, -3, 1] in dims[0]
+        # an inconclusive report still exits 2: the thick line's H^0 lives
+        # in degrees 2 and 3, past this window's right edge
+        text = ("char 32003; vars x, y; ideal T = x^3, x^2*y^2;"
+                " cor41 T window=-1..2;")
         code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
                                monkeypatch=monkeypatch)
         assert code == 2
         (entry,) = json.loads(out)["results"]
         assert entry["status"] == "inconclusive"
-        assert entry["data"]["unstable"] == [[1, -2], [1, -1], [2, -3],
-                                             [2, -2]]
+        assert entry["data"]["length_0"]["status"] == "inconclusive"
 
     def test_default_config_settles_the_same_cone(self, capsys, monkeypatch):
         text = ("char 32003; vars x, y, z;"
@@ -288,18 +303,19 @@ class TestParameterExpansion:
             "witnesses": [], "window": None, "timing_ms": 0}
 
     def test_dense_matrix_over_size_cap_is_guard(self):
-        # a non-monomial cone in four variables: without the cap its dense
-        # Koszul matrices grow past 2000 x 1200 and the table runs for
-        # minutes
+        # a non-monomial cone in five variables: read at T(n), one of its
+        # open entries would eliminate a 4300 x 710 differential
         proc = subprocess.run(
             [sys.executable, "-m", "formring.cli", "-"],
-            input="char 32003; vars x, y, z, w;"
+            input="char 32003; vars x, y, z, w, v;"
                   " ideal Q = x*y + y^2, x^2 - y^2; table Q;",
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 2
         (entry,) = json.loads(proc.stdout)["results"]
         assert entry["status"] == "guard"
         assert entry["data"]["kind"] == "SizeLimitError"
+        assert entry["data"]["message"].startswith(
+            "a 4300 x 710 Koszul differential")
 
     def test_huge_range_ends_in_guard(self):
         # a subprocess with a timeout: a range that runs every instance

@@ -44,8 +44,8 @@ def quotient(names, builder):
 
 
 def unsettled_cone():
-    """(x*y + y^2, x^2 - y^2): a cone that is not monomial, so its entries
-    below the S/in(I) bounds take the dense detector."""
+    """(x*y + y^2, x^2 - y^2): a cone that is not monomial, so the entries
+    its S/in(I) bounds leave open are eliminated at T(n)."""
     return quotient(("x", "y", "z"),
                     lambda x, y, z: [x**2 + 2 * x * y + y**2, x * y + y**2])
 
@@ -176,26 +176,32 @@ class TestStuckrad:
             stuckrad_test(G, CohomologyTable.synthetic_from({}))
 
     def test_unstable_rows_above_dimension_do_not_poison(self):
-        # row 2 is unstable in this tight configuration, but only rows
-        # below the dimension (0 and 1, both stably zero) are consulted
+        # the trailing-run detector could not settle row 2 in this tight
+        # configuration; every row is exact now, and only rows below the
+        # dimension (0 and 1, both zero here) are consulted
         G = unsettled_cone()
-        bad = local_coh_table(
+        tight = local_coh_table(
             G, cfg=StabilizationConfig(n_lo=-3, n_hi=-3, t_max=3, margin=2))
         assert G.krull_dimension() == 2
-        assert not bad.row_stabilized(2)
-        v = stuckrad_test(G, bad)
-        assert v.satisfied
+        assert all(e.stabilized for e in tight.entries.values())
+        assert [tight.dim(i, -3) for i in range(4)] == [0, 1, 2, 0]
+        v = stuckrad_test(G, tight)
+        assert v.violated
+        assert v.witnesses == [{"i": 1, "n": -3, "rank": 0, "dim": 1}]
 
     def test_inconclusive_on_unstable_consulted_row(self):
-        # the dense detector cannot settle [H^1]_{-2} and [H^1]_{-1} of
-        # this non-monomial cone by t_max = 3
+        # the rows [H^1]_{-2} and [H^1]_{-1} that the detector could not
+        # settle by t_max = 3 are read at T(n), so the verdict under the
+        # tight configuration is decided and equals the default one's on
+        # the same window
         G = unsettled_cone()
-        bad = local_coh_table(
-            G, cfg=StabilizationConfig(n_lo=-3, n_hi=1, t_max=3, margin=2))
-        assert not bad.row_stabilized(1)
-        v = stuckrad_test(G, bad)
-        assert v.inconclusive
-        assert v.detail == "rows [1] not stabilized"
+        tight = StabilizationConfig(n_lo=-3, n_hi=1, t_max=3, margin=2)
+        v = stuckrad_test(G, local_coh_table(G, cfg=tight))
+        wide = stuckrad_test(G, local_coh_table(
+            G, cfg=StabilizationConfig(n_lo=-3, n_hi=1)))
+        assert v.violated
+        assert (v.witnesses, v.data) == (wide.witnesses, wide.data)
+        assert [w["n"] for w in v.witnesses] == [-3, -2, -1]
 
 
 class TestQuasiBuchsbaum:
