@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg, multigraded
 from .errors import NotInIrrelevantError, SaturationLimitError, ZeroRingError
 from .graded import GradedQuotientRing
-from .groebner import (SATURATION_CAP, Ideal, buchberger,
+from .groebner import (SATURATION_CAP, Ideal, _reduced_ideal, buchberger,
                        initial_forms_ideal, intersect, saturate_by_variable,
                        standard_monomials)
 from .koszul import comparison_rank
@@ -238,8 +238,8 @@ class LocalH0Report:
     forms alone.  Three identities give the report without a chain of ideal
     quotients:
 
-    * T is the intersection of the (A : x_j^inf) over the variables, each
-      one elimination;
+    * T is an intersection of (A : x_j^inf), each one elimination, whose
+      generators outside A are killed by M^(a0+1) (`_torsion_ideal`);
     * the saturation exponent, the least s with M^s*T inside A, is the
       largest certificate exponent;
     * the classes of order d (largest j with a representative in M^j + A)
@@ -311,14 +311,38 @@ def _minimal_annihilating_exponent(ideal: Ideal, g: Polynomial,
 
 
 def _torsion_ideal(A_ideal: Ideal) -> Ideal:
-    """(A : M^inf) as the intersection of the (A : x_j^inf); A itself as
-    soon as one of them is A."""
-    torsion = None
-    for j in range(A_ideal.ring.nvars):
+    """T = (A : M^inf), from as few (A : x_j^inf) as a certificate allows.
+
+    An intersection J of them contains T, and M^(a0+1) T lies in A
+    (`local_h0_report`), so J = T once each generator of J outside A has an
+    annihilating exponent at most a0 + 1: the report's certificates.  The
+    variables with no pure power among the cone's leads cut it down to M,
+    so their factors, taken first, are T unless a component away from the
+    origin meets their zero set.  The test runs before each other variable.
+    """
+    a0 = _cone_h0_top(A_ideal)
+    if a0 is None:
+        return A_ideal
+    ring = A_ideal.ring
+    leads = initial_forms_ideal(A_ideal).groebner_basis(
+        DEGREVLEX).leading_monomials()
+    powered = [any(m[j] == sum(m) for m in leads) for j in range(ring.nvars)]
+    cap = min(a0 + 1, SATURATION_CAP)
+    torsion = unit = _reduced_ideal(ring, [ring.one()])
+    tested = None
+    for j in sorted(range(ring.nvars), key=powered.__getitem__):
+        if powered[j] and torsion is not tested:
+            tested = torsion
+            exponents = [_minimal_annihilating_exponent(A_ideal, g, cap)
+                         for g in torsion.generators if not A_ideal.contains(g)]
+            if None not in exponents:
+                torsion._exponents = exponents
+                return torsion
         factor = saturate_by_variable(A_ideal, j)
         if all(A_ideal.contains(g) for g in factor.generators):
             return A_ideal
-        torsion = factor if torsion is None else intersect(torsion, factor)
+        if not factor.is_whole_ring():
+            torsion = factor if torsion is unit else intersect(torsion, factor)
     return torsion
 
 
@@ -360,7 +384,9 @@ def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
 
     So H^0_M(S/in(IG)) = 0 gives H^0_M(G) = 0, and that gives
     (A : M^inf) = A.  Every other ideal takes the elimination route,
-    `_torsion_report`.
+    `_torsion_report`.  There the same argument gives M^(a0+1) T inside
+    A, a0 the top degree of H^0_M(S/in(IG)): for f in T and |u| = a0 + 1,
+    x^u f is torsion of order above a0, where H^0_M(G) is zero, so x^u f = 0.
 
     The report is kept on `A_ideal`, the way its cone is."""
     if A_ideal._h0 is None:
@@ -378,10 +404,14 @@ def _h0_report(A_ideal: Ideal) -> LocalH0Report:
 
 
 def _cone_has_no_h0(A_ideal: Ideal) -> bool:
-    """H^0_M(S/in(IG)) = 0, read off the blocks of the cone's leads."""
+    return _cone_h0_top(A_ideal) is None
+
+
+def _cone_h0_top(A_ideal: Ideal) -> int | None:
+    """a0, the top degree of H^0_M(S/in(IG)) by blocks; None when it is 0."""
     G = GradedQuotientRing.of(initial_forms_ideal(A_ideal))
-    return not any(multigraded.colimit_dims(G, n)[0]
-                   for n in range(multigraded.degree_bound(G) + 1))
+    return max((n for n in range(multigraded.degree_bound(G) + 1)
+                if multigraded.colimit_dims(G, n)[0]), default=None)
 
 
 def _torsion_report(A_ideal: Ideal) -> LocalH0Report:
@@ -391,8 +421,8 @@ def _torsion_report(A_ideal: Ideal) -> LocalH0Report:
     gens = [g for g in torsion_ideal.generators if not A_ideal.contains(g)]
     if not gens:
         return LocalH0Report(0, 0, [], [], {}, {}, [], 0, True)
-    exponents = [_minimal_annihilating_exponent(A_ideal, g, SATURATION_CAP)
-                 for g in gens]
+    exponents = torsion_ideal._exponents or [_minimal_annihilating_exponent(
+        A_ideal, g, SATURATION_CAP) for g in gens]
     if None in exponents:
         raise SaturationLimitError(SATURATION_CAP)
 
@@ -419,7 +449,7 @@ def _torsion_report(A_ideal: Ideal) -> LocalH0Report:
     if not f0:
         socle = [sum((b * int(c) for c, b in zip(col, basis)), ring.zero())
                  for col in kernel.T]
-        socle_ideal = Ideal(ring, buchberger(
+        socle_ideal = _reduced_ideal(ring, buchberger(
             A_ideal.groebner_basis().elements + socle, DEGREVLEX))
 
     return LocalH0Report(

@@ -255,6 +255,7 @@ class Ideal:
         self._cone: Ideal | None = None  # set by initial_forms_ideal
         self._graded = None  # S/self, set by GradedQuotientRing.of
         self._h0 = None  # set by descent.local_h0_report
+        self._exponents = None  # certificates, set by descent._torsion_ideal
 
     def groebner_basis(self, order: TermOrder | None = None) -> GroebnerBasis:
         order = order or self.ring.order
@@ -297,6 +298,13 @@ class Ideal:
         return f"Ideal({', '.join(str(g) for g in self.generators)})"
 
 
+def _reduced_ideal(ring: PolyRing, basis: list[Polynomial]) -> Ideal:
+    """The Ideal of a reduced DEGREVLEX basis, which it keeps as one."""
+    ideal = Ideal(ring, basis)
+    ideal._gb_cache[DEGREVLEX] = GroebnerBasis(basis, DEGREVLEX)
+    return ideal
+
+
 # -- homogenization and the form ideal -------------------------------------
 
 def _homogenize(f: Polynomial, ext: PolyRing) -> Polynomial:
@@ -325,11 +333,10 @@ def initial_forms_ideal(ideal: Ideal) -> Ideal:
             "initial forms need an ideal inside the irrelevant maximal ideal")
     if ideal._cone is None:
         if all(g.is_homogeneous() for g in ideal.generators):
-            gb = ideal.groebner_basis(DEGREVLEX)
+            basis = ideal.groebner_basis(DEGREVLEX).elements
         else:
-            gb = GroebnerBasis(_cone_by_elimination(ideal), DEGREVLEX)
-        ideal._cone = Ideal(ideal.ring, gb.elements)
-        ideal._cone._gb_cache[DEGREVLEX] = gb
+            basis = _cone_by_elimination(ideal)
+        ideal._cone = _reduced_ideal(ideal.ring, basis)
     return ideal._cone
 
 
@@ -341,15 +348,16 @@ def _cone_by_elimination(ideal: Ideal) -> list[Polynomial]:
     (elim_last: homogenizer exponent compared first), dehomogenize and keep
     the lowest-degree form of each basis element.  With the homogenizer
     dominant, the lead of a homogeneous element sits in its minimal
-    original-degree part, which is what makes the lowest forms of the basis
-    generate the whole form ideal.
+    original-degree part, ties by degrevlex: Lazard's method for the local
+    degree order (Greuel and Pfister, A Singular Introduction to Commutative
+    Algebra), so the forms are already a DEGREVLEX basis of the cone.
     """
     ring = ideal.ring
     ext = ring.extended()
     gb = buchberger([_homogenize(g, ext) for g in ideal.generators
                      if not g.is_zero()], ELIM_LAST)
     forms = [_dehomogenize(g, ring).initial_form() for g in gb]
-    return buchberger(forms, DEGREVLEX)
+    return _reduce_basis([f.monic(DEGREVLEX) for f in forms], DEGREVLEX)
 
 
 # -- elimination, intersection, quotient, saturation ------------------------
@@ -359,11 +367,13 @@ def _lift(f: Polynomial, ext: PolyRing) -> Polynomial:
     return Polynomial(ext, {e + (0,): c for e, c in f.terms.items()})
 
 
-def _eliminate_last(gens: Sequence[Polynomial],
-                    ring: PolyRing) -> list[Polynomial]:
+def _eliminate_last(gens: Sequence[Polynomial], ring: PolyRing) -> Ideal:
+    """The elimination ideal of the last variable t; the t-free part of a
+    reduced elim_last basis is its reduced DEGREVLEX basis."""
     gb = buchberger(gens, ELIM_LAST)
-    kept = [g for g in gb if all(e[-1] == 0 for e in g.terms)]
-    return [Polynomial(ring, {e[:-1]: c for e, c in g.terms.items()}) for g in kept]
+    kept = [Polynomial(ring, {e[:-1]: c for e, c in g.terms.items()})
+            for g in gb if all(e[-1] == 0 for e in g.terms)]
+    return _reduced_ideal(ring, kept)
 
 
 def intersect(a: Ideal, b: Ideal) -> Ideal:
@@ -378,7 +388,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
              if not g.is_zero()]
     if not gens:
         return Ideal(ring, ())
-    return Ideal(ring, _eliminate_last(gens, ring))
+    return _eliminate_last(gens, ring)
 
 
 def saturate_by_variable(a: Ideal, j: int) -> Ideal:
@@ -391,7 +401,7 @@ def saturate_by_variable(a: Ideal, j: int) -> Ideal:
     t = ext.variable(ext.nvars - 1)
     gens = [_lift(f, ext) for f in a.groebner_basis()]
     gens.append(ext.one() - t * _lift(ring.variable(j), ext))
-    return Ideal(ring, _eliminate_last(gens, ring))
+    return _eliminate_last(gens, ring)
 
 
 def _divide_exact(f: Polynomial, d: Polynomial, order: TermOrder) -> Polynomial:
@@ -440,7 +450,7 @@ def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
 
 
 # steps `saturate` may take, and the largest saturation exponent and order
-# `local_h0_report` accepts, before they give up
+# `local_h0_report` accepts (its certificates stop at a0 + 1 below it)
 SATURATION_CAP = 50
 
 

@@ -60,6 +60,9 @@ tautology:
   saturation chain of ``ideal_quotient`` steps and measures each order
   filtration step with a Groebner basis of ``I + m^j``, never reading a
   tangent-cone Hilbert function or a socle kernel.
+* ``all_variable_torsion_ideal`` intersects the saturations by every
+  variable, never stopping on an annihilating-exponent certificate or
+  reading the tangent cone.
 * ``monomial_loop_annihilating_exponent`` asks ``contains`` of g*u for
   every monomial u of each degree, never reducing a variable times the
   previous degree's normal forms.
@@ -87,8 +90,9 @@ import numpy as np
 from formring import (CohomologyPiece, GradedQuotientRing, Ideal,
                       KoszulComplexSpec,
                       StabilizedEntry, chain_multiplication, differential,
-                      ideal_quotient, koszul_cohomology_piece, normal_form,
-                      standard_monomials, transition_cochain)
+                      ideal_quotient, intersect, koszul_cohomology_piece,
+                      normal_form, saturate_by_variable, standard_monomials,
+                      transition_cochain)
 from formring import groebner, koszul, linalg, multigraded
 from formring.descent import LocalH0Report, _coefficient_matrix
 from formring.dsl import Token
@@ -690,6 +694,19 @@ def chain_local_h0_report(A_ideal):
         torsion_generators=strings(torsion_ideal),
         socle_dims_by_order=socle_hist, torsion_dims_by_order=torsion_hist,
         certificates=certificates, saturation_exponent=s, f0_surjective=f0)
+
+
+def all_variable_torsion_ideal(A_ideal):
+    """(A : m^inf) as the intersection of the (A : x_j^inf) over every
+    variable; A itself as soon as one of them is A."""
+
+    torsion = None
+    for j in range(A_ideal.ring.nvars):
+        factor = saturate_by_variable(A_ideal, j)
+        if all(A_ideal.contains(g) for g in factor.generators):
+            return A_ideal
+        torsion = factor if torsion is None else intersect(torsion, factor)
+    return torsion
 
 
 def monomial_loop_annihilating_exponent(ideal, g, cap):

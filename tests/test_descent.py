@@ -13,6 +13,7 @@ import corpus
 import formring
 import oracles
 from formring import (
+    DEGREVLEX,
     CohomologyTable,
     FormringError,
     GradedQuotientRing,
@@ -22,9 +23,11 @@ from formring import (
     SaturationLimitError,
     StabilizationConfig,
     ZeroRingError,
+    buchberger,
     degree_gap_check,
     descent_verdict,
     initial_forms_ideal,
+    intersect,
     length_comparison_check,
     local_coh_table,
     local_h0_report,
@@ -357,6 +360,14 @@ def _h0_outcome(route, I):
         return type(exc).__name__
 
 
+def _all_variable_outcome(I):
+    """`_h0_outcome` of the report from the all-variable torsion ideal."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(descent, "_torsion_ideal",
+                      oracles.all_variable_torsion_ideal)
+        return _h0_outcome(descent._torsion_report, I)
+
+
 PINNED_H0_CASES = {
     # T = (x - 1) is not inside m: its cone is the unit ideal
     "x(x-1)": lambda: A_ideal(("x",), lambda x: [x * (x - 1)]),
@@ -436,14 +447,14 @@ def nonhomogeneous_ideals(draw):
 def test_cone_without_h0_means_no_torsion(case):
     # the shortcut's claim, against the quotient chain: when S/in(IG) has
     # no H^0, (A : m^inf) = A; and on every draw the report is the one the
-    # elimination route gives
+    # all-variable elimination route gives
     R, gens = case
     if descent._cone_has_no_h0(Ideal(R, gens)):
         A = Ideal(R, gens)
         torsion, _ = saturate(A, Ideal(R, R.gens()))
         assert torsion.equals(A)
-    assert _h0_outcome(local_h0_report, Ideal(R, gens)) == _h0_outcome(
-        descent._torsion_report, Ideal(R, gens))
+    assert _h0_outcome(local_h0_report, Ideal(R, gens)) == \
+        _all_variable_outcome(Ideal(R, gens))
 
 
 def test_cone_shortcut_fires_only_without_torsion():
@@ -451,6 +462,94 @@ def test_cone_shortcut_fires_only_without_torsion():
     assert descent._cone_has_no_h0(_family(3)) is False
     N = A_ideal(("x", "y", "z"), lambda x, y, z: [x**2 - 5 * y**3, z])
     assert descent._cone_has_no_h0(N) is True
+
+
+@st.composite
+def torsion_ideals(draw):
+    """A few sparse generators inside m and g*m for a monomial g, so most
+    draws have torsion; half of them are intersected with a component
+    away from the origin, (x_j - 1, x_k)."""
+    p = draw(st.sampled_from([3, 32003]))
+    nv = draw(st.integers(2, 3))
+    R = PolyRing(tuple("xyz"[:nv]), p)
+    monomial = st.tuples(*[st.integers(0, 3)] * nv).filter(any)
+    coeff = st.integers(1, p - 1)
+    gens = [R.from_terms({e: draw(coeff) for e in draw(
+        st.lists(monomial, min_size=1, max_size=3))})
+        for _ in range(draw(st.integers(1, 2)))]
+    g = R.monomial(draw(st.tuples(*[st.integers(0, 2)] * nv)))
+    gens += [g * x for x in R.gens()]
+    if draw(st.booleans()):
+        j, k = draw(st.permutations(range(nv)))[:2]
+        far = Ideal(R, [R.variable(j) - R.one(), R.variable(k)])
+        gens = list(intersect(Ideal(R, gens), far).generators)
+    return R, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(torsion_ideals())
+def test_certified_torsion_matches_all_variable_route(case):
+    # fresh Ideals per route, so neither reads the other's cached bases
+    R, gens = case
+    torsion = descent._torsion_ideal(Ideal(R, gens))
+    reference = oracles.all_variable_torsion_ideal(Ideal(R, gens))
+    assert torsion.groebner_basis(DEGREVLEX).elements == \
+        reference.groebner_basis(DEGREVLEX).elements
+    assert _h0_outcome(local_h0_report, Ideal(R, gens)) == \
+        _all_variable_outcome(Ideal(R, gens))
+
+
+def test_family_torsion_takes_one_saturation(monkeypatch):
+    # z is the one variable without a pure power among the cone's leads;
+    # (A : z^inf) is certified as T, so nothing is intersected
+    calls = []
+    saturate_by_variable = descent.saturate_by_variable
+
+    def counting(ideal, j):
+        calls.append(j)
+        return saturate_by_variable(ideal, j)
+
+    def forbidden(*args):
+        raise AssertionError("intersect ran")
+
+    monkeypatch.setattr(descent, "saturate_by_variable", counting)
+    monkeypatch.setattr(descent, "intersect", forbidden)
+    rep = local_h0_report(_family(3))
+    assert calls == [2]
+    assert rep.torsion_generators == ["x", "y^3"]
+    assert [c["exponent"] for c in rep.certificates] == [2, 1]
+
+
+def test_far_component_report_pinned(monkeypatch):
+    # P = (x, y - 1) ∩ (x, y)^2: every variable has a pure power among the
+    # cone's leads, and the unit ideal fails the certificate, so T comes
+    # from the saturations by x, which is (1) and skipped, and by y
+    def forbidden(*args):
+        raise AssertionError("intersect ran")
+
+    monkeypatch.setattr(descent, "intersect", forbidden)
+    P = A_ideal(("x", "y"), lambda x, y: [x**2, x * y, y**3 - y**2])
+    rep = local_h0_report(P)
+    assert rep.torsion_generators == ["y - 1", "x"]
+    assert rep.torsion_dim == 3
+    assert [c["exponent"] for c in rep.certificates] == [2, 1]
+    assert rep.socle_generators == ["x", "y^2 - y"]
+
+
+def test_socle_and_torsion_ideals_keep_their_reduced_basis(monkeypatch):
+    seen = []
+    dims_by_order = descent._dims_by_order
+
+    def recording(A, J, total):
+        seen.append(J)
+        return dims_by_order(A, J, total)
+
+    monkeypatch.setattr(descent, "_dims_by_order", recording)
+    assert not local_h0_report(_family(3)).f0_surjective
+    socle, torsion = seen
+    for J in (socle, torsion):
+        assert J._gb_cache[DEGREVLEX].elements == buchberger(
+            J.generators, DEGREVLEX)
 
 
 @settings(max_examples=40, deadline=None)

@@ -308,6 +308,53 @@ def test_homogeneous_cone_matches_elimination_route(case):
     assert [str(g) for g in cone.generators] == [str(g) for g in eliminated]
 
 
+@st.composite
+def nonhomogeneous_ideals(draw):
+    """Generators without constant term over GF(p); the first has terms of
+    two different degrees."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    nv = draw(st.integers(2, 3))
+    R = PolyRing(tuple("xyz"[:nv]), p)
+    monomial = st.tuples(*[st.integers(0, 3)] * nv).filter(any)
+    coeff = st.integers(1, p - 1)
+    low = draw(monomial)
+    high = draw(monomial.filter(lambda e: sum(e) != sum(low)))
+    gens = [R.from_terms({low: draw(coeff), high: draw(coeff)})]
+    for _ in range(draw(st.integers(0, 2))):
+        gens.append(R.from_terms({e: draw(coeff) for e in draw(
+            st.lists(monomial, min_size=1, max_size=3))}))
+    return R, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonhomogeneous_ideals())
+def test_lazard_forms_need_no_pair_loop(case):
+    # the initial forms of the elim_last basis are already a DEGREVLEX
+    # basis of the cone: a Buchberger run on them gives what reducing them
+    # gives
+    R, gens = case
+    ext = R.extended()
+    gb = buchberger([groebner._homogenize(g, ext) for g in gens], ELIM_LAST)
+    forms = [groebner._dehomogenize(g, R).initial_form() for g in gb]
+    assert _terms(buchberger(forms, DEGREVLEX)) == _terms(
+        groebner._reduce_basis([f.monic(DEGREVLEX) for f in forms],
+                               DEGREVLEX))
+
+
+def test_cone_of_a_homogeneous_saturation_runs_no_buchberger(monkeypatch):
+    R = ring("x", "y", "z")
+    x, y, z = R.gens()
+    I = Ideal(R, [x**2, x * y, x * z - y**3, y**4, x * z**2])
+    torsion = saturate_by_variable(I, 2)
+    assert [str(g) for g in torsion.generators] == ["x", "y^3"]
+
+    def forbidden(*args):
+        raise AssertionError("buchberger ran")
+
+    monkeypatch.setattr(groebner, "buchberger", forbidden)
+    assert initial_forms_ideal(torsion).generators == torsion.generators
+
+
 # --- independent Groebner routes --------------------------------------------
 
 @st.composite
@@ -369,6 +416,18 @@ def test_saturate_by_variable_matches_quotient_chain(gens, j):
     I = Ideal(R, gens)
     chain, _ = saturate(I, Ideal(R, [R.variable(j)]))
     assert saturate_by_variable(I, j).equals(chain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals(), st.integers(0, 2))
+def test_elimination_results_keep_their_reduced_basis(gens, j):
+    R = gens[0].ring
+    j = j % R.nvars
+    I = Ideal(R, gens)
+    for J in (saturate_by_variable(I, j),
+              intersect(I, Ideal(R, [R.variable(j)]))):
+        assert _terms(J._gb_cache[DEGREVLEX].elements) == _terms(
+            buchberger(J.generators, DEGREVLEX))
 
 
 # --- the kernel builds its results without validation ----------------------
