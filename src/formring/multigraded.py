@@ -29,15 +29,25 @@ of the ring's reduced basis, so for a cone that is not monomial the same
 values are those of S/in(I), which bound its table.
 
 At t = T(n) the same bound gives a_j + t >= rho_j, so the inside part of
-every signature is rho itself, and a_j >= rho_j - t >= -t, so no block is
-empty: the block of a is fixed by its cap, c_j = max(a_j, -1).  A cap c
-with k coordinates at -1 and s = sum of its other coordinates minus n is
-shared by the ways of writing s as k negated parts a_j <= -1, that is
-comb(s - 1, k - 1) multidegrees when s >= k >= 1, and one when k = s = 0.
-So `colimit_dims` sums each cap's block dimensions times that count, over
-the prod_j (rho_j + 1) caps, and never lists a multidegree.  A block's
-dimensions are size - rank(d_q) - rank(d_(q-1)); its representatives are
-eliminated only when a map or a scattered piece asks for them.
+every signature is rho itself, and a_j >= rho_j - t >= -t, so every
+multidegree has a signature: the block of a is fixed by its cap,
+c_j = max(a_j, -1).  A cap c with k coordinates at -1 and s = sum of its
+other coordinates minus n is shared by the ways of writing s as k negated
+parts a_j <= -1, that is comb(s - 1, k - 1) multidegrees when s >= k >= 1,
+and one when k = s = 0.  So `colimit_dims` sums each cap's block dimensions
+times that count and never lists a multidegree.  A block's dimensions are
+size - rank(d_q) - rank(d_(q-1)); its representatives are eliminated only
+when a map or a scattered piece asks for them.
+
+Most blocks are empty, and that is decided without listing subsets.  Let
+K = {j : outside_j < 0}.  Every basis subset L contains K, and x^b only
+grows with L, since inside_j >= outside_j.  So the block is empty exactly
+when K's own x^b lies in J: one divisibility test per lead.  For a
+squarefree in(I) this says the block of a cap is empty exactly when K is
+not a face of the complex of in(I), as in Hochster's formula.  The
+engine keeps only the live caps, those whose settled block has some
+nonzero H^i, with their dimension vectors, and each column sums over them
+alone: on the r-family's cone at r = 3, 5 of the 30 caps.
 
 Every dense cochain basis element and every matrix row is multihomogeneous.
 So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
@@ -52,7 +62,9 @@ rank is the sum of block ranks and a class maps to a coboundary exactly
 when its block image has zero coordinates.  Stueckrad's criterion ranks the
 map from power 1 to power T(n) (`comparison_rank`); the annihilator test
 sends block a to block a + e_j by x_j (`moved_classes`), and only its
-witnesses are read off the scattered representatives.
+witnesses are read off the scattered representatives.  A map with a zero
+side has rank 0 and sends every class to a coboundary, so a block whose
+source or target has H^i = 0 is neither ranked nor mapped.
 """
 
 from __future__ import annotations
@@ -75,11 +87,20 @@ class _Block:
         outside, inside = sig
         m = eng.m
         self.eng = eng
+        self._cohomology: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._dims: list[int] | None = None
         # L's monomial x^b has b_j = inside_j on L and outside_j off it, and
         # inside_j >= max(outside_j, 0) since -t <= a_j < rho_j.  So b >= 0
-        # asks L to cover the negative coordinates, and a lead divides x^b
-        # exactly when it fits under `inside` and L covers the j with lead_j
-        # above outside_j: x^b is standard when L contains none of those.
+        # asks L to cover K, the negative coordinates, and x^b only grows
+        # with L: when K's own x^b lies in J, the block is empty.
+        low = tuple(c if o < 0 else o for o, c in zip(outside, inside))
+        if any(all(l <= b for l, b in zip(lead, low)) for lead in eng.leads):
+            self.basis = [[] for _ in range(m + 1)]
+            self._dims = [0] * (m + 1)
+            return
+        # Otherwise a lead divides x^b exactly when it fits under `inside`
+        # and L covers the j with lead_j above outside_j: x^b is standard
+        # when L contains none of those.
         negative = _mask(j for j in range(m) if outside[j] < 0)
         required = [_mask(j for j in range(m) if lead[j] > outside[j])
                     for lead in eng.leads
@@ -88,8 +109,6 @@ class _Block:
                        if mask & negative == negative
                        and not any(mask & r == r for r in required)]
                       for q in range(m + 1)]
-        self._cohomology: dict[int, tuple[np.ndarray, list[int]]] = {}
-        self._dims: list[int] | None = None
 
     def size(self, q: int) -> int:
         return len(self.basis[q]) if 0 <= q <= self.eng.m else 0
@@ -219,10 +238,14 @@ class _Engine:
         is (L, b) -> (L, b + (power - 1) 1_L).  At power 1 only
         multidegrees with every a_j >= -1 occur.
         """
-        return self._memo(("rank", i, n, power), lambda: sum(
-            linalg.rank(self.block_map(i, self.signature(a, 1),
-                                       self.signature(a, power)), self.p)
-            for a in self.multidegrees(n, -1)))
+        def build():
+            rank = 0
+            for a in self.multidegrees(n, -1):
+                src, tgt = self.signature(a, 1), self.signature(a, power)
+                if self.block(tgt).dim(i) and self.block(src).dim(i):
+                    rank += linalg.rank(self.block_map(i, src, tgt), self.p)
+            return rank
+        return self._memo(("rank", i, n, power), build)
 
     def moved_classes(self, t: int, i: int, n: int) -> list[tuple[int, int]]:
         """(j, c) for each column c of piece(t, i, n) that x_j does not move
@@ -238,8 +261,10 @@ class _Engine:
                 if a[j] + 1 >= self.rho[j]:
                     continue
                 up = a[:j] + (a[j] + 1,) + a[j + 1:]
-                block = self.block_map(i, self.signature(a, t),
-                                       self.signature(up, t))
+                target = self.signature(up, t)
+                if not self.block(target).dim(i):
+                    continue  # every image there is a coboundary
+                block = self.block_map(i, self.signature(a, t), target)
                 if block[:, k].any():
                     moved.append((j, c))
         return moved
@@ -253,28 +278,32 @@ class _Engine:
         return max(1, self.degree_bound() + 1 - n)
 
     def caps(self) -> tuple:
-        """(k, sum of the nonnegative coordinates, settled signature) for
-        each cap c with -1 <= c_j < rho_j; k counts the c_j = -1."""
+        """(k, sum of the nonnegative coordinates, block dimensions) for
+        each cap c with -1 <= c_j < rho_j whose settled block has some
+        nonzero H^i; k counts the c_j = -1."""
         def build():
-            return tuple((c.count(-1), sum(x for x in c if x >= 0),
-                          (c, self.rho))
-                         for c in itertools.product(
-                             *(range(-1, r) for r in self.rho)))
+            live = []
+            for c in itertools.product(*(range(-1, r) for r in self.rho)):
+                blk = self.block((c, self.rho))
+                dims = tuple(blk.dim(i) for i in range(self.m + 1))
+                if any(dims):
+                    live.append((c.count(-1), sum(x for x in c if x >= 0),
+                                 dims))
+            return tuple(live)
         return self._memo(("caps",), build)
 
     def colimit_dims(self, n: int) -> tuple[int, ...]:
-        """dim [H^i_M(S/in(I))]_n for i = 0..m, read off at T(n): each
-        cap's block, times the multidegrees of degree n that share it."""
+        """dim [H^i_M(S/in(I))]_n for i = 0..m, read off at T(n): each live
+        cap's block dimensions, times the multidegrees of degree n that
+        share it."""
         def build():
             dims = [0] * (self.m + 1)
-            for k, top, sig in self.caps():
+            for k, top, cap_dims in self.caps():
                 s = top - n
                 count = (math.comb(s - 1, k - 1) if s >= k >= 1
                          else int(k == s == 0))
-                if count:
-                    blk = self.block(sig)
-                    for i in range(self.m + 1):
-                        dims[i] += count * blk.dim(i)
+                for i, d in enumerate(cap_dims):
+                    dims[i] += count * d
             return tuple(dims)
         return self._memo(("colimit", n), build)
 

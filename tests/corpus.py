@@ -14,6 +14,7 @@ joins only the row-0 suites.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -151,6 +152,22 @@ def r_family_case(r: int) -> RingCase:
     )
 
 
+# the 7-vertex torus: facets {i, i+1, i+3} and {i, i+2, i+3} mod 7; every
+# edge is a face, so its minimal nonfaces are the triangles that are not
+# facets
+TORUS_VARIABLES = tuple("abcdefg")
+TORUS_FACETS = frozenset(
+    frozenset(TORUS_VARIABLES[(i + k) % 7] for k in ks)
+    for i in range(7) for ks in ((0, 1, 3), (0, 2, 3)))
+TORUS_GENERATORS = tuple(
+    "*".join(tri) for tri in itertools.combinations(TORUS_VARIABLES, 3)
+    if frozenset(tri) not in TORUS_FACETS)
+
+# the 6-vertex real projective plane: the ten triangles that are not facets
+RP2_GENERATORS = ("a*b*c", "a*b*e", "a*c*d", "a*d*f", "a*e*f", "b*c*f",
+                  "b*d*e", "b*d*f", "c*d*e", "c*e*f")
+
+
 CORPUS: tuple[RingCase, ...] = (
     # Free rings: Cohen-Macaulay, cohomology only at the top index.
     RingCase("free-1", ("x",), (), window=(-4, 3)),
@@ -175,6 +192,17 @@ CORPUS: tuple[RingCase, ...] = (
     # Two skew lines in P^3: Buchsbaum but not Cohen-Macaulay, H^1 = k.
     RingCase("skew-lines", ("x", "y", "z", "w"),
              ("x*z", "x*w", "y*z", "y*w"), window=(-3, 2)),
+    # Stanley-Reisner rings of surfaces.  RP^2 is Buchsbaum, with H^2_0 the
+    # reduced H^1 of RP^2 over GF(p): 1 in characteristic 2, 0 in 3.  The
+    # torus is Buchsbaum with H^2_0 = k^2.  The bowtie (two triangles sharing
+    # a vertex) has a disconnected link and is not Buchsbaum.
+    RingCase("rp2-char2", tuple("abcdef"), RP2_GENERATORS, window=(-3, 1),
+             characteristic=2),
+    RingCase("rp2-char3", tuple("abcdef"), RP2_GENERATORS, window=(-3, 1),
+             characteristic=3),
+    RingCase("torus", TORUS_VARIABLES, TORUS_GENERATORS, window=(-3, 1)),
+    RingCase("bowtie", tuple("abcde"), ("b*d", "b*e", "c*d", "c*e"),
+             window=(-3, 1)),
 )
 
 

@@ -73,9 +73,16 @@ tautology:
   its block signature at T(n) on an engine of its own and sums the
   representative counts of the blocks, never counting the multidegrees of
   a cap in closed form or reading a block dimension off ranks.
+* ``scanned_block_basis`` lists a block's basis subsets from the definition,
+  one subset at a time: the capped exponent vector of each subset, checked
+  for a negative entry and against every lead, never reading a bitmask or
+  deciding emptiness from the negative set alone.
 * ``hochster_table`` reads the local cohomology table of a Stanley-Reisner
   ring off Hochster's formula, from simplicial boundary ranks mod p in
   plain Python, never building a Koszul complex or a multidegree block.
+* ``schenzel_buchsbaum`` decides whether a Stanley-Reisner ring is
+  Buchsbaum by Schenzel's criterion on the complex's links, never reading a
+  cohomology table or a comparison map.
 """
 
 from __future__ import annotations
@@ -744,6 +751,22 @@ def enumerated_colimit_dims(G, n):
                  for i in range(eng.m + 1))
 
 
+def scanned_block_basis(eng, sig):
+    """The basis subsets L of each size of the block with signature
+    ``sig = (outside, inside)``: x^b with b_j = inside_j on L and outside_j
+    off it must have b >= 0 and no lead dividing it."""
+
+    outside, inside = sig
+
+    def standard(L):
+        b = [inside[j] if j in L else outside[j] for j in range(eng.m)]
+        return min(b, default=0) >= 0 and not any(
+            all(u <= x for u, x in zip(lead, b)) for lead in eng.leads)
+
+    return [[L for L in itertools.combinations(range(eng.m), q)
+             if standard(L)] for q in range(eng.m + 1)]
+
+
 def _rank_mod_p(rows, p):
     """Rank of an integer matrix, given as a list of rows, over GF(p)."""
 
@@ -819,3 +842,26 @@ def hochster_table(faces, nvars, p, degrees):
                           for F in faces if F)
             table[(i, n)] = dim
     return table
+
+
+def schenzel_buchsbaum(faces, p):
+    """Is k[D] Buchsbaum over k = GF(p), for the simplicial complex
+    ``faces`` (its empty face included)?
+
+    Schenzel (1981): exactly when D is pure and, for every nonempty face F,
+    the reduced cohomology of lk F vanishes below dim lk F.
+    """
+
+    faces = {frozenset(face) for face in faces}
+    facets = [F for F in faces if not any(F < G for G in faces)]
+    if len({len(F) for F in facets}) > 1:
+        return False
+    for F in faces:
+        if not F:
+            continue
+        link = [g for g in faces if not g & F and g | F in faces]
+        top = max(len(g) for g in link) - 1
+        if any(dim for q, dim in reduced_cohomology_dims(link, p).items()
+               if q < top):
+            return False
+    return True

@@ -2,6 +2,9 @@
 
 import dataclasses
 import itertools
+import math
+import random
+import sys
 from math import comb
 
 import numpy as np
@@ -19,6 +22,7 @@ from formring import (
     StabilizationConfig,
     annihilator_is_irrelevant,
     descent_verdict,
+    initial_forms_ideal,
     koszul_cohomology_piece,
     local_coh_table,
     quasi_buchsbaum_test,
@@ -366,3 +370,118 @@ def test_rp2_table_matches_hochster_formula(p):
     table = local_coh_table(G)
     assert {k: e.dim for k, e in table.entries.items()} == \
         oracles.hochster_table(faces, 6, p, table.cfg.degrees())
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_cones())
+def test_empty_blocks_match_the_subset_scan(cone):
+    # a block is found empty from its negative set and the leads alone; the
+    # scan over every subset must agree on each block a table and both
+    # Buchsbaum checks built, and an empty block has no cohomology
+    G, cfg = cone
+    table = local_coh_table(G, cfg=cfg)
+    if not G.is_zero_ring():
+        stuckrad_test(G, table)
+        quasi_buchsbaum_test(G, table)
+    eng = multigraded._engine(G)
+    blocks = [(key[1], blk) for key, blk in eng._cache.items()
+              if key[0] == "block"]
+    assert blocks
+    for sig, blk in blocks:
+        assert blk.basis == oracles.scanned_block_basis(eng, sig)
+        if not any(blk.basis):
+            assert [blk.dim(q) for q in range(eng.m + 1)] == [0] * (eng.m + 1)
+
+
+def _random_complex(rng):
+    """A seeded simplicial complex on 3-6 vertices: the downward closure of
+    a few faces of 1-3 vertices, with every vertex a face."""
+    nv = rng.randint(3, 6)
+    faces = {frozenset()} | {frozenset([v]) for v in range(nv)}
+    for _ in range(rng.randint(1, 2 * nv)):
+        facet = rng.sample(range(nv), rng.randint(1, 3))
+        faces |= {frozenset(sub) for k in range(1, len(facet) + 1)
+                  for sub in itertools.combinations(facet, k)}
+    return nv, faces
+
+
+def _stanley_reisner_ring(faces, nv, p):
+    """k[D] over GF(p), generated by the minimal nonfaces of D."""
+    R = PolyRing(tuple(f"x{v}" for v in range(nv)), p)
+    nonfaces = [S for k in range(1, nv + 1)
+                for S in map(frozenset, itertools.combinations(range(nv), k))
+                if S not in faces and all(S - {v} in faces for v in S)]
+    return GradedQuotientRing(Ideal(R, [
+        R.monomial(tuple(int(v in S) for v in range(nv))) for S in nonfaces]))
+
+
+def test_buchsbaum_checks_match_schenzel_criterion():
+    # k[D] is Buchsbaum exactly when D is pure with Cohen-Macaulay links;
+    # on these complexes both checks follow the criterion either way
+    rng = random.Random(23)
+    held = failed = 0
+    for _ in range(220):
+        nv, faces = _random_complex(rng)
+        p = rng.choice([2, 3, 32003])
+        G = _stanley_reisner_ring(faces, nv, p)
+        table = local_coh_table(G)
+        expected = ("satisfied" if oracles.schenzel_buchsbaum(faces, p)
+                    else "violated")
+        got = (stuckrad_test(G, table).status,
+               quasi_buchsbaum_test(G, table).status)
+        assert got == (expected, expected), (sorted(map(sorted, faces)), p)
+        held += expected == "satisfied"
+        failed += expected == "violated"
+    assert held >= 20 and failed >= 20, (held, failed)
+
+
+def test_family_verdict_visits_only_live_blocks(monkeypatch):
+    # on A_3's cone 5 of the 30 caps carry cohomology: the table sums over
+    # those, and the Buchsbaum checks rank and build a block map only where
+    # both ends have cohomology
+    ranks, maps = [], []
+    real_rank = linalg.rank
+
+    def counting_rank(a, p):
+        if sys._getframe(1).f_globals["__name__"] == multigraded.__name__:
+            ranks.append(a.shape)
+        return real_rank(a, p)
+
+    real_map = multigraded._Engine._build_block_map
+
+    def counting_map(self, q, src, tgt):
+        maps.append((q, src, tgt))
+        return real_map(self, q, src, tgt)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    monkeypatch.setattr(multigraded._Engine, "_build_block_map", counting_map)
+    R = PolyRing(("x", "y", "z"), 32003)
+    x, y, z = R.gens()
+    A = Ideal(R, [x**2, x * y, x * z - y**3, y**4, x * z**2])
+    report = descent_verdict(A)
+    assert report.g_buchsbaum.status == "satisfied"
+    assert len(ranks) <= 5
+    assert len(maps) <= 2
+    eng = multigraded._engine(GradedQuotientRing(initial_forms_ideal(A)))
+    assert math.prod(r + 1 for r in eng.rho) == 30
+    assert len(eng.caps()) == 5
+
+
+@pytest.mark.parametrize("name", ["rp2-char2", "rp2-char3", "torus",
+                                  "bowtie"])
+def test_named_complexes_match_schenzel_criterion(name):
+    # the faces of k[D] are the subsets containing no generator's support
+    case = corpus.by_name(name)
+    nv = len(case.variables)
+    supports = [frozenset(case.variables.index(v) for v in g.split("*"))
+                for g in case.generators]
+    faces = {frozenset(S) for k in range(nv + 1)
+             for S in itertools.combinations(range(nv), k)
+             if not any(g <= set(S) for g in supports)}
+    G, table = corpus.graded(name), corpus.full_table(name)
+    expected = ("satisfied"
+                if oracles.schenzel_buchsbaum(faces, case.characteristic)
+                else "violated")
+    assert expected == ("violated" if name == "bowtie" else "satisfied")
+    assert stuckrad_test(G, table).status == expected
+    assert quasi_buchsbaum_test(G, table).status == expected
