@@ -349,15 +349,15 @@ def _torsion_ideal(A_ideal: Ideal) -> Ideal:
 def _dims_by_order(A_ideal: Ideal, J: Ideal, total: int) -> dict[int, int]:
     """HF(S/in(A), d) - HF(S/in(J), d) for d = 0, 1, ... until the nonzero
     differences add up to total = dim J/A; a J not inside M has cone (1)."""
-    A_cone = initial_forms_ideal(A_ideal)
+    G = GradedQuotientRing.of(initial_forms_ideal(A_ideal))
     cone = initial_forms_ideal(J) if J.in_irrelevant() else None
     hist: dict[int, int] = {}
     d = 0
     while total:
         if d > SATURATION_CAP:
             raise SaturationLimitError(SATURATION_CAP)
-        diff = len(standard_monomials(A_cone, d)) - (
-            0 if cone is None else len(standard_monomials(cone, d)))
+        diff = G.dim(d) - (0 if cone is None
+                           else len(standard_monomials(cone, d)))
         if diff:
             hist[d] = diff
             total -= diff

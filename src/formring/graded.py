@@ -36,6 +36,9 @@ class GradedQuotientRing:
         self.gb: GroebnerBasis = ideal.groebner_basis(DEGREVLEX)
         # a monomial cone: its Koszul complexes split into multidegree blocks
         self.monomial = all(len(g.terms) == 1 for g in self.gb)
+        # only the unit ideal has a basis element with the lead 1
+        self._zero_ring = any(not any(lead)
+                              for lead in self.gb.leading_monomials())
         # (lead, tail monomials, negated tail coefficients) per basis element
         self._rules = [
             (lead, [v for v in g.terms if v != lead],
@@ -149,7 +152,7 @@ class GradedQuotientRing:
     # -- global invariants ---------------------------------------------------
 
     def is_zero_ring(self) -> bool:
-        return self.ideal.is_whole_ring()
+        return self._zero_ring
 
     def max_generator_degree(self) -> int:
         return self.gb.max_degree()

@@ -41,13 +41,31 @@ when a map or a scattered piece asks for them.
 
 Most blocks are empty, and that is decided without listing subsets.  Let
 K = {j : outside_j < 0}.  Every basis subset L contains K, and x^b only
-grows with L, since inside_j >= outside_j.  So the block is empty exactly
-when K's own x^b lies in J: one divisibility test per lead.  For a
-squarefree in(I) this says the block of a cap is empty exactly when K is
-not a face of the complex of in(I), as in Hochster's formula.  The
-engine keeps only the live caps, those whose settled block has some
-nonzero H^i, with their dimension vectors, and each column sums over them
-alone: on the r-family's cone at r = 3, 5 of the 30 caps.
+grows with L, since inside_j >= outside_j.  So the basis subsets are closed
+downward above K, and the block is empty exactly when K's own x^b lies in
+J: one divisibility test per lead.  For a squarefree in(I) this says the
+block of a cap is empty exactly when K is not a face of the complex of
+in(I), as in Hochster's formula.  A nonempty block's basis is built up from
+K one index at a time, and a subset whose x^b lies in J is never extended.
+
+The settled block of a cap c has K's x^b = x^u with u_j = c_j, or rho_j
+where c_j = -1, so the caps are the points u of the box prod_j [0, rho_j]
+and a cap's block is empty exactly when x^u lies in J.  Membership in J only
+grows with u, so `caps()` searches the box one coordinate at a time, and
+each coordinate's loop stops at the first value whose monomial, with the
+later coordinates at 0, lies in J: it visits the nonempty caps and their
+boundary alone.  The lowest degree of a nonempty block, |K|, holds K alone,
+so d_|K| has rank 1 exactly when some K + {j} is a basis subset.  On a cap,
+K + S has its x^b in J exactly when some lead's set {j : lead_j > u_j} lies
+inside S, so the leads' sets of one and two elements give the sizes of
+degrees |K| + 1 and |K| + 2.  When the latter is 0 the block spans at most
+two degrees, and its dimensions are 1 - r and size(|K| + 1) - r for that
+rank r: no block is built and nothing is eliminated.  Only a cap whose
+block spans three or more degrees (RP^2, the torus) builds its block, and
+only its inner differentials are eliminated.  The engine keeps the live
+caps, those whose settled block has some nonzero H^i, with their dimension
+vectors, and each column sums over them alone: on the r-family's cone at
+r = 3, 5 of the 30 caps.
 
 Every dense cochain basis element and every matrix row is multihomogeneous.
 So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
@@ -64,7 +82,10 @@ map from power 1 to power T(n) (`comparison_rank`); the annihilator test
 sends block a to block a + e_j by x_j (`moved_classes`), and only its
 witnesses are read off the scattered representatives.  A map with a zero
 side has rank 0 and sends every class to a coboundary, so a block whose
-source or target has H^i = 0 is neither ranked nor mapped.
+source or target has H^i = 0 is neither ranked nor mapped, and a scattered
+piece skips the blocks with H^i = 0.  A settled block, signature (c, rho),
+reads its dimensions off its cap (`dims`), so it is built only when its
+classes are needed.
 """
 
 from __future__ import annotations
@@ -93,22 +114,31 @@ class _Block:
         # inside_j >= max(outside_j, 0) since -t <= a_j < rho_j.  So b >= 0
         # asks L to cover K, the negative coordinates, and x^b only grows
         # with L: when K's own x^b lies in J, the block is empty.
+        self.basis = [[] for _ in range(m + 1)]
         low = tuple(c if o < 0 else o for o, c in zip(outside, inside))
         if any(all(l <= b for l, b in zip(lead, low)) for lead in eng.leads):
-            self.basis = [[] for _ in range(m + 1)]
             self._dims = [0] * (m + 1)
             return
         # Otherwise a lead divides x^b exactly when it fits under `inside`
         # and L covers the j with lead_j above outside_j: x^b is standard
-        # when L contains none of those.
-        negative = _mask(j for j in range(m) if outside[j] < 0)
+        # when L contains none of those.  The standard L are closed downward
+        # above K, so each is reached from K by adding indices in increasing
+        # order through standard subsets.
         required = [_mask(j for j in range(m) if lead[j] > outside[j])
                     for lead in eng.leads
                     if all(l <= c for l, c in zip(lead, inside))]
-        self.basis = [[L for L, mask in zip(eng.subsets[q], eng.masks[q])
-                       if mask & negative == negative
-                       and not any(mask & r == r for r in required)]
-                      for q in range(m + 1)]
+        negative = tuple(j for j in range(m) if outside[j] < 0)
+        level = [(negative, _mask(negative), -1)]
+        while level:
+            self.basis[len(level[0][0])] = sorted(L for L, _, _ in level)
+            grown = []
+            for L, mask, last in level:
+                for j in range(last + 1, m):
+                    wider = mask | 1 << j
+                    if wider != mask and not any(wider & r == r
+                                                 for r in required):
+                        grown.append((tuple(sorted(L + (j,))), wider, j))
+            level = grown
 
     def size(self, q: int) -> int:
         return len(self.basis[q]) if 0 <= q <= self.eng.m else 0
@@ -143,12 +173,17 @@ class _Block:
         return reps, free
 
     def dim(self, q: int) -> int:
-        """dim H^q: size(q) - rank(d_q) - rank(d_(q-1)), all q at once."""
+        """dim H^q: size(q) - rank(d_q) - rank(d_(q-1)), all q at once.
+
+        The lowest nonempty degree holds K alone, so its differential has
+        rank 1 exactly when the next degree is nonempty; only the
+        differentials above it are eliminated."""
         if self._dims is None:
             # ranks[d + 1] is the rank of d_d for d = -1..m; a differential
             # with an empty side is never built
-            ranks = [linalg.rank(self.differential(d), self.eng.p)
-                     if self.size(d) and self.size(d + 1) else 0
+            ranks = [0 if not (self.size(d) and self.size(d + 1))
+                     else 1 if not self.size(d - 1)
+                     else linalg.rank(self.differential(d), self.eng.p)
                      for d in range(-1, self.eng.m + 1)]
             self._dims = [self.size(d) - ranks[d + 1] - ranks[d]
                           for d in range(self.eng.m + 1)]
@@ -166,7 +201,6 @@ class _Engine:
                          for j in range(m))
         self.subsets = [list(itertools.combinations(range(m), q))
                         for q in range(m + 1)]
-        self.masks = [[_mask(L) for L in level] for level in self.subsets]
         self._cache: dict[tuple, object] = {}
 
     def _memo(self, key: tuple, build):
@@ -242,7 +276,7 @@ class _Engine:
             rank = 0
             for a in self.multidegrees(n, -1):
                 src, tgt = self.signature(a, 1), self.signature(a, power)
-                if self.block(tgt).dim(i) and self.block(src).dim(i):
+                if self.dims(tgt)[i] and self.dims(src)[i]:
                     rank += linalg.rank(self.block_map(i, src, tgt), self.p)
             return rank
         return self._memo(("rank", i, n, power), build)
@@ -262,7 +296,7 @@ class _Engine:
                     continue
                 up = a[:j] + (a[j] + 1,) + a[j + 1:]
                 target = self.signature(up, t)
-                if not self.block(target).dim(i):
+                if not self.dims(target)[i]:
                     continue  # every image there is a coboundary
                 block = self.block_map(i, self.signature(a, t), target)
                 if block[:, k].any():
@@ -277,20 +311,78 @@ class _Engine:
         """T(n): from this power on every block of degree n has settled."""
         return max(1, self.degree_bound() + 1 - n)
 
-    def caps(self) -> tuple:
-        """(k, sum of the nonnegative coordinates, block dimensions) for
-        each cap c with -1 <= c_j < rho_j whose settled block has some
-        nonzero H^i; k counts the c_j = -1."""
+    def caps(self) -> dict:
+        """{c: block dimensions} for each cap c with -1 <= c_j < rho_j
+        whose settled block (c, rho) has some nonzero H^i."""
         def build():
-            live = []
-            for c in itertools.product(*(range(-1, r) for r in self.rho)):
-                blk = self.block((c, self.rho))
-                dims = tuple(blk.dim(i) for i in range(self.m + 1))
+            live = {}
+            for u in self._standard_box():
+                c = tuple(-1 if x == r else x for x, r in zip(u, self.rho))
+                dims = self._cap_dims(c, u)
                 if any(dims):
-                    live.append((c.count(-1), sum(x for x in c if x >= 0),
-                                 dims))
-            return tuple(live)
+                    live[c] = dims
+            return live
         return self._memo(("caps",), build)
+
+    def dims(self, sig) -> tuple[int, ...]:
+        """dim H^q of the block `sig` for q = 0..m; a settled block (c, rho)
+        reads its cap's, so none is built for it."""
+        outside, inside = sig
+        if inside == self.rho:
+            return self.caps().get(outside, (0,) * (self.m + 1))
+        blk = self.block(sig)
+        return tuple(blk.dim(q) for q in range(self.m + 1))
+
+    def _standard_box(self) -> list[tuple[int, ...]]:
+        """The u in prod_j [0, rho_j] with x^u outside J, found one
+        coordinate at a time.  Coordinate j of a prefix stops at the first
+        value whose monomial, with the later coordinates 0, lies in J: every
+        larger value and every completion of the prefix lies in J too.  The
+        prefix itself is standard, so only a lead whose last nonzero
+        exponent is at j can fit under that monomial."""
+        ending = [[] for _ in range(self.m)]
+        for lead in self.leads:
+            last = max((j for j, e in enumerate(lead) if e), default=0)
+            ending[last].append(lead)
+        found = []
+
+        def search(prefix):
+            j = len(prefix)
+            if j == self.m:
+                found.append(prefix)
+                return
+            stop = min((lead[j] for lead in ending[j]
+                        if all(l <= x for l, x in zip(lead, prefix))),
+                       default=self.rho[j] + 1)
+            for x in range(stop):
+                search(prefix + (x,))
+
+        search(())
+        return found
+
+    def _cap_dims(self, c: tuple, u: tuple) -> tuple[int, ...]:
+        """The settled block dimensions of the cap c whose low monomial x^u
+        is standard: u_j = c_j, or rho_j where c_j = -1."""
+        m, rho = self.m, self.rho
+        k = c.count(-1)
+        # raising the coordinates S outside K to rho puts x^u in J exactly
+        # when some lead's excess set lies inside S
+        excess = [[j for j in range(m) if lead[j] > u[j]]
+                  for lead in self.leads]
+        blocked = {e[0] for e in excess if len(e) == 1}
+        up = [j for j in range(m) if u[j] < rho[j] and j not in blocked]
+        pairs = {tuple(e) for e in excess
+                 if len(e) == 2 and not blocked.intersection(e)}
+        if len(pairs) < math.comb(len(up), 2):
+            # some K + {j, j'} is standard: three or more degrees
+            blk = self.block((c, rho))
+            return tuple(blk.dim(i) for i in range(m + 1))
+        rank = int(bool(up))
+        dims = [0] * (m + 1)
+        dims[k] = 1 - rank
+        if up:
+            dims[k + 1] = len(up) - rank
+        return tuple(dims)
 
     def colimit_dims(self, n: int) -> tuple[int, ...]:
         """dim [H^i_M(S/in(I))]_n for i = 0..m, read off at T(n): each live
@@ -298,8 +390,8 @@ class _Engine:
         share it."""
         def build():
             dims = [0] * (self.m + 1)
-            for k, top, cap_dims in self.caps():
-                s = top - n
+            for c, cap_dims in self.caps().items():
+                k, s = c.count(-1), sum(x for x in c if x >= 0) - n
                 count = (math.comb(s - 1, k - 1) if s >= k >= 1
                          else int(k == s == 0))
                 for i, d in enumerate(cap_dims):
@@ -321,7 +413,9 @@ class _Engine:
         columns = []
         for a in self.multidegrees(n, -t):
             sig = self.signature(a, t)
-            if sig is None:
+            # a settled block's cap tells, with no block built, when it has
+            # no class to scatter
+            if sig is None or sig[1] == self.rho and not self.dims(sig)[i]:
                 continue
             blk = self.block(sig)
             reps, free = blk.cohomology(i)

@@ -77,6 +77,11 @@ tautology:
   one subset at a time: the capped exponent vector of each subset, checked
   for a negative entry and against every lead, never reading a bitmask or
   deciding emptiness from the negative set alone.
+* ``scanned_caps`` lists every cap of the full product
+  prod_j [-1, rho_j - 1], takes each settled block's basis from
+  ``scanned_block_basis`` and its dimensions from ranks of the signed
+  differentials mod p in plain Python, never searching the box or reading
+  a dimension off basis sizes.
 * ``hochster_table`` reads the local cohomology table of a Stanley-Reisner
   ring off Hochster's formula, from simplicial boundary ranks mod p in
   plain Python, never building a Koszul complex or a multidegree block.
@@ -765,6 +770,34 @@ def scanned_block_basis(eng, sig):
 
     return [[L for L in itertools.combinations(range(eng.m), q)
              if standard(L)] for q in range(eng.m + 1)]
+
+
+def scanned_caps(eng):
+    """{c: block dimensions} for each cap c, -1 <= c_j < rho_j, whose
+    settled block (c, rho) has some nonzero H^q."""
+
+    live = {}
+    for c in itertools.product(*(range(-1, r) for r in eng.rho)):
+        basis = scanned_block_basis(eng, (c, eng.rho))
+        # ranks[q + 1] is the rank of d_q; e_L goes to the sum over j outside
+        # L of (-1)^#{l in L : l < j} e_(L + j)
+        ranks = [0] * (eng.m + 2)
+        for q in range(eng.m):
+            index = {L: k for k, L in enumerate(basis[q + 1])}
+            rows = []
+            for L in basis[q]:
+                row = [0] * len(index)
+                for j in range(eng.m):
+                    up = tuple(sorted(L + (j,)))
+                    if j not in L and up in index:
+                        row[index[up]] = (-1) ** sum(l < j for l in L)
+                rows.append(row)
+            ranks[q + 1] = _rank_mod_p(rows, eng.p)
+        dims = tuple(len(basis[q]) - ranks[q + 1] - ranks[q]
+                     for q in range(eng.m + 1))
+        if any(dims):
+            live[c] = dims
+    return live
 
 
 def _rank_mod_p(rows, p):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from formring import (
+    DEGREVLEX,
+    LEX,
     GradedQuotientRing,
     GroebnerBasis,
     Ideal,
@@ -44,6 +46,19 @@ class TestConstruction:
         assert G.dim(0) == 0
         with pytest.raises(ZeroRingError):
             G.krull_dimension()
+
+    @pytest.mark.parametrize("order", [DEGREVLEX, LEX])
+    def test_zero_ring_is_read_off_the_reduced_basis(self, order):
+        # the ring decides it once from its DEGREVLEX basis; the ideal asks
+        # its basis in the ring's own order
+        R = PolyRing(("x", "y"), P, order)
+        x, y = R.gens()
+        for gens in ([x * y, x**2 - y**2, x**3], [x, y, R.one()],
+                     [x**2 + x * y, y**2], [x + y, x - y]):
+            G = GradedQuotientRing(Ideal(R, gens))
+            assert G.is_zero_ring() == Ideal(R, gens).is_whole_ring()
+        assert not GradedQuotientRing(Ideal(R, [x * y])).is_zero_ring()
+        assert GradedQuotientRing(Ideal(R, [R.one()])).is_zero_ring()
 
     def test_graded_basis_and_dims(self):
         G = quotient(("x", "y"), lambda x, y: [x**2, x * y])

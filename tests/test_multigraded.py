@@ -375,15 +375,18 @@ def test_rp2_table_matches_hochster_formula(p):
 @settings(max_examples=40, deadline=None)
 @given(monomial_cones())
 def test_empty_blocks_match_the_subset_scan(cone):
-    # a block is found empty from its negative set and the leads alone; the
-    # scan over every subset must agree on each block a table and both
-    # Buchsbaum checks built, and an empty block has no cohomology
+    # a block is found empty from its negative set and the leads alone, and
+    # a nonempty one is built up from it; the scan over every subset must
+    # agree on each block a table and both Buchsbaum checks built and on
+    # every cap's settled block, and an empty block has no cohomology
     G, cfg = cone
     table = local_coh_table(G, cfg=cfg)
     if not G.is_zero_ring():
         stuckrad_test(G, table)
         quasi_buchsbaum_test(G, table)
     eng = multigraded._engine(G)
+    for c in itertools.product(*(range(-1, r) for r in eng.rho)):
+        eng.block((c, eng.rho))
     blocks = [(key[1], blk) for key, blk in eng._cache.items()
               if key[0] == "block"]
     assert blocks
@@ -391,6 +394,63 @@ def test_empty_blocks_match_the_subset_scan(cone):
         assert blk.basis == oracles.scanned_block_basis(eng, sig)
         if not any(blk.basis):
             assert [blk.dim(q) for q in range(eng.m + 1)] == [0] * (eng.m + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(monomial_cones().map(lambda cone: cone[0]),
+                 stanley_reisner_rings().map(lambda ring: ring[0])))
+def test_caps_match_the_full_product(G):
+    # the box search visits only nonempty caps, and a cap spanning at most
+    # two degrees takes its dimensions from basis sizes; listing every cap
+    # and ranking its scanned block must keep the same nonzero vectors
+    eng = multigraded._engine(G)
+    assert eng.caps() == oracles.scanned_caps(eng)
+
+
+@pytest.mark.parametrize("name", ["rp2-char2", "rp2-char3", "torus"])
+def test_three_degree_caps_match_the_full_product(name):
+    # RP^2 and the torus have caps whose block spans three degrees, so
+    # those blocks are built and their inner differentials ranked
+    eng = multigraded._engine(corpus.graded(name))
+    assert eng.caps() == oracles.scanned_caps(eng)
+    assert any(key[0] == "block" and any(blk.basis)
+               for key, blk in eng._cache.items())
+
+
+def test_two_degree_caps_build_no_block(monkeypatch):
+    # every cap of x*y spans at most two degrees: its verdict builds no
+    # block and eliminates nothing; on A_3's cone only the two comparison
+    # maps build blocks (their two ends each) and rank
+    built, rrefs, ranks = [], [], []
+    real_init, real_rref, real_rank = (multigraded._Block.__init__,
+                                       linalg.rref, linalg.rank)
+
+    def counting_init(self, eng, sig):
+        built.append(sig)
+        real_init(self, eng, sig)
+
+    def counting_rref(a, p):
+        rrefs.append(a.shape)
+        return real_rref(a, p)
+
+    def counting_rank(a, p):
+        if sys._getframe(1).f_globals["__name__"] == multigraded.__name__:
+            ranks.append(a.shape)
+        return real_rank(a, p)
+
+    monkeypatch.setattr(multigraded._Block, "__init__", counting_init)
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    R = PolyRing(("x", "y", "z"), 32003)
+    x, y, z = R.gens()
+    report = descent_verdict(Ideal(R, [x * y]))
+    assert report.g_buchsbaum.status == "satisfied"
+    assert (built, rrefs) == ([], [])
+    report = descent_verdict(Ideal(R, [x**2, x * y, x * z - y**3, y**4,
+                                       x * z**2]))
+    assert report.g_buchsbaum.status == "satisfied"
+    assert len(ranks) <= 2
+    assert len(built) <= 4
 
 
 def _random_complex(rng):
