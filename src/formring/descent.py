@@ -11,8 +11,7 @@ verdict so reports stay honest about what was actually examined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg, multigraded
 from .errors import NotInIrrelevantError, SaturationLimitError, ZeroRingError
@@ -24,6 +23,9 @@ from .koszul import comparison_rank
 from .localcoh import (CohomologyTable, StabilizationConfig,
                        annihilator_is_irrelevant, local_coh_table)
 from .poly import DEGREVLEX, Polynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -441,9 +443,9 @@ def _torsion_report(A_ideal: Ideal) -> LocalH0Report:
         images += rows
         layer = [f for row in rows for f in row]
     # the socle is the kernel of v -> (x_j * v)_j on T/A
-    kernel = linalg.kernel(np.vstack([
+    kernel = linalg.kernel(linalg.stack([
         _coefficient_matrix([row[j] for row in images])
-        for j in range(ring.nvars)]), p)
+        for j in range(ring.nvars)], axis=0), p)
     f0 = kernel.shape[1] == len(basis)
     socle_ideal = torsion_ideal
     if not f0:

@@ -14,14 +14,16 @@ under the interpreter lock.
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .errors import NotHomogeneousError, ZeroRingError
 from .groebner import (DEGREVLEX, GroebnerBasis, Ideal, _monomial_divides,
                        _monomials_of_degree, standard_monomials)
 from .poly import Monomial, Polynomial, require_homogeneous
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class GradedQuotientRing:
@@ -39,12 +41,13 @@ class GradedQuotientRing:
         # only the unit ideal has a basis element with the lead 1
         self._zero_ring = any(not any(lead)
                               for lead in self.gb.leading_monomials())
-        # (lead, tail monomials, negated tail coefficients) per basis element
+        # (lead, tail monomials, negated tail coefficients) per basis element;
+        # ints until the first table, so a ring that reads none builds no array
         self._rules = [
             (lead, [v for v in g.terms if v != lead],
-             np.array([[-c % self.p for v, c in g.terms.items() if v != lead]],
-                      dtype=np.int64))
+             [-c % self.p for v, c in g.terms.items() if v != lead])
             for lead, g in zip(self.gb.leading_monomials(), self.gb)]
+        self._rule_rows: list[np.ndarray] | None = None
         self._basis_cache: dict[int, list[Monomial]] = {}
         self._index_cache: dict[int, dict[Monomial, int]] = {}
         self._nf_cache: dict[int, tuple[dict[Monomial, int], np.ndarray]] = {}
@@ -81,7 +84,7 @@ class GradedQuotientRing:
         """
         if any(sum(exps) != n for exps in f.terms):
             raise NotHomogeneousError(f"{f} does not live purely in degree {n}")
-        vec = np.zeros(self.dim(n), dtype=np.int64)
+        vec = linalg.zeros(self.dim(n))
         if vec.size:
             rows, nf = self._normal_forms(n)
             for exps, c in f.terms.items():
@@ -111,6 +114,9 @@ class GradedQuotientRing:
         hit = self._nf_cache.get(d)
         if hit is not None:
             return hit
+        if self._rule_rows is None:
+            self._rule_rows = [linalg.matrix([coeffs])
+                               for _, _, coeffs in self._rules]
         self.graded_basis(d)
         index = self._index_cache[d]
         monos = _monomials_of_degree(self.ring.nvars, DEGREVLEX, d)[::-1]
@@ -120,8 +126,9 @@ class GradedQuotientRing:
             if u in index:
                 nf[k, index[u]] = 1
                 continue
-            lead, tail, coeffs = next(rule for rule in self._rules
-                                      if _monomial_divides(rule[0], u))
+            (lead, tail, _), coeffs = next(
+                (rule, row) for rule, row in zip(self._rules, self._rule_rows)
+                if _monomial_divides(rule[0], u))
             shifted = [rows[tuple(a + b - e for a, b, e in zip(u, v, lead))]
                        for v in tail]
             nf[k] = linalg.matmul(coeffs, nf[shifted], self.p)[0]

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg, multigraded
 from .errors import FormringError, SizeLimitError
 from .graded import GradedQuotientRing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Most cells in a differential the dense route eliminates; skew lines in P^3
 # need 288 x 288.

@@ -8,22 +8,47 @@ with chunk chosen to fit int64, so results are exact for any p < 2**30.
 
 Pivoting is deterministic: columns are scanned left to right and the first row
 with a nonzero entry becomes the pivot row.
+
+This is the one module that imports numpy, and it does so inside each
+function, on first use, not at module load.  A formring run is mostly
+start-up, and a verdict that builds no matrix (on x*y, whose caps span at
+most two degrees, or on a product of two generic linear forms) never needs
+numpy; once loaded, the import costs a dictionary lookup per call.  Other
+modules reach arrays through the helpers here and name `np.ndarray` only for
+type checkers.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest inner-product block whose accumulated products fit in int64.
 _INT64_BUDGET = 2**62
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
+def zeros(*shape: int) -> np.ndarray:
+    import numpy as np
+    return np.zeros(shape, dtype=np.int64)
 
 
 def identity(n: int) -> np.ndarray:
+    import numpy as np
     return np.eye(n, dtype=np.int64)
+
+
+def matrix(rows: list[list[int]]) -> np.ndarray:
+    """The int64 matrix with the given rows (entries already reduced)."""
+    import numpy as np
+    return np.array(rows, dtype=np.int64)
+
+
+def stack(blocks: list[np.ndarray], axis: int = 1) -> np.ndarray:
+    """Blocks side by side (axis 1) or one above another (axis 0)."""
+    import numpy as np
+    return np.concatenate(blocks, axis=axis)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -50,6 +75,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     pick the columns a left-to-right greedy scan would admit: a basis of
     span(sub + vecs) modulo span(sub).
     """
+    import numpy as np
     r = np.array(a, dtype=np.int64) % p
     nrows, ncols = r.shape
     pivots: list[int] = []
@@ -105,7 +131,7 @@ def cohomology(d_in: np.ndarray, d_out: np.ndarray, p: int) -> np.ndarray:
     ker = kernel(d_out, p)
     if not ker.shape[1] or not d_in.shape[1]:
         return ker
-    _, pivots = rref(np.hstack([d_in, ker]), p)
+    _, pivots = rref(stack([d_in, ker]), p)
     off = d_in.shape[1]
     return ker[:, [c - off for c in pivots if c >= off]]
 
@@ -121,8 +147,8 @@ def coordinates(d_in: np.ndarray, reps: np.ndarray, vecs: np.ndarray,
     class is a coboundary.  None when some column is not a cocycle class.
     """
     if reps.shape[1] == 0 or vecs.size == 0:
-        return np.zeros((reps.shape[1],) + vecs.shape[1:], dtype=np.int64)
-    sol = solve(np.hstack([d_in, reps]), vecs, p)
+        return zeros(reps.shape[1], *vecs.shape[1:])
+    sol = solve(stack([d_in, reps]), vecs, p)
     return None if sol is None else sol[d_in.shape[1]:]
 
 
@@ -133,7 +159,7 @@ def solve(a: np.ndarray, b: np.ndarray, p: int):
         squeeze = True
     else:
         squeeze = False
-    aug = np.hstack([a % p, b % p])
+    aug = stack([a % p, b % p])
     r, pivots = rref(aug, p)
     ncols = a.shape[1]
     if any(pc >= ncols for pc in pivots):

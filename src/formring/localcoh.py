@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import linalg, multigraded
 from .errors import FormringError
 from .graded import GradedQuotientRing
@@ -291,7 +289,7 @@ def _dense_moved_classes(G: GradedQuotientRing, t: int, i: int, n: int):
         # a moved column is a coboundary exactly when its rref column
         # vanishes in every row whose pivot lies in the moved block
         r, pivots = linalg.rref(
-            np.hstack([d_in, linalg.matmul(mult, reps, G.p)]), G.p)
+            linalg.stack([d_in, linalg.matmul(mult, reps, G.p)]), G.p)
         rows = [k for k, c in enumerate(pivots) if c >= off]
         moved.extend((j, col) for col in range(reps.shape[1])
                      if r[rows, off + col].any())

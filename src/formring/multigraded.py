@@ -92,11 +92,13 @@ from __future__ import annotations
 
 import itertools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .errors import FormringError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ENGINE = ("multigraded",)  # the engine's key in the ring's Koszul cache
 
@@ -169,7 +171,7 @@ class _Block:
         reps = linalg.cohomology(self.differential(q - 1),
                                  self.differential(q), self.eng.p)
         # a kernel vector's free column is its last nonzero entry
-        free = [int(np.nonzero(col)[0][-1]) for col in reps.T]
+        free = [int(col.nonzero()[0][-1]) for col in reps.T]
         return reps, free
 
     def dim(self, q: int) -> int:

@@ -581,3 +581,29 @@ class TestCharacteristicBound:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("<stdin>:1:1: error: 1073741827 is not "
                                       "below 2**30")
+
+
+class TestStartup:
+    # a fresh process: numpy loads with the first matrix, not at import, so
+    # a verdict that builds no matrix never loads it
+    PROBE = """
+import sys
+import formring, formring.cli
+from formring import Ideal, PolyRing, StabilizationConfig, descent_verdict
+seen = ["numpy" in sys.modules]
+R = PolyRing(("x", "y", "z"), 32003)
+x, y, z = R.gens()
+cfg = StabilizationConfig(n_lo=-3, n_hi=1, t_max=5)
+l1, l2 = 3 * x + 5 * y + 7 * z, 2 * x + 11 * y + 13 * z
+for gens in ([x * y], [l1 * l2], [x**2, x * y, x * z - y**3, y**4, x * z**2]):
+    descent_verdict(Ideal(R, gens), cfg=cfg)
+    seen.append("numpy" in sys.modules)
+print(seen)
+"""
+
+    def test_numpy_loads_at_the_first_matrix(self):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # import, x*y, generic l1*l2, then A_3, whose blocks are ranked
+        assert proc.stdout == "[False, False, False, True]\n"
