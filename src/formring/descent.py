@@ -216,8 +216,8 @@ def quasi_buchsbaum_test(G: GradedQuotientRing,
         ok, extra = annihilator_is_irrelevant(G, i, table)
         if not ok:
             witnesses.extend(
-                {"i": i, "variable": name, "n": n, "representative": rep}
-                for name, n, rep in extra)
+                {"i": i, "variable": name, "n": n, "terms": terms}
+                for name, n, terms in extra)
     data = {"dimension": d}
     if witnesses:
         return Verdict("violated", witnesses=witnesses,

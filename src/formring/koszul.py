@@ -13,15 +13,16 @@ t + s commutes with both differentials (`transition_cochain`).  From t = 1
 to the power T(n) of an entry it induces the comparison map into the
 colimit, whose rank is Stueckrad's criterion (`comparison_rank`).
 
-The cone alone picks one of two routes, and both give the same bytes.  A
-monomial cone is computed by `multigraded`, one multidegree block at a
-time, and its pieces are scattered into the storage order above.  Every
-other cone takes the dense route: the matrices of a whole internal degree,
-assembled from the ring's multiplication matrices
+The cone alone picks one of two routes.  A monomial cone is computed by
+`multigraded`, one multidegree block at a time, and builds no dense matrix.
+Every other cone takes the dense route: the matrices of a whole internal
+degree, assembled from the ring's multiplication matrices
 (`GradedQuotientRing.mult_matrix`) and eliminated at once.  The dense
 route raises `SizeLimitError` before it builds a differential of more
-than `MAX_DENSE_CELLS` cells to eliminate.  `comparison_rank` picks its
-route the same way; on a monomial cone it builds no dense matrix at all.
+than `MAX_DENSE_CELLS` cells to eliminate.  A piece's representatives are
+always the dense route's, eliminated when first read, and only this module
+knows their storage order: `cochain_terms` reads a cochain back as the
+terms c e_J x^b that witnesses are given in on both routes.
 """
 
 from __future__ import annotations
@@ -71,10 +72,14 @@ class CohomologyPiece:
     of [K^i]_n; together with the coboundaries they span the cocycles.
     """
 
+    spec: KoszulComplexSpec
     i: int
     n: int
     dim: int
-    representatives: np.ndarray
+
+    @property
+    def representatives(self) -> np.ndarray:
+        return _representatives(self.spec, self.i, self.n)
 
 
 def _subsets(m: int, p: int) -> list[tuple[int, ...]]:
@@ -146,10 +151,15 @@ def koszul_cohomology_piece(spec: KoszulComplexSpec, i: int, n: int) -> Cohomolo
 
 def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
     if spec.G.monomial:
-        reps = multigraded.representatives(spec.G, spec.t, i, n)
+        dim = multigraded.dim(spec.G, spec.t, i, n)
     else:
-        reps = _dense_representatives(spec, i, n)
-    return CohomologyPiece(i=i, n=n, dim=reps.shape[1], representatives=reps)
+        dim = _representatives(spec, i, n).shape[1]
+    return CohomologyPiece(spec, i, n, dim)
+
+
+def _representatives(spec: KoszulComplexSpec, i: int, n: int) -> np.ndarray:
+    return _cached(spec, "reps", (i, n),
+                   lambda: _dense_representatives(spec, i, n))
 
 
 def _dense_representatives(spec: KoszulComplexSpec, i: int,
@@ -165,6 +175,15 @@ def _dense_representatives(spec: KoszulComplexSpec, i: int,
     if d_in.shape[1] and d_out.shape[0]:
         assert not linalg.matmul(d_out, d_in, p).any(), "d o d != 0"
     return linalg.cohomology(d_in, d_out, p)
+
+
+def cochain_terms(spec: KoszulComplexSpec, p: int, n: int,
+                  vec: np.ndarray) -> list[tuple]:
+    """The nonzero entries of a cochain of [K^p]_n as terms (J, b, c), the
+    cochain c e_J x^b, in storage order."""
+    basis = spec.G.graded_basis(n + spec.t * p)
+    labels = [(J, b) for J in _subsets(spec.m, p) for b in basis]
+    return [(J, b, int(c)) for (J, b), c in zip(labels, vec) if c]
 
 
 def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int,

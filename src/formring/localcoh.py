@@ -39,8 +39,8 @@ from . import linalg, multigraded
 from .errors import FormringError
 from .graded import GradedQuotientRing
 from .groebner import Ideal, saturate, standard_monomials
-from .koszul import (KoszulComplexSpec, chain_multiplication, differential,
-                     koszul_cohomology_piece)
+from .koszul import (KoszulComplexSpec, chain_multiplication, cochain_terms,
+                     differential, koszul_cohomology_piece)
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,8 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
     """Does every variable multiply [H^i_M(G)] to zero?
 
     Returns (True, []) or (False, witnesses).  A witness is (variable
-    name, internal degree, representative coordinates); the check multiplies
+    name, internal degree, terms): the nonzero terms [subset, monomial,
+    coefficient] of the class's representative; the check multiplies
     the Koszul representatives of each nonzero entry by each variable and
     asks whether the image is a coboundary at the entry's power T(n), which
     also settles the target degree n + 1.  A monomial cone asks it block by
@@ -263,22 +264,21 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
         if target is not None and target.settled_by == ZERO_BOUND:
             continue  # every x_j maps into a piece proved zero
         t = entry.power
-        if G.monomial:
-            reps = multigraded.representatives(G, t, i, entry.n)
-            moved = multigraded.moved_classes(G, t, i, entry.n)
-        else:
-            reps, moved = _dense_moved_classes(G, t, i, entry.n)
-        witnesses.extend((G.ring.variables[j], entry.n,
-                          [int(c) for c in reps[:, col]])
-                         for j, col in moved)
+        moved = (multigraded.moved_classes if G.monomial
+                 else _dense_moved_classes)(G, t, i, entry.n)
+        names = G.ring.variables
+        witnesses.extend((names[j], entry.n,
+                          [[[names[l] for l in L], str(G.ring.monomial(b)), c]
+                           for L, b, c in terms])
+                         for j, terms in moved)
     if witnesses:
         return False, witnesses
     return True, []
 
 
 def _dense_moved_classes(G: GradedQuotientRing, t: int, i: int, n: int):
-    """The representatives of [H^i(x^t; G)]_n and (j, column) for each class
-    x_j does not move into a coboundary, from the dense Koszul matrices."""
+    """(j, terms) for each class of [H^i(x^t; G)]_n that x_j does not move
+    into a coboundary, from the dense Koszul matrices."""
     spec = KoszulComplexSpec(G, t)
     reps = koszul_cohomology_piece(spec, i, n).representatives
     d_in = differential(spec, i - 1, n + 1)
@@ -291,6 +291,7 @@ def _dense_moved_classes(G: GradedQuotientRing, t: int, i: int, n: int):
         r, pivots = linalg.rref(
             linalg.stack([d_in, linalg.matmul(mult, reps, G.p)]), G.p)
         rows = [k for k, c in enumerate(pivots) if c >= off]
-        moved.extend((j, col) for col in range(reps.shape[1])
+        moved.extend((j, cochain_terms(spec, i, n, reps[:, col]))
+                     for col in range(reps.shape[1])
                      if r[rows, off + col].any())
-    return reps, moved
+    return moved

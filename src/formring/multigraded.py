@@ -37,7 +37,7 @@ parts a_j <= -1, that is comb(s - 1, k - 1) multidegrees when s >= k >= 1,
 and one when k = s = 0.  So `colimit_dims` sums each cap's block dimensions
 times that count and never lists a multidegree.  A block's dimensions are
 size - rank(d_q) - rank(d_(q-1)); its representatives are eliminated only
-when a map or a scattered piece asks for them.
+when a map or a class asks for them.
 
 Most blocks are empty, and that is decided without listing subsets.  Let
 K = {j : outside_j < 0}.  Every basis subset L contains K, and x^b only
@@ -67,30 +67,22 @@ caps, those whose settled block has some nonzero H^i, with their dimension
 vectors, and each column sums over them alone: on the r-family's cone at
 r = 3, 5 of the 30 caps.
 
-Every dense cochain basis element and every matrix row is multihomogeneous.
-So the RREF pivots, the kernel basis and the pivots of [d_in | ker] are the
-blockwise ones, and scattering the block results into the dense order
-(subsets in combinations order, then monomials descending) reproduces the
-dense path's representatives entry for entry (`representatives`).  The
-`koszul` command and the annihilator test's witnesses read those.
-
 The two Buchsbaum checks stay blockwise.  Every map they ask about keeps
 each basis subset L and moves a block to one block (`block_map`), so its
 rank is the sum of block ranks and a class maps to a coboundary exactly
 when its block image has zero coordinates.  Stueckrad's criterion ranks the
 map from power 1 to power T(n) (`comparison_rank`); the annihilator test
-sends block a to block a + e_j by x_j (`moved_classes`), and only its
-witnesses are read off the scattered representatives.  A map with a zero
-side has rank 0 and sends every class to a coboundary, so a block whose
-source or target has H^i = 0 is neither ranked nor mapped, and a scattered
-piece skips the blocks with H^i = 0.  A settled block, signature (c, rho),
-reads its dimensions off its cap (`dims`), so it is built only when its
-classes are needed.
+sends block a to block a + e_j by x_j (`moved_classes`), and each witness
+is its class's nonzero terms (L, x^(a + t 1_L), coefficient), read off its
+block.  A map with a zero side has rank 0 and sends every class to a
+coboundary, so a block whose source or target has H^i = 0 is neither ranked
+nor mapped, nor are its classes listed.  A settled block, signature
+(c, rho), reads its dimensions off its cap (`dims`), so it is built only
+when its classes are needed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -110,7 +102,7 @@ class _Block:
         outside, inside = sig
         m = eng.m
         self.eng = eng
-        self._cohomology: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._cohomology: dict[int, np.ndarray] = {}
         self._dims: list[int] | None = None
         # L's monomial x^b has b_j = inside_j on L and outside_j off it, and
         # inside_j >= max(outside_j, 0) since -t <= a_j < rho_j.  So b >= 0
@@ -158,21 +150,13 @@ class _Block:
                         mat[r, c] = self.eng.p - 1 if below % 2 else 1
         return mat
 
-    def cohomology(self, q: int) -> tuple[np.ndarray, list[int]]:
-        """Representative columns of H^q and the free column of each."""
+    def cohomology(self, q: int) -> np.ndarray:
+        """Representative columns of H^q."""
         hit = self._cohomology.get(q)
         if hit is None:
-            hit = self._cohomology[q] = self._build_cohomology(q)
+            hit = self._cohomology[q] = linalg.cohomology(
+                self.differential(q - 1), self.differential(q), self.eng.p)
         return hit
-
-    def _build_cohomology(self, q: int):
-        if self.size(q) == 0:
-            return linalg.zeros(0, 0), []
-        reps = linalg.cohomology(self.differential(q - 1),
-                                 self.differential(q), self.eng.p)
-        # a kernel vector's free column is its last nonzero entry
-        free = [int(col.nonzero()[0][-1]) for col in reps.T]
-        return reps, free
 
     def dim(self, q: int) -> int:
         """dim H^q: size(q) - rank(d_q) - rank(d_(q-1)), all q at once.
@@ -197,12 +181,10 @@ class _Engine:
 
     def __init__(self, G):
         m = G.ring.nvars
-        self.G, self.m, self.p = G, m, G.p
+        self.m, self.p = m, G.p
         self.leads = G.gb.leading_monomials()
         self.rho = tuple(max((lead[j] for lead in self.leads), default=0)
                          for j in range(m))
-        self.subsets = [list(itertools.combinations(range(m), q))
-                        for q in range(m + 1)]
         self._cache: dict[tuple, object] = {}
 
     def _memo(self, key: tuple, build):
@@ -248,10 +230,10 @@ class _Engine:
 
     def _build_block_map(self, q: int, src_sig, tgt_sig) -> np.ndarray:
         src, tgt = self.block(src_sig), self.block(tgt_sig)
-        src_reps, _ = src.cohomology(q)
+        src_reps = src.cohomology(q)
         if src_sig == tgt_sig:
             return linalg.identity(src_reps.shape[1])
-        tgt_reps, _ = tgt.cohomology(q)
+        tgt_reps = tgt.cohomology(q)
         if not src_reps.shape[1]:
             return linalg.zeros(tgt_reps.shape[1], 0)
         # (L, b) -> (L, b + c): kept when it stays a standard monomial
@@ -283,17 +265,42 @@ class _Engine:
             return rank
         return self._memo(("rank", i, n, power), build)
 
-    def moved_classes(self, t: int, i: int, n: int) -> list[tuple[int, int]]:
-        """(j, c) for each column c of piece(t, i, n) that x_j does not move
-        into a coboundary of degree n + 1, in (variable, column) order.
+    def classes(self, t: int, i: int, n: int) -> list[tuple]:
+        """(a, k, terms) for column k of block a's representatives of
+        [H^i(x^t; G)]_n, with its nonzero terms (L, b, c), c e_L x^b for
+        b = a + t 1_L, in block order.  A class's last term is its kernel
+        vector's free one; the classes are sorted by it in the dense order
+        (`koszul`): by L, then by reversed b, which is DEGREVLEX descending.
+        """
+        def build():
+            found = []
+            for a in self.multidegrees(n, -t):
+                sig = self.signature(a, t)
+                # a settled block's cap tells, with no block built, when it
+                # has no class
+                if sig[1] == self.rho and not self.dims(sig)[i]:
+                    continue
+                blk = self.block(sig)
+                reps = blk.cohomology(i)
+                for k in range(reps.shape[1]):
+                    found.append((a, k, [
+                        (L, tuple(x + t * (j in L) for j, x in enumerate(a)),
+                         int(c))
+                        for L, c in zip(blk.basis[i], reps[:, k]) if c]))
+            return sorted(found, key=lambda cls: (cls[2][-1][0],
+                                                  cls[2][-1][1][::-1]))
+        return self._memo(("classes", t, i, n), build)
+
+    def moved_classes(self, t: int, i: int, n: int) -> list[tuple]:
+        """(j, terms) for each class of `classes(t, i, n)` that x_j does not
+        move into a coboundary of degree n + 1, in (variable, class) order.
 
         x_j keeps L and sends block signature(a, t) to signature(a + e_j,
         t), which is acyclic once a_j + 1 >= rho_j.
         """
-        owners = self.piece(t, i, n)[1]
         moved = []
         for j in range(self.m):
-            for c, (a, k) in enumerate(owners):
+            for a, k, terms in self.classes(t, i, n):
                 if a[j] + 1 >= self.rho[j]:
                     continue
                 up = a[:j] + (a[j] + 1,) + a[j + 1:]
@@ -302,7 +309,7 @@ class _Engine:
                     continue  # every image there is a coboundary
                 block = self.block_map(i, self.signature(a, t), target)
                 if block[:, k].any():
-                    moved.append((j, c))
+                    moved.append((j, terms))
         return moved
 
     def degree_bound(self) -> int:
@@ -401,39 +408,6 @@ class _Engine:
             return tuple(dims)
         return self._memo(("colimit", n), build)
 
-    def piece(self, t: int, i: int, n: int):
-        """Dense representatives of [H^i(x^t; G)]_n and each column's
-        (multidegree, block column)."""
-        return self._memo(("piece", t, i, n),
-                          lambda: self._build_piece(t, i, n))
-
-    def _build_piece(self, t: int, i: int, n: int):
-        degree = n + t * i
-        size = len(self.G.graded_basis(degree))
-        index = self.G._index_cache[degree]
-        position = {L: k * size for k, L in enumerate(self.subsets[i])}
-        columns = []
-        for a in self.multidegrees(n, -t):
-            sig = self.signature(a, t)
-            # a settled block's cap tells, with no block built, when it has
-            # no class to scatter
-            if sig is None or sig[1] == self.rho and not self.dims(sig)[i]:
-                continue
-            blk = self.block(sig)
-            reps, free = blk.cohomology(i)
-            if not free:
-                continue
-            rows = [position[L] + index[tuple(x + t if j in L else x
-                                              for j, x in enumerate(a))]
-                    for L in blk.basis[i]]
-            columns.extend((rows[f], rows, reps[:, k], a, k)
-                           for k, f in enumerate(free))
-        columns.sort(key=lambda col: col[0])
-        out = linalg.zeros(len(self.subsets[i]) * size, len(columns))
-        for c, (_, rows, vec, _, _) in enumerate(columns):
-            out[rows, c] = vec
-        return out, [(a, k) for _, _, _, a, k in columns]
-
 
 def _mask(subset) -> int:
     return sum(1 << j for j in subset)
@@ -462,9 +436,11 @@ def colimit_dims(G, n: int) -> tuple[int, ...]:
     return _engine(G).colimit_dims(n)
 
 
-def representatives(G, t: int, i: int, n: int) -> np.ndarray:
-    """The dense path's representative cocycles of [H^i(x^t; G)]_n."""
-    return _engine(G).piece(t, i, n)[0]
+def dim(G, t: int, i: int, n: int) -> int:
+    """dim [H^i(x^t; G)]_n on a monomial cone, summed over its blocks."""
+    eng = _engine(G)
+    return sum(eng.dims(eng.signature(a, t))[i]
+               for a in eng.multidegrees(n, -t))
 
 
 def comparison_rank(G, i: int, n: int, power: int) -> int:
@@ -472,8 +448,9 @@ def comparison_rank(G, i: int, n: int, power: int) -> int:
     return _engine(G).comparison_rank(i, n, power)
 
 
-def moved_classes(G, t: int, i: int, n: int) -> list[tuple[int, int]]:
-    """(j, c): x_j moves column c of `representatives(G, t, i, n)` to a
-    class that is not a coboundary, in (variable, column) order."""
+def moved_classes(G, t: int, i: int, n: int) -> list[tuple]:
+    """(j, terms) for each class of [H^i(x^t; G)]_n that x_j moves to a
+    class that is not a coboundary, in (variable, class) order; the terms
+    (L, b, c) of c e_L x^b are read off the class's block."""
     return _engine(G).moved_classes(t, i, n)
 

@@ -53,7 +53,8 @@ tautology:
   monomial, with f built by ``Polynomial`` powers and products, never
   placing a whole ``mult_matrix`` block.
 * ``cochain_labels`` spells out the dense storage order that every
-  matrix above and every scattered block answer is written in.
+  matrix above is written in; ``dense_terms`` labels a dense cochain's
+  nonzero entries by it, as the witnesses' terms are listed.
 * ``loop_kernel`` fills the null-space basis entry by entry from the
   ``rref`` pivots, never with one vectorized assignment.
 * ``chain_local_h0_report`` builds the filtered-side report from the
@@ -96,11 +97,11 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 
-from formring import (CohomologyPiece, GradedQuotientRing, Ideal,
-                      KoszulComplexSpec,
+from formring import (GradedQuotientRing, Ideal, KoszulComplexSpec,
                       StabilizedEntry, chain_multiplication, differential,
                       ideal_quotient, intersect, koszul_cohomology_piece,
                       normal_form, saturate_by_variable, standard_monomials,
@@ -324,7 +325,9 @@ def naive_buchberger(generators, order, max_spolys=None):
 
 
 def annihilator_witnesses_per_column(G, i, table):
-    """The witnesses of ``annihilator_is_irrelevant``, one solve per column.
+    """The witnesses of ``annihilator_is_irrelevant``, one solve per column,
+    each the nonzero entries of its dense column labelled by
+    ``cochain_labels``.
 
     Assumes every consulted entry is stabilized.
     """
@@ -345,16 +348,28 @@ def annihilator_witnesses_per_column(G, i, table):
                 vec = piece.representatives[:, col]
                 moved = linalg.matmul(mult, vec.reshape(-1, 1), G.p)[:, 0]
                 if linalg.solve(d_in, moved, G.p) is None:
-                    witnesses.append((name, entry.n, [int(c) for c in vec]))
+                    witnesses.append((name, entry.n, [
+                        [[G.ring.variables[l] for l in J],
+                         str(G.ring.monomial(mono)), c]
+                        for J, mono, c in dense_terms(spec, i, entry.n, vec)]))
     return witnesses
+
+
+def dense_terms(spec, q, n, vec):
+    """The nonzero entries of the dense cochain ``vec`` of [K^q]_n as
+    (subset, monomial, coefficient), in the order of ``cochain_labels``."""
+
+    return [(J, mono, int(c))
+            for (J, mono), c in zip(cochain_labels(spec, q, n), vec) if c]
 
 
 @lru_cache(maxsize=None)
 def dense_piece(G, t, i, n):
-    """[H^i(x^t; G)]_n from the kernel and image of the dense differentials."""
+    """[H^i(x^t; G)]_n from the kernel and image of the dense differentials:
+    its ``dim`` and dense ``representatives``."""
 
     reps = koszul._dense_representatives(KoszulComplexSpec(G, t), i, n)
-    return CohomologyPiece(i=i, n=n, dim=reps.shape[1], representatives=reps)
+    return SimpleNamespace(i=i, n=n, dim=reps.shape[1], representatives=reps)
 
 
 @lru_cache(maxsize=None)
@@ -752,7 +767,7 @@ def enumerated_colimit_dims(G, n):
     shared = Counter(eng.signature(a, t) for a in eng.multidegrees(n, -t))
     shared.pop(None, None)
     blocks = [(eng.block(sig), k) for sig, k in shared.items()]
-    return tuple(sum(k * len(blk.cohomology(i)[1]) for blk, k in blocks)
+    return tuple(sum(k * blk.cohomology(i).shape[1] for blk, k in blocks)
                  for i in range(eng.m + 1))
 
 

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from formring import (GradedQuotientRing, Ideal, KoszulComplexSpec, PolyRing,
+                      SizeLimitError, koszul)
 from formring.cli import main
 
 
@@ -381,6 +383,28 @@ class TestReportShapes:
         (entry,) = json.loads(out)["results"]
         assert entry["data"]["dim"] == 1
         assert entry["data"]["cochain_dim"] == 2
+
+    def test_koszul_piece_of_a_monomial_cone_reads_its_blocks(
+            self, capsys, monkeypatch):
+        # d: [K^3]_-14 -> [K^4]_-14 is 680 x 480, over MAX_DENSE_CELLS, so a
+        # dense read of the dimension would end in guard; an index outside
+        # [0, 4] stays an error
+        text = ("char 32003; vars x, y, z, w; ideal F = x^20;"
+                " koszul F i=4 n=-14 t=7; koszul F i=5 n=0;")
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 1
+        piece, bad = json.loads(out)["results"]
+        assert piece["status"] == "ok"
+        assert (piece["data"]["dim"], piece["data"]["cochain_dim"]) == (
+            206, 680)
+        assert bad["status"] == "error"
+        assert bad["data"] == {"kind": "FormringError",
+                               "message": "cohomology index 5 outside [0, 4]"}
+        R = PolyRing(tuple("xyzw"), 32003)
+        G = GradedQuotientRing(Ideal(R, [R.gens()[0] ** 20]))
+        with pytest.raises(SizeLimitError, match="680 x 480"):
+            koszul._dense_representatives(KoszulComplexSpec(G, 7), 4, -14)
 
     def test_cor41_full_pipeline(self, capsys, monkeypatch):
         text = ("char 32003; vars x,y; ideal I = x^2, x*y; cor41 I;")

@@ -36,7 +36,7 @@ from formring import (
     stuckrad_test,
     two_diagonal_check,
 )
-from formring import descent, groebner
+from formring import KoszulComplexSpec, descent, groebner, multigraded
 
 P = 32003
 
@@ -685,12 +685,11 @@ def _bowtie():
     return Ideal(R, [b * d, b * e, c * d, c * e]), None
 
 
-def _ten_vertex_complex():
-    # a pure 2-complex: 40 seeded triangles on 10 vertices, closed
+def _seeded_complex(nv):
+    # a pure 2-complex: 4 nv seeded triangles on nv vertices, closed
     # downwards; its minimal nonfaces generate the Stanley-Reisner ideal
-    nv = 10
     facets = random.Random(1).sample(
-        list(itertools.combinations(range(nv), 3)), 40)
+        list(itertools.combinations(range(nv), 3)), 4 * nv)
     faces = {frozenset(sub) for facet in facets for k in range(4)
              for sub in itertools.combinations(facet, k)}
     R = PolyRing(tuple(f"x{v}" for v in range(nv)), P)
@@ -698,7 +697,11 @@ def _ten_vertex_complex():
                 for S in map(frozenset, itertools.combinations(range(nv), k))
                 if S not in faces and all(S - {v} in faces for v in S)]
     return Ideal(R, [R.monomial(tuple(int(v in S) for v in range(nv)))
-                     for S in nonfaces]), None
+                     for S in nonfaces])
+
+
+def _ten_vertex_complex():
+    return _seeded_complex(10), None
 
 
 def _n_ideal():
@@ -715,8 +718,8 @@ NO_ELIMINATION_CASES = {
                        "5340c019253bcfe94665b950216f3de9"),
     "N": (_n_ideal, "c14ffe3249e39c6c801dd351320764ca"
           "d856f640a25e5be26d7465e484d8355c"),
-    "bowtie": (_bowtie, "41bc37d448287c1252e710557742917"
-               "464609dda642efcda7c3a79c7f744dbf9"),
+    "bowtie": (_bowtie, "0e4355b83cb3edaf849463da7efc4f0c"
+               "2c821dcc0699712bbb8db5fe389c9405"),
     "10-vertex": (_ten_vertex_complex, "a62fbc0b8bcbedafb998f9c363bf8226"
                   "3cb4954c4500bf70429e6cdd322d0118"),
 }
@@ -739,3 +742,53 @@ def test_verdict_bytes_without_elimination(monkeypatch, case):
     monkeypatch.setattr(descent, "saturate_by_variable", forbidden)
     text = json.dumps(descent_verdict(I, cfg=cfg).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_bowtie_terms_expand_to_the_dense_witnesses():
+    # written back into the dense cochain order, the bowtie's witness terms
+    # give the report as it was when each witness was a dense vector
+    I, cfg = _bowtie()
+    report = descent_verdict(I, cfg=cfg).to_dict()
+    G = GradedQuotientRing.of(initial_forms_ideal(I))
+    names = G.ring.variables
+    witnesses = report["g_quasi_buchsbaum"]["witnesses"]
+    assert witnesses
+    for w in witnesses:
+        spec = KoszulComplexSpec(G, multigraded.settle_power(G, w["n"]))
+        labels = oracles.cochain_labels(spec, w["i"], w["n"])
+        index = {(tuple(names[j] for j in J), str(G.ring.monomial(mono))): k
+                 for k, (J, mono) in enumerate(labels)}
+        vec = [0] * len(labels)
+        for subset, mono, c in w.pop("terms"):
+            vec[index[tuple(subset), mono]] = c
+        w["representative"] = vec
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "41bc37d448287c1252e710557742917464609dda642efcda7c3a79c7f744dbf9")
+
+
+@pytest.mark.parametrize("build", [_bowtie, _ten_vertex_complex])
+def test_monomial_verdict_lists_no_graded_basis(monkeypatch, build):
+    # a monomial cone's witnesses are read off their blocks, so no degree
+    # of the cone is listed
+    degrees = []
+    real = GradedQuotientRing.graded_basis
+
+    def recording(self, n):
+        degrees.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(GradedQuotientRing, "graded_basis", recording)
+    I, cfg = build()
+    descent_verdict(I, cfg=cfg)
+    assert degrees == []
+
+
+def test_seeded_complex_report_is_small():
+    # 18 witnesses of at most 4 terms each; as dense vectors of up to
+    # 95,964 entries the report took 2.6 MB
+    report = descent_verdict(_seeded_complex(12)).to_dict()
+    witnesses = report["g_quasi_buchsbaum"]["witnesses"]
+    assert len(witnesses) == 18
+    assert max(len(w["terms"]) for w in witnesses) <= 4
+    assert len(json.dumps(report, sort_keys=True)) < 100_000
