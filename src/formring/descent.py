@@ -1,11 +1,10 @@
 """Decision procedures over cohomology tables and comparison maps.
 
-Every checker returns a Verdict: "satisfied", "violated" (always with
-concrete witnesses), or, for the length comparison only, "inconclusive"
-when row 0 is not visibly finite in the window.  Every entry of a computed
-table is exact, so no checker waits on a colimit.  Affirmative answers are
-scoped to the computation window — the scope metadata travels with the
-verdict so reports stay honest about what was actually examined.
+Every checker returns a Verdict: "satisfied" or "violated" (always with
+concrete witnesses).  Every entry of a computed table is exact, so no
+checker waits on a colimit.  Affirmative answers are scoped to the
+computation window — the scope metadata travels with the verdict so reports
+stay honest about what was actually examined.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ if TYPE_CHECKING:
 class Verdict:
     """Outcome of one checker: status, witnesses, and validity scope."""
 
-    status: str  # "satisfied" | "violated" | "inconclusive"
+    status: str  # "satisfied" | "violated"
     witnesses: list = field(default_factory=list)
     detail: str = ""
     data: dict = field(default_factory=dict)
@@ -45,10 +44,6 @@ class Verdict:
     @property
     def violated(self) -> bool:
         return self.status == "violated"
-
-    @property
-    def inconclusive(self) -> bool:
-        return self.status == "inconclusive"
 
     def to_dict(self) -> dict:
         return {
@@ -213,11 +208,9 @@ def quasi_buchsbaum_test(G: GradedQuotientRing,
     d = G.krull_dimension()
     witnesses = []
     for i in range(d):
-        ok, extra = annihilator_is_irrelevant(G, i, table)
-        if not ok:
-            witnesses.extend(
-                {"i": i, "variable": name, "n": n, "terms": terms}
-                for name, n, terms in extra)
+        witnesses.extend({"i": i, "variable": name, "n": n, "terms": terms}
+                         for name, n, terms in annihilator_is_irrelevant(
+                             G, i, table)[1])
     data = {"dimension": d}
     if witnesses:
         return Verdict("violated", witnesses=witnesses,
@@ -312,8 +305,9 @@ def _minimal_annihilating_exponent(ideal: Ideal, g: Polynomial,
     return None
 
 
-def _torsion_ideal(A_ideal: Ideal) -> Ideal:
-    """T = (A : M^inf), from as few (A : x_j^inf) as a certificate allows.
+def _torsion_ideal(A_ideal: Ideal) -> tuple[Ideal, list[int] | None]:
+    """T = (A : M^inf), from as few (A : x_j^inf) as a certificate allows,
+    with the certificate exponents when they were computed.
 
     An intersection J of them contains T, and M^(a0+1) T lies in A
     (`local_h0_report`), so J = T once each generator of J outside A has an
@@ -324,7 +318,7 @@ def _torsion_ideal(A_ideal: Ideal) -> Ideal:
     """
     a0 = _cone_h0_top(A_ideal)
     if a0 is None:
-        return A_ideal
+        return A_ideal, None
     ring = A_ideal.ring
     leads = initial_forms_ideal(A_ideal).groebner_basis(
         DEGREVLEX).leading_monomials()
@@ -338,14 +332,13 @@ def _torsion_ideal(A_ideal: Ideal) -> Ideal:
             exponents = [_minimal_annihilating_exponent(A_ideal, g, cap)
                          for g in torsion.generators if not A_ideal.contains(g)]
             if None not in exponents:
-                torsion._exponents = exponents
-                return torsion
+                return torsion, exponents
         factor = saturate_by_variable(A_ideal, j)
         if all(A_ideal.contains(g) for g in factor.generators):
-            return A_ideal
+            return A_ideal, None
         if not factor.is_whole_ring():
             torsion = factor if torsion is unit else intersect(torsion, factor)
-    return torsion
+    return torsion, None
 
 
 def _dims_by_order(A_ideal: Ideal, J: Ideal, total: int) -> dict[int, int]:
@@ -371,7 +364,7 @@ def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
     """Socle and full torsion of the irrelevant ideal on R/A_ideal.
 
     When the cone S/in(A) has no H^0_M the report is zero, and no
-    elimination runs (`_cone_has_no_h0`).  This is exact:
+    elimination runs (`_cone_h0_top`).  This is exact:
 
     * (A : M^inf)/A is supported at M, so it is the torsion of the local
       ring R_M/A_M, whose associated graded ring is G = S/in(A);
@@ -380,9 +373,8 @@ def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
       M^s f lies in A, every x^u f with |u| = s is zero in R/A, so x^u f*
       is zero in G_(d+s) and f* is a nonzero element of H^0_M(G);
     * Sbarra's bound dim [H^0_M(G)]_n <= dim [H^0_M(S/in(IG))]_n, with
-      in(IG) the lead ideal of the cone, leaves only the degrees
-      0 <= n <= `multigraded.degree_bound(G)` to check, on multidegree
-      blocks.
+      in(IG) the lead ideal of the cone, leaves only the degrees in which
+      H^0_M(S/in(IG)) lives, read off its multidegree blocks.
 
     So H^0_M(S/in(IG)) = 0 gives H^0_M(G) = 0, and that gives
     (A : M^inf) = A.  Every other ideal takes the elimination route,
@@ -391,39 +383,30 @@ def local_h0_report(A_ideal: Ideal) -> LocalH0Report:
     x^u f is torsion of order above a0, where H^0_M(G) is zero, so x^u f = 0.
 
     The report is kept on `A_ideal`, the way its cone is."""
-    if A_ideal._h0 is None:
-        A_ideal._h0 = _h0_report(A_ideal)
-    return A_ideal._h0
-
-
-def _h0_report(A_ideal: Ideal) -> LocalH0Report:
     if not A_ideal.in_irrelevant():
         raise NotInIrrelevantError(
             "the input ideal must lie inside the irrelevant ideal")
-    if _cone_has_no_h0(A_ideal):
-        return LocalH0Report(0, 0, [], [], {}, {}, [], 0, True)
-    return _torsion_report(A_ideal)
-
-
-def _cone_has_no_h0(A_ideal: Ideal) -> bool:
-    return _cone_h0_top(A_ideal) is None
+    if A_ideal._h0 is None:
+        A_ideal._h0 = (LocalH0Report(0, 0, [], [], {}, {}, [], 0, True)
+                       if _cone_h0_top(A_ideal) is None
+                       else _torsion_report(A_ideal))
+    return A_ideal._h0
 
 
 def _cone_h0_top(A_ideal: Ideal) -> int | None:
-    """a0, the top degree of H^0_M(S/in(IG)) by blocks; None when it is 0."""
+    """a0, the top degree of H^0_M(S/in(IG)); None when it is 0."""
     G = GradedQuotientRing.of(initial_forms_ideal(A_ideal))
-    return max((n for n in range(multigraded.degree_bound(G) + 1)
-                if multigraded.colimit_dims(G, n)[0]), default=None)
+    return max(multigraded.engine(G).row_support(0), default=None)
 
 
 def _torsion_report(A_ideal: Ideal) -> LocalH0Report:
     """The report from T = (A : M^inf), computed by elimination."""
     ring = A_ideal.ring
-    torsion_ideal = _torsion_ideal(A_ideal)
+    torsion_ideal, exponents = _torsion_ideal(A_ideal)
     gens = [g for g in torsion_ideal.generators if not A_ideal.contains(g)]
     if not gens:
         return LocalH0Report(0, 0, [], [], {}, {}, [], 0, True)
-    exponents = torsion_ideal._exponents or [_minimal_annihilating_exponent(
+    exponents = exponents or [_minimal_annihilating_exponent(
         A_ideal, g, SATURATION_CAP) for g in gens]
     if None in exponents:
         raise SaturationLimitError(SATURATION_CAP)
@@ -473,13 +456,10 @@ def _torsion_report(A_ideal: Ideal) -> LocalH0Report:
 
 def length_comparison_check(table: CohomologyTable,
                             report: LocalH0Report) -> Verdict:
-    """Window length of table row 0 against the torsion length on the A side."""
+    """Length of table row 0, over its whole support (finite on every
+    cone), against the torsion length on the A side."""
     lg = table.row_length(0)
     scope = _scope(table)
-    if lg is None:
-        return Verdict("inconclusive",
-                       detail="row 0 support not visibly finite in the window",
-                       scope=scope)
     la = report.torsion_dim
     data = {"length_graded": lg, "length_filtered": la, "equal": lg == la}
     if lg >= la:
@@ -535,6 +515,27 @@ class DescentReport:
         }
 
 
+def _window_misses(G: GradedQuotientRing, table: CohomologyTable,
+                   supports: list) -> list[str]:
+    """What the descent checks read and the window misses: each row i < d
+    over its support and, when one is nonzero, row d's top degree: at most
+    the degree bound, at least any degree where row d is nonzero."""
+    lo, hi = table.cfg.n_lo, table.cfg.n_hi
+    d, missing = len(supports), []
+    for i, support in enumerate(supports):
+        if support is None:
+            missing.append(f"row {i} has no proved finite length")
+        elif any(not lo <= n <= hi for n in support):
+            missing.append(f"row {i} is supported outside {lo}..{hi}")
+    if not missing and any(table.nonzero_row(i) for i in range(d)):
+        bound = multigraded.engine(G).degree_bound()
+        if bound > hi:
+            missing.append(f"row {d} may be nonzero up to degree {bound}")
+        if not table.nonzero_row(d):
+            missing.append(f"row {d} is zero in {lo}..{hi}")
+    return missing
+
+
 def descent_verdict(A_ideal: Ideal,
                     cfg: StabilizationConfig | None = None) -> DescentReport:
     """Full pipeline: cone, table, checkers, and the transfer of verdicts.
@@ -542,7 +543,8 @@ def descent_verdict(A_ideal: Ideal,
     The A-side Buchsbaum answer is only asserted when it is actually decided:
     directly in dimension one (where surjectivity of the torsion comparison
     is the criterion), or through the two-diagonal hypothesis plus the graded
-    verdict in higher dimension.  Otherwise it is reported undecided.
+    verdict in higher dimension, when the window holds everything those two
+    checks read (`_window_misses`).  Otherwise it is reported undecided.
 
     The cone is kept on `A_ideal` and its graded ring on the cone, so a
     caller that passes the same Ideal again, as the CLI does within one
@@ -562,32 +564,31 @@ def descent_verdict(A_ideal: Ideal,
     g_qb = quasi_buchsbaum_test(G, table)
     a_h0 = local_h0_report(A_ideal)
     length_0 = length_comparison_check(table, a_h0)
+    supports = [table.row_support(i) for i in range(d)]
 
     if d == 0:
         a_status, a_source = "yes", "dimension zero: no conditions to check"
     elif d == 1:
-        if a_h0.f0_surjective:
-            a_status, a_source = "yes", (
-                "dimension one: torsion comparison map surjective")
-        else:
-            a_status, a_source = "no", (
-                "dimension one: torsion comparison map not surjective")
-    elif two_diag.satisfied and g_b.satisfied:
-        a_status, a_source = "yes", (
-            "descent: two-diagonal hypothesis holds and the graded ring "
-            "passed the surjectivity test")
-    elif two_diag.satisfied and g_b.violated:
-        a_status, a_source = "no", (
-            "descent: two-diagonal hypothesis holds and the graded ring "
-            "failed the surjectivity test")
-    else:
+        a_status = "yes" if a_h0.f0_surjective else "no"
+        a_source = "dimension one: torsion comparison map " + (
+            "surjective" if a_h0.f0_surjective else "not surjective")
+    elif not two_diag.satisfied:
         a_status, a_source = "undecided", (
             "descent not applicable: two-diagonal hypothesis "
             f"{two_diag.status}; graded surjectivity {g_b.status}")
+    elif missing := _window_misses(G, table, supports):
+        a_status, a_source = "undecided", (
+            "descent undecided: the window misses what the checks read: "
+            + "; ".join(missing))
+    else:
+        a_status = "yes" if g_b.satisfied else "no"
+        a_source = ("descent: two-diagonal hypothesis holds and the graded "
+                    f"ring {'passed' if g_b.satisfied else 'failed'} the "
+                    "surjectivity test")
 
     if d == 0:
         finiteness = "trivial: dimension zero"
-    elif all(table.row_finite_length(i) for i in range(d)):
+    elif None not in supports:
         finiteness = ("derived: graded rows below dimension have finite "
                       "window support; filtered side not independently "
                       "computed")

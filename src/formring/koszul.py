@@ -151,7 +151,7 @@ def koszul_cohomology_piece(spec: KoszulComplexSpec, i: int, n: int) -> Cohomolo
 
 def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
     if spec.G.monomial:
-        dim = multigraded.dim(spec.G, spec.t, i, n)
+        dim = multigraded.engine(spec.G).dim(spec.t, i, n)
     else:
         dim = _representatives(spec, i, n).shape[1]
     return CohomologyPiece(spec, i, n, dim)
@@ -231,14 +231,14 @@ def comparison_rank(G: GradedQuotientRing, i: int, n: int, power: int) -> int:
     """Rank of the comparison map [H^i(x; G)]_n -> [H^i(x^power; G)]_n.
 
     A monomial cone sums the ranks of its multidegree blocks
-    (`multigraded.comparison_rank`).  Any other cone moves the power-1
-    representatives by the one cochain map e_J -> (prod_{j in J}
+    (`multigraded._Engine.comparison_rank`).  Any other cone moves the
+    power-1 representatives by the one cochain map e_J -> (prod_{j in J}
     x_j)^(power - 1) e_J and ranks their coordinates at `power`.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
     if G.monomial:
-        return multigraded.comparison_rank(G, i, n, power)
+        return multigraded.engine(G).comparison_rank(i, n, power)
     spec, top = KoszulComplexSpec(G, 1), KoszulComplexSpec(G, power)
     src = koszul_cohomology_piece(spec, i, n)
     moved = linalg.matmul(transition_cochain(spec, i, n, power - 1),

@@ -2,8 +2,8 @@
 
 [H^i_M(G)]_n is the colimit over t of [H^i(x^t; G)]_n along the transition
 maps.  Every entry of a computed table is read at the single power
-T(n) = `multigraded.settle_power(G, n)`, and that reading is exact on every
-cone, monomial or not.
+T(n) = `settle_power(n)` of the block engine (`multigraded.engine(G)`), and
+that reading is exact on every cone, monomial or not.
 
 The Cech-Koszul double complex of a graded G gives a spectral sequence
 E_1^{p,q} = K^p(x^t; H^q_M(G)) => H^{p+q}(x^t; G) (Brodmann-Sharp, Local
@@ -12,13 +12,13 @@ of [H^q_M(G)]_(n + t p).  Let a*(G) be the largest degree in which some
 H^q_M(G) is nonzero.  Once t > a*(G) - n, every column p >= 1 vanishes in
 degree n, and the natural map [H^q(x^t; G)]_n -> [H^q_M(G)]_n is an
 isomorphism for every q.  Sbarra's bound
-a*(S/I) <= a*(S/in(I)) <= sum_j rho_j - m (Sbarra 2001;
-`multigraded.degree_bound`) makes T(n) such a t.  Since T(n) >= T(n + 1),
+a*(S/I) <= a*(S/in(I)) <= sum_j rho_j - m (Sbarra 2001; the engine's
+`degree_bound`) makes T(n) such a t.  Since T(n) >= T(n + 1),
 the same power also reads the degree n + 1 a variable multiplies the entry
 into, which is where the annihilator test looks.
 
-A monomial cone reads its entry off the multidegree blocks
-(`multigraded.colimit_dims`).  A cone G = S/I that is not monomial first
+A monomial cone reads its entry off the multidegree blocks (the engine's
+`colimit_dims`).  A cone G = S/I that is not monomial first
 reads its column off the exact table of S/in(I).  In every degree,
 dim [H^i_M(S/I)]_n <= dim [H^i_M(S/in(I))]_n (Sbarra 2001), and S/I and
 S/in(I) share a Hilbert function, so by the Grothendieck-Serre formula
@@ -26,6 +26,12 @@ S/in(I) share a Hilbert function, so by the Grothendieck-Serre formula
 entry whose bound is 0 is proved zero, and an entry whose bound is the only
 nonzero one of its column equals that bound.  Every other entry is one
 dense elimination, [H^i(x^T(n); G)]_n through `koszul_cohomology_piece`.
+
+The same bound gives whole rows (`CohomologyTable.row_length`): when row i
+of S/in(I) has finite length, G's row lives in its degrees (the engine's
+`row_support`), inside the window or not.  H^0 always has finite length.
+Only a cone that is not monomial, with an infinite row of S/in(I), reads
+its row off the window, as finite when both edge entries vanish.
 
 The stabilization controls t_max and margin of `StabilizationConfig` are
 accepted and echoed in report scopes, but they change no computed entry.
@@ -108,8 +114,8 @@ def local_coh_piece(G: GradedQuotientRing, i: int,
     if not 0 <= i <= G.ring.nvars:
         raise FormringError(
             f"cohomology index {i} outside [0, {G.ring.nvars}]")
-    bounds = multigraded.colimit_dims(G, n)
-    power = multigraded.settle_power(G, n)
+    eng = multigraded.engine(G)
+    bounds, power = eng.colimit_dims(n), eng.settle_power(n)
     dim, rule = bounds[i], SETTLE_POWER
     if not G.monomial:
         if bounds[i] == 0:
@@ -127,12 +133,14 @@ class CohomologyTable:
     """Entries (i, internal degree n) -> stabilized dimensions over a window.
 
     Internal degrees are stored; checkers convert to diagonal positions
-    p = n + i through positions_row, the single conversion site.
+    p = n + i through positions_row, the single conversion site.  A
+    computed table keeps its ring G, whose rows reach past the window.
     """
 
     def __init__(self, entries: dict[tuple[int, int], StabilizedEntry],
                  i_max: int, cfg: StabilizationConfig,
-                 synthetic: bool = False, complete: bool = False):
+                 synthetic: bool = False, complete: bool = False,
+                 G: GradedQuotientRing | None = None):
         self.entries = entries
         self.i_max = i_max
         self.cfg = cfg
@@ -141,6 +149,7 @@ class CohomologyTable:
         # by fiat; computed tables when i_max reaches the variable count,
         # beyond which every cochain space vanishes).
         self.complete = synthetic or complete
+        self.G = G
 
     @classmethod
     def synthetic_from(cls,
@@ -180,18 +189,25 @@ class CohomologyTable:
         """Nonzero entries of row i as (diagonal position p = n + i, dim)."""
         return [(e.n + i, e.dim) for e in self.nonzero_row(i)]
 
-    def row_finite_length(self, i: int) -> bool:
-        """Support visibly finite: both boundary entries vanish."""
-        if self.synthetic:
-            return True
-        lo, hi = self.cfg.n_lo, self.cfg.n_hi
-        dlo, dhi = self.dim(i, lo), self.dim(i, hi)
-        return dlo == 0 and dhi == 0
+    def row_support(self, i: int) -> tuple[int, ...] | None:
+        """Degrees outside which row i is zero, or None when it has no
+        proved finite length (module docstring)."""
+        if self.G is not None:
+            support = multigraded.engine(self.G).row_support(i)
+            if support is not None or self.G.monomial:
+                return support
+        window = tuple(self.cfg.degrees())
+        edges = (self.dim(i, window[0]), self.dim(i, window[-1]))
+        return window if self.synthetic or edges == (0, 0) else None
 
     def row_length(self, i: int) -> int | None:
-        if not self.row_finite_length(i):
+        """Sum of row i over `row_support`: the table's entries in the
+        window, `local_coh_piece` outside it; None with no support."""
+        support = self.row_support(i)
+        if support is None:
             return None
-        return sum(e.dim for e in self.row(i))
+        return sum(self.dim(i, n) if (i, n) in self.entries
+                   else local_coh_piece(self.G, i, n).dim for n in support)
 
     def as_rows(self) -> list[list[int]]:
         """Sorted [i, n, dim] triples for every entry (zeros included)."""
@@ -214,7 +230,7 @@ def local_coh_table(G: GradedQuotientRing, i_max: int | None = None,
     for i in range(i_max + 1):
         for n in cfg.degrees():
             entries[(i, n)] = local_coh_piece(G, i, n)
-    return CohomologyTable(entries, i_max, cfg, complete=(i_max == m))
+    return CohomologyTable(entries, i_max, cfg, complete=(i_max == m), G=G)
 
 
 def h0_via_saturation(G: GradedQuotientRing) -> dict[int, int]:
@@ -253,8 +269,8 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
     the Koszul representatives of each nonzero entry by each variable and
     asks whether the image is a coboundary at the entry's power T(n), which
     also settles the target degree n + 1.  A monomial cone asks it block by
-    block (`multigraded.moved_classes`); any other cone eliminates the dense
-    Koszul matrices.
+    block (`multigraded._Engine.moved_classes`); any other cone eliminates
+    the dense Koszul matrices.
     """
     witnesses = []
     for entry in table.row(i):
@@ -264,16 +280,14 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
         if target is not None and target.settled_by == ZERO_BOUND:
             continue  # every x_j maps into a piece proved zero
         t = entry.power
-        moved = (multigraded.moved_classes if G.monomial
-                 else _dense_moved_classes)(G, t, i, entry.n)
+        moved = (multigraded.engine(G).moved_classes(t, i, entry.n)
+                 if G.monomial else _dense_moved_classes(G, t, i, entry.n))
         names = G.ring.variables
         witnesses.extend((names[j], entry.n,
                           [[[names[l] for l in L], str(G.ring.monomial(b)), c]
                            for L, b, c in terms])
                          for j, terms in moved)
-    if witnesses:
-        return False, witnesses
-    return True, []
+    return not witnesses, witnesses
 
 
 def _dense_moved_classes(G: GradedQuotientRing, t: int, i: int, n: int):

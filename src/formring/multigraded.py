@@ -35,7 +35,10 @@ c_j = max(a_j, -1).  A cap c with k coordinates at -1 and s = sum of its
 other coordinates minus n is shared by the ways of writing s as k negated
 parts a_j <= -1, that is comb(s - 1, k - 1) multidegrees when s >= k >= 1,
 and one when k = s = 0.  So `colimit_dims` sums each cap's block dimensions
-times that count and never lists a multidegree.  A block's dimensions are
+times that count and never lists a multidegree.  A cap with k >= 1 adds to
+every degree n <= sum(c) - k, so row i has finite length exactly when no
+such cap has H^i != 0, and then it lives in the degrees sum(c) of its caps,
+all in [0, `degree_bound`] (`row_support`).  A block's dimensions are
 size - rank(d_q) - rank(d_(q-1)); its representatives are eliminated only
 when a map or a class asks for them.
 
@@ -91,8 +94,6 @@ from .errors import FormringError
 
 if TYPE_CHECKING:
     import numpy as np
-
-_ENGINE = ("multigraded",)  # the engine's key in the ring's Koszul cache
 
 
 class _Block:
@@ -265,6 +266,11 @@ class _Engine:
             return rank
         return self._memo(("rank", i, n, power), build)
 
+    def dim(self, t: int, i: int, n: int) -> int:
+        """dim [H^i(x^t; G)]_n, summed over its blocks."""
+        return sum(self.dims(self.signature(a, t))[i]
+                   for a in self.multidegrees(n, -t))
+
     def classes(self, t: int, i: int, n: int) -> list[tuple]:
         """(a, k, terms) for column k of block a's representatives of
         [H^i(x^t; G)]_n, with its nonzero terms (L, b, c), c e_L x^b for
@@ -408,49 +414,23 @@ class _Engine:
             return tuple(dims)
         return self._memo(("colimit", n), build)
 
+    def row_support(self, i: int) -> tuple[int, ...] | None:
+        """The degrees sum(c) of the live caps c with H^i != 0, where row i
+        of S/in(I) is nonzero, or None when one of them has a -1 coordinate
+        and so makes the row infinite (module docstring)."""
+        carrying = [c for c, dims in self.caps().items() if dims[i]]
+        if any(-1 in c for c in carrying):
+            return None
+        return tuple(sorted({sum(c) for c in carrying}))
+
 
 def _mask(subset) -> int:
     return sum(1 << j for j in subset)
 
 
-def _engine(G) -> _Engine:
-    eng = G._koszul_cache.get(_ENGINE)
+def engine(G) -> _Engine:
+    """The engine of G's reduced basis's leads, built once per ring."""
+    eng = G._koszul_cache.get("multigraded")
     if eng is None:
-        eng = G._koszul_cache[_ENGINE] = _Engine(G)
+        eng = G._koszul_cache["multigraded"] = _Engine(G)
     return eng
-
-
-def settle_power(G, n: int) -> int:
-    """T(n) of the lead monomials of G's reduced basis."""
-    return _engine(G).settle_power(n)
-
-
-def degree_bound(G) -> int:
-    """sum_j rho_j - m for the lead monomials of G's reduced basis: no
-    H^i_M(S/in(I)) is nonzero in a degree above it."""
-    return _engine(G).degree_bound()
-
-
-def colimit_dims(G, n: int) -> tuple[int, ...]:
-    """dim [H^i_M(S/in(I))]_n for i = 0..m, exactly, where I defines G."""
-    return _engine(G).colimit_dims(n)
-
-
-def dim(G, t: int, i: int, n: int) -> int:
-    """dim [H^i(x^t; G)]_n on a monomial cone, summed over its blocks."""
-    eng = _engine(G)
-    return sum(eng.dims(eng.signature(a, t))[i]
-               for a in eng.multidegrees(n, -t))
-
-
-def comparison_rank(G, i: int, n: int, power: int) -> int:
-    """Rank of [H^i(x; G)]_n -> [H^i(x^power; G)]_n on a monomial cone."""
-    return _engine(G).comparison_rank(i, n, power)
-
-
-def moved_classes(G, t: int, i: int, n: int) -> list[tuple]:
-    """(j, terms) for each class of [H^i(x^t; G)]_n that x_j moves to a
-    class that is not a coboundary, in (variable, class) order; the terms
-    (L, b, c) of c e_L x^b are read off the class's block."""
-    return _engine(G).moved_classes(t, i, n)
-

@@ -445,7 +445,7 @@ def block_local_coh_piece(G, i, n, cfg):
     its block ranks.
     """
 
-    eng = multigraded._engine(G)
+    eng = multigraded.engine(G)
     t_max = _detector_t_max(G, cfg)
     dims = [koszul_cohomology_piece(KoszulComplexSpec(G, t), i, n).dim
             for t in range(1, t_max + 1)]

@@ -94,7 +94,8 @@ class TestExitCodes:
         assert [r["status"] for r in results] == ["error", "ok"]
         assert "message" in results[0]["data"]
 
-    def test_inconclusive_is_two(self, capsys, monkeypatch):
+    def test_tight_options_and_h0_past_the_window_exit_zero(self, capsys,
+                                                            monkeypatch):
         # a tight tmax and margin on a cone that is not monomial change no
         # entry: every entry is read at T(n), so the table is the default
         # configuration's, H^1_{-3} = 1 included
@@ -112,16 +113,19 @@ class TestExitCodes:
             dims.append(entry["data"]["dims"])
         assert dims[0] == dims[1]
         assert [1, -3, 1] in dims[0]
-        # an inconclusive report still exits 2: the thick line's H^0 lives
-        # in degrees 2 and 3, past this window's right edge
+        # the thick line's H^0 lives in degrees 2 and 3, past this window's
+        # right edge: row 0 is read over its caps' degrees, not the window
         text = ("char 32003; vars x, y; ideal T = x^3, x^2*y^2;"
                 " cor41 T window=-1..2;")
         code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
                                monkeypatch=monkeypatch)
-        assert code == 2
+        assert code == 0
         (entry,) = json.loads(out)["results"]
-        assert entry["status"] == "inconclusive"
-        assert entry["data"]["length_0"]["status"] == "inconclusive"
+        assert entry["status"] == "ok"
+        length_0 = entry["data"]["length_0"]
+        assert length_0["status"] == "satisfied"
+        assert (length_0["data"]["length_graded"],
+                length_0["data"]["length_filtered"]) == (2, 2)
 
     def test_default_config_settles_the_same_cone(self, capsys, monkeypatch):
         text = ("char 32003; vars x, y, z;"

@@ -363,8 +363,8 @@ def _h0_outcome(route, I):
 def _all_variable_outcome(I):
     """`_h0_outcome` of the report from the all-variable torsion ideal."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(descent, "_torsion_ideal",
-                      oracles.all_variable_torsion_ideal)
+        patch.setattr(descent, "_torsion_ideal", lambda A: (
+            oracles.all_variable_torsion_ideal(A), None))
         return _h0_outcome(descent._torsion_report, I)
 
 
@@ -449,7 +449,7 @@ def test_cone_without_h0_means_no_torsion(case):
     # no H^0, (A : m^inf) = A; and on every draw the report is the one the
     # all-variable elimination route gives
     R, gens = case
-    if descent._cone_has_no_h0(Ideal(R, gens)):
+    if descent._cone_h0_top(Ideal(R, gens)) is None:
         A = Ideal(R, gens)
         torsion, _ = saturate(A, Ideal(R, R.gens()))
         assert torsion.equals(A)
@@ -458,10 +458,10 @@ def test_cone_without_h0_means_no_torsion(case):
 
 
 def test_cone_shortcut_fires_only_without_torsion():
-    assert descent._cone_has_no_h0(PINNED_H0_CASES["x(x-1)"]()) is False
-    assert descent._cone_has_no_h0(_family(3)) is False
+    assert descent._cone_h0_top(PINNED_H0_CASES["x(x-1)"]()) is not None
+    assert descent._cone_h0_top(_family(3)) == 3
     N = A_ideal(("x", "y", "z"), lambda x, y, z: [x**2 - 5 * y**3, z])
-    assert descent._cone_has_no_h0(N) is True
+    assert descent._cone_h0_top(N) is None
 
 
 @st.composite
@@ -491,7 +491,7 @@ def torsion_ideals(draw):
 def test_certified_torsion_matches_all_variable_route(case):
     # fresh Ideals per route, so neither reads the other's cached bases
     R, gens = case
-    torsion = descent._torsion_ideal(Ideal(R, gens))
+    torsion, _ = descent._torsion_ideal(Ideal(R, gens))
     reference = oracles.all_variable_torsion_ideal(Ideal(R, gens))
     assert torsion.groebner_basis(DEGREVLEX).elements == \
         reference.groebner_basis(DEGREVLEX).elements
@@ -558,7 +558,7 @@ def test_annihilating_exponent_matches_monomial_loop(case):
     # the torsion generators die at some finite power; a variable may not
     R, gens = case
     I = Ideal(R, gens)
-    for g in [*descent._torsion_ideal(I).generators, *R.gens()]:
+    for g in [*descent._torsion_ideal(I)[0].generators, *R.gens()]:
         assert descent._minimal_annihilating_exponent(I, g, 6) == \
             oracles.monomial_loop_annihilating_exponent(I, g, 6)
 
@@ -579,7 +579,7 @@ def test_annihilating_exponents_pinned_at_s12():
     exponents = [c["exponent"] for c in rep.certificates]
     assert exponents == [12, 11, 10, 3, 4, 8, 1, 12]
     I = _gf5_s12_ideal()
-    gens = [g for g in descent._torsion_ideal(I).generators
+    gens = [g for g in descent._torsion_ideal(I)[0].generators
             if not I.contains(g)]
     assert [oracles.monomial_loop_annihilating_exponent(
         I, g, groebner.SATURATION_CAP) for g in gens] == exponents
@@ -598,16 +598,16 @@ class TestLengthComparison:
         assert v.data["equal"] is True
 
     def test_inconclusive_without_finite_row(self):
+        # free ring: row 0 of S/in(I) has no live cap, so its length is 0
+        # whatever the window; the comparison is never inconclusive
         I = A_ideal(("x", "y"), lambda x, y: [])
-        # free ring: graded row 0 is zero but [G]_n never vanishes above;
-        # use the mixed-dimension table whose row 0 is fine, then fake by
-        # asking against a table whose row 0 lacks finite support evidence
         table = local_coh_table(
             corpus.graded("free-2"), i_max=0,
             cfg=StabilizationConfig(n_lo=-2, n_hi=1, t_max=6, margin=2))
         rep = local_h0_report(I)
         v = length_comparison_check(table, rep)
-        assert v.status in {"satisfied", "inconclusive"}
+        assert v.satisfied
+        assert (v.data["length_graded"], v.data["length_filtered"]) == (0, 0)
 
 
 class TestDescentVerdict:
@@ -653,6 +653,76 @@ class TestDescentVerdict:
         assert rep.two_diagonal.violated
         assert rep.a_buchsbaum == "undecided"
         assert rep.finiteness_below_dim == "not verified in window"
+
+    def test_h0_past_the_window_is_read_whole(self):
+        # H^0 of this cone lives in degrees 1 and 3, and the window -1..2
+        # misses degree 3: the row is summed over its caps' degrees
+        rep = descent_verdict(
+            A_ideal(("x", "y", "z"), lambda x, y, z: [
+                x**2, x * y, x * z, y**4, y**3 * z]),
+            cfg=StabilizationConfig(-1, 2))
+        assert rep.length_0.satisfied
+        assert (rep.length_0.data["length_graded"],
+                rep.length_0.data["length_filtered"]) == (2, 2)
+
+    @pytest.mark.parametrize("window", [(1, 2), (0, 7)])
+    def test_bowtie_window_without_its_infinite_row_is_undecided(self,
+                                                                 window):
+        # the bowtie's H^2 is 1 in every degree below 0, out of these
+        # windows, and it is not Buchsbaum
+        I, _ = _bowtie()
+        rep = descent_verdict(I, cfg=StabilizationConfig(*window))
+        assert rep.a_buchsbaum == "undecided"
+        assert rep.a_buchsbaum_source.endswith(
+            "row 2 has no proved finite length")
+        assert rep.finiteness_below_dim == "not verified in window"
+
+    @pytest.mark.parametrize("window, missing", [
+        ((-3, -1), "row 1 is supported outside -3..-1"),
+        ((0, 0), "row 2 is zero in 0..0"),
+        ((-2, 0), None)])
+    def test_skew_lines_descent_needs_what_the_checks_read(self, window,
+                                                           missing):
+        # H^1 = k in degree 0 and H^2 in degrees -3 and -2; the degree
+        # bound is 0
+        rep = descent_verdict(
+            A_ideal(("x", "y", "z", "w"),
+                    lambda x, y, z, w: [x * z, x * w, y * z, y * w]),
+            cfg=StabilizationConfig(*window))
+        if missing is None:
+            assert rep.a_buchsbaum == "yes"
+        else:
+            assert rep.a_buchsbaum == "undecided"
+            assert rep.a_buchsbaum_source.endswith(missing)
+
+    @pytest.mark.parametrize("window, status", [
+        ((-3, 1), "undecided"), ((-3, 2), "yes")])
+    def test_row_d_top_degree_needs_the_degree_bound(self, window, status):
+        # H^0 = k x in degree 1 on the CM surface y^2 z = 0 in k[y, z, w];
+        # H^2 tops out at degree 0, but only the bound 2 proves that
+        rep = descent_verdict(
+            A_ideal(("x", "y", "z", "w"), lambda x, y, z, w: [
+                x**2, x * y, x * z, x * w, y**2 * z]),
+            cfg=StabilizationConfig(*window))
+        assert rep.a_buchsbaum == status
+        if status == "undecided":
+            assert rep.a_buchsbaum_source.endswith(
+                "row 2 may be nonzero up to degree 2")
+
+    def test_cohen_macaulay_surface_needs_no_rows(self):
+        rep = descent_verdict(A_ideal(("x", "y", "z"),
+                                      lambda x, y, z: [x * y]),
+                              cfg=StabilizationConfig(0, 3))
+        assert rep.a_buchsbaum == "yes"
+
+    def test_generic_skew_lines_read_row_1_off_the_window(self):
+        # in(I) has an infinite H^1, so Sbarra's bound leaves G's row 1
+        # open; the default window's edges vanish, and the answer stays
+        R = PolyRing(("x", "y", "z", "w"), P)
+        x, y, z, w = corpus.generic_forms(R, 3)
+        rep = descent_verdict(Ideal(R, [x * z, x * w, y * z, y * w]))
+        assert rep.table.positions_row(1) == [(1, 1)]
+        assert rep.a_buchsbaum == "yes"
 
     def test_artinian_yes(self):
         rep = descent_verdict(A_ideal(("x",), lambda x: [x**3]))
@@ -754,7 +824,8 @@ def test_bowtie_terms_expand_to_the_dense_witnesses():
     witnesses = report["g_quasi_buchsbaum"]["witnesses"]
     assert witnesses
     for w in witnesses:
-        spec = KoszulComplexSpec(G, multigraded.settle_power(G, w["n"]))
+        spec = KoszulComplexSpec(
+            G, multigraded.engine(G).settle_power(w["n"]))
         labels = oracles.cochain_labels(spec, w["i"], w["n"])
         index = {(tuple(names[j] for j in J), str(G.ring.monomial(mono))): k
                  for k, (J, mono) in enumerate(labels)}

@@ -391,8 +391,14 @@ def test_buchberger_matches_naive_pair_loop(gens, order):
 @given(small_ideals(), st.sampled_from([(DEGREVLEX, "grevlex"),
                                         (LEX, "lex")]))
 def test_buchberger_matches_sympy(gens, orders):
-    sympy = pytest.importorskip("sympy")
     order, sympy_order = orders
+    assert sorted(_terms(buchberger(gens, order))) == _sympy_basis(
+        gens, sympy_order)
+
+
+def _sympy_basis(gens, sympy_order):
+    """sympy's reduced basis, as sorted term lists with coefficients mod p."""
+    sympy = pytest.importorskip("sympy")
     R = gens[0].ring
     p = R.characteristic
     syms = sympy.symbols(R.variables)
@@ -403,9 +409,31 @@ def test_buchberger_matches_sympy(gens, orders):
 
     theirs = sympy.groebner([to_sympy(g) for g in gens], *syms,
                             order=sympy_order, modulus=p)
-    expected = sorted(sorted((m, int(c) % p) for m, c in poly.terms())
-                      for poly in theirs.polys)
-    assert sorted(_terms(buchberger(gens, order))) == expected
+    return sorted(sorted((m, int(c) % p) for m, c in poly.terms())
+                  for poly in theirs.polys)
+
+
+def test_lex_example_within_an_spoly_budget(monkeypatch):
+    # choosing the pair of smallest lcm degree formed 562 S-polynomials
+    # here; choosing by sugar forms 83
+    R = ring("x", "y", "z", order=LEX)
+    x, y, z = R.gens()
+    gens = [2485 * x**2 * y * z**2 + 747 * x * y**2 + 106 * z,
+            2302 * y**2 * z**2 + 3456 * x * y**2 + 455 * x**2,
+            -11259 * x**2 * y**2 + 3777 * x * y**2 * z + 647 * y]
+    formed = []
+    real = groebner.s_polynomial
+
+    def budgeted(*args):
+        formed.append(args)
+        if len(formed) > 150:
+            raise AssertionError("over the S-polynomial budget")
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "s_polynomial", budgeted)
+    basis = buchberger(gens, LEX)
+    monkeypatch.undo()
+    assert sorted(_terms(basis)) == _sympy_basis(gens, "lex")
 
 
 @settings(max_examples=40, deadline=None)

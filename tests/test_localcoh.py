@@ -90,7 +90,7 @@ class TestConfig:
         table = local_coh_table(G)
         assert table.cfg.t_max == t_max
         assert all(e.stabilized for e in table.entries.values())
-        assert all(e.power == multigraded.settle_power(G, e.n)
+        assert all(e.power == multigraded.engine(G).settle_power(e.n)
                    for e in table.entries.values())
 
     def test_default_t_max_of_non_monomial_cone(self):
@@ -164,7 +164,7 @@ class TestTables:
         assert table.nonzero_row(2) == []
         assert table.nonzero_row(3) == []
         assert table.row_length(0) == 2
-        assert table.row_finite_length(0)
+        assert table.row_support(0) == (1, 3)
 
     def test_free_two_vars_table(self):
         table = corpus.full_table("free-2")
@@ -174,7 +174,7 @@ class TestTables:
         assert {e.n: e.dim for e in table.nonzero_row(2)} == \
             {-4: 3, -3: 2, -2: 1}
         # the tail keeps growing below the window: not finite length
-        assert not table.row_finite_length(2)
+        assert table.row_length(2) is None
 
     def test_mixed_dimension_table(self):
         table = corpus.full_table("mixed-dimension")
@@ -182,7 +182,7 @@ class TestTables:
         assert h1 == {n: 1 for n in range(-4, 1)}
         h2 = {e.n: e.dim for e in table.nonzero_row(2)}
         assert h2 == {-4: 3, -3: 2, -2: 1}
-        assert not table.row_finite_length(1)
+        assert table.row_length(1) is None
 
     def test_row0_matches_saturation_oracle_everywhere(self):
         for case in corpus.FULL_TABLE_CASES:
@@ -270,7 +270,7 @@ class TestSyntheticTables:
         assert table.dim(2, 0) == 1
         assert table.dim(0, 0) == 0
         assert all(e.stabilized for e in table.entries.values())
-        assert table.row_finite_length(1)
+        assert table.row_support(1) == (-1, 0, 1, 2, 3)
         assert table.row_length(1) == 10
 
     def test_positions(self):
@@ -384,7 +384,7 @@ class TestInitialIdealRoute:
         entry = report.table.entry(2, -1)
         G = GradedQuotientRing.of(initial_forms_ideal(A))
         assert (entry.settled_by, entry.power, entry.history) == (
-            localcoh.COLUMN_SUM, multigraded.settle_power(G, -1), ())
+            localcoh.COLUMN_SUM, multigraded.engine(G).settle_power(-1), ())
         assert report.table.entry(1, -1).settled_by == localcoh.ZERO_BOUND
 
     def test_proved_entry_replaces_tight_t_max(self):
@@ -407,7 +407,7 @@ class TestInitialIdealRoute:
         # too, and the comparison map is read at T(1) = 1 all the same
         G = quotient(("x", "y"), lambda x, y: [(x + y)**2, (x + y) * y])
         assert not G.monomial
-        assert multigraded.colimit_dims(G, 1) == (1, 0, 0)
+        assert multigraded.engine(G).colimit_dims(1) == (1, 0, 0)
         table = local_coh_table(G, cfg=cfg(-2, 2))
         entry = table.entry(0, 1)
         assert (entry.settled_by, entry.dim, entry.power) == (
@@ -439,7 +439,7 @@ class TestInitialIdealRoute:
         G = GradedQuotientRing(initial_forms_ideal(self.quadric_cone()))
         c = cfg(-3, 1, t_max=5)
         table = local_coh_table(G, cfg=c)
-        assert all(e.power == multigraded.settle_power(G, e.n)
+        assert all(e.power == multigraded.engine(G).settle_power(e.n)
                    for e in table.entries.values())
         try:
             dense = CohomologyTable(
@@ -542,7 +542,7 @@ def non_monomial_cones(draw):
     G = GradedQuotientRing(Ideal(R, gens))
     assume(not G.monomial and not G.is_zero_ring())
     assume(nv == 3 or G.krull_dimension() <= 2)
-    top = multigraded.degree_bound(G)
+    top = multigraded.engine(G).degree_bound()
     lo = top - draw(st.integers(0, 5 - nv))
     margin = draw(st.integers(1, 2))
     return G, cfg(lo, top, t_max=margin + 1, margin=margin)
@@ -564,16 +564,17 @@ def test_in_ideal_bounds_against_dense_detector(cone):
     G, c = cone
     m = G.ring.nvars
     table = local_coh_table(G, cfg=c)
+    eng = multigraded.engine(G)
     reach = dataclasses.replace(
-        c, t_max=multigraded.settle_power(G, c.n_lo) + c.margin + 1)
+        c, t_max=eng.settle_power(c.n_lo) + c.margin + 1)
     try:
         for n in c.degrees():
-            bounds = multigraded.colimit_dims(G, n)
+            bounds = eng.colimit_dims(n)
             for i in range(m + 1):
                 entry = table.entry(i, n)
                 d = oracles.dense_local_coh_piece(G, i, n, reach)
                 assert d.stabilized and d.power <= entry.power
-                assert entry.power == multigraded.settle_power(G, n)
+                assert entry.power == eng.settle_power(n)
                 assert (entry.stabilized, entry.history) == (True, ())
                 assert entry.dim == d.dim <= bounds[i]
             column = [table.dim(i, n) for i in range(m + 1)]

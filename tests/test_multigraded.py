@@ -71,7 +71,7 @@ def test_blocks_match_dense_oracle(cone):
     try:
         table = local_coh_table(G, cfg=cfg)
         for (i, n), entry in table.entries.items():
-            settle = multigraded.settle_power(G, n)
+            settle = multigraded.engine(G).settle_power(n)
             assert (entry.power, entry.stabilized, entry.history,
                     entry.settled_by) == (settle, True, (),
                                           localcoh.SETTLE_POWER)
@@ -86,7 +86,7 @@ def test_blocks_match_dense_oracle(cone):
                 assert koszul_cohomology_piece(spec, i, n).dim == \
                     reps.shape[1]
                 assert [terms for _, _, terms in
-                        multigraded._engine(G).classes(t, i, n)] == [
+                        multigraded.engine(G).classes(t, i, n)] == [
                     oracles.dense_terms(spec, i, n, col) for col in reps.T]
                 # at every power, not only at entry.power <= t_max
                 assert koszul.comparison_rank(G, i, n, t) == \
@@ -111,15 +111,15 @@ def test_settle_power_bounds_detector(cone):
     # T(n), at the dimension the blocks give at T(n).  The detector ranks
     # the transition maps block by block, so four variables stay in reach
     G, small = cone
-    t_max = multigraded.settle_power(G, small.n_lo) + 2
+    t_max = multigraded.engine(G).settle_power(small.n_lo) + 2
     wide = StabilizationConfig(small.n_lo, small.n_hi, t_max=t_max, margin=2)
     table = local_coh_table(G, cfg=small)
     for (i, n), entry in table.entries.items():
         detected = oracles.block_local_coh_piece(G, i, n, wide)
         assert detected.stabilized
-        assert detected.power <= multigraded.settle_power(G, n)
+        assert detected.power <= multigraded.engine(G).settle_power(n)
         assert detected.dim == entry.dim == \
-            multigraded.colimit_dims(G, n)[i]
+            multigraded.engine(G).colimit_dims(n)[i]
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,15 +128,54 @@ def test_colimit_dims_match_enumerated_multidegrees(cone):
     # D = sum rho_j - m; with D < 0 (a free ring, say) the window still
     # reaches the degrees below -m where the top cohomology lives
     G, _ = cone
-    bound = abs(multigraded.degree_bound(G))
+    eng = multigraded.engine(G)
+    bound = abs(eng.degree_bound())
     for n in range(-bound - 6, bound + 3):
-        assert multigraded.colimit_dims(G, n) == \
-            oracles.enumerated_colimit_dims(G, n)
-    eng = multigraded._engine(G)
+        assert eng.colimit_dims(n) == oracles.enumerated_colimit_dims(G, n)
     for key, blk in eng._cache.items():
         if key[0] == "block":
             assert [blk.dim(q) for q in range(eng.m + 1)] == \
                 [blk.cohomology(q).shape[1] for q in range(eng.m + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_cones())
+def test_row_lengths_match_enumerated_multidegrees(cone):
+    # a finite row is zero outside [0, D] and its length is its sum there,
+    # also read from a window above D; a cap with k coordinates at -1 adds
+    # to every degree <= sum(c) - k, so an infinite row is nonzero just
+    # below the lowest such degree
+    G, cfg = cone
+    eng = multigraded.engine(G)
+    top = eng.degree_bound()
+    tables = [local_coh_table(G, cfg=window)
+              for window in (cfg, StabilizationConfig(top + 1, top + 1))]
+    columns = {n: oracles.enumerated_colimit_dims(G, n)
+               for n in range(-abs(top) - 6, abs(top) + 3)}
+    for table, i in itertools.product(tables, range(eng.m + 1)):
+        length = table.row_length(i)
+        if length is not None:
+            assert length == sum(columns[n][i] for n in range(top + 1))
+            assert all(column[i] == 0 for n, column in columns.items()
+                       if not 0 <= n <= top)
+        else:
+            lowest = min(sum(x for x in c if x >= 0) - c.count(-1)
+                         for c, dims in eng.caps().items()
+                         if dims[i] and -1 in c)
+            assert columns[lowest - 1][i] > 0
+
+
+@pytest.mark.parametrize("build, i, length", [
+    (lambda: corpus.graded("skew-lines"), 1, 1),
+    (lambda: corpus.graded("skew-lines"), 2, None),
+    (lambda: _rp2_ring(2), 2, 1),
+    (lambda: _rp2_ring(3), 2, 0),
+    (lambda: _rp2_ring(2), 3, None)])
+def test_row_length_past_the_window(build, i, length):
+    # each finite row lives in degree 0 (Hochster, for RP^2), which the
+    # window -3..-1 does not reach
+    table = local_coh_table(build(), cfg=StabilizationConfig(-3, -1))
+    assert table.row_length(i) == length
 
 
 @st.composite
@@ -218,7 +257,7 @@ def test_multidegrees_match_box_oracle(rho, n, lowest):
     # x_j^rho_j for each rho_j > 0: the engine's rho is exactly `rho`
     R = PolyRing(tuple(f"x{j}" for j in range(len(rho))), 5)
     gens = [R.variable(j) ** r for j, r in enumerate(rho) if r]
-    eng = multigraded._engine(GradedQuotientRing(Ideal(R, gens)))
+    eng = multigraded.engine(GradedQuotientRing(Ideal(R, gens)))
     assert eng.rho == tuple(rho)
     got = eng.multidegrees(n, lowest)
     assert got == tuple(oracles.box_multidegrees(rho, n, lowest))
@@ -390,7 +429,7 @@ def test_empty_blocks_match_the_subset_scan(cone):
     if not G.is_zero_ring():
         stuckrad_test(G, table)
         quasi_buchsbaum_test(G, table)
-    eng = multigraded._engine(G)
+    eng = multigraded.engine(G)
     for c in itertools.product(*(range(-1, r) for r in eng.rho)):
         eng.block((c, eng.rho))
     blocks = [(key[1], blk) for key, blk in eng._cache.items()
@@ -409,7 +448,7 @@ def test_caps_match_the_full_product(G):
     # the box search visits only nonempty caps, and a cap spanning at most
     # two degrees takes its dimensions from basis sizes; listing every cap
     # and ranking its scanned block must keep the same nonzero vectors
-    eng = multigraded._engine(G)
+    eng = multigraded.engine(G)
     assert eng.caps() == oracles.scanned_caps(eng)
 
 
@@ -417,7 +456,7 @@ def test_caps_match_the_full_product(G):
 def test_three_degree_caps_match_the_full_product(name):
     # RP^2 and the torus have caps whose block spans three degrees, so
     # those blocks are built and their inner differentials ranked
-    eng = multigraded._engine(corpus.graded(name))
+    eng = multigraded.engine(corpus.graded(name))
     assert eng.caps() == oracles.scanned_caps(eng)
     assert any(key[0] == "block" and any(blk.basis)
                for key, blk in eng._cache.items())
@@ -528,7 +567,7 @@ def test_family_verdict_visits_only_live_blocks(monkeypatch):
     assert report.g_buchsbaum.status == "satisfied"
     assert len(ranks) <= 5
     assert len(maps) <= 2
-    eng = multigraded._engine(GradedQuotientRing(initial_forms_ideal(A)))
+    eng = multigraded.engine(GradedQuotientRing(initial_forms_ideal(A)))
     assert math.prod(r + 1 for r in eng.rho) == 30
     assert len(eng.caps()) == 5
 
