@@ -8,17 +8,16 @@ from .errors import (AmbientMismatchError, FormringError, NotHomogeneousError,
                      SaturationLimitError, SizeLimitError, ZeroRingError)
 from .poly import (DEGREVLEX, ELIM_LAST, LEX, MAX_CHARACTERISTIC, PolyRing,
                    Polynomial, TermOrder, is_prime)
-from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_quotient,
-                       initial_forms_ideal, intersect, monomials_of_degree,
-                       normal_form, s_polynomial, saturate,
-                       saturate_by_variable, standard_monomials)
+from .groebner import (GroebnerBasis, Ideal, buchberger, initial_forms_ideal,
+                       intersect, monomials_of_degree, normal_form,
+                       s_polynomial, saturate_by_variable, standard_monomials)
 from .graded import GradedQuotientRing
 from .koszul import (CohomologyPiece, KoszulComplexSpec, cochain_dim,
                      chain_multiplication, comparison_rank, differential,
                      koszul_cohomology_piece, transition_cochain)
 from .localcoh import (CohomologyTable, StabilizationConfig, StabilizedEntry,
-                       annihilator_is_irrelevant, h0_via_saturation,
-                       local_coh_piece, local_coh_table, saturation_exponent)
+                       annihilator_is_irrelevant, local_coh_piece,
+                       local_coh_table)
 from .descent import (AdmissibleSet, DescentReport, LocalH0Report, Verdict,
                       degree_gap_check, descent_verdict, length_comparison_check,
                       local_h0_report, quasi_buchsbaum_test, stuckrad_test,
@@ -34,17 +33,15 @@ __all__ = [
     "ZeroRingError",
     "DEGREVLEX", "ELIM_LAST", "LEX", "MAX_CHARACTERISTIC",
     "PolyRing", "Polynomial", "TermOrder", "is_prime",
-    "GroebnerBasis", "Ideal", "buchberger", "ideal_quotient",
-    "initial_forms_ideal", "intersect", "monomials_of_degree",
-    "normal_form", "s_polynomial", "saturate", "saturate_by_variable",
-    "standard_monomials",
+    "GroebnerBasis", "Ideal", "buchberger", "initial_forms_ideal",
+    "intersect", "monomials_of_degree", "normal_form", "s_polynomial",
+    "saturate_by_variable", "standard_monomials",
     "GradedQuotientRing",
     "CohomologyPiece", "KoszulComplexSpec", "cochain_dim",
     "chain_multiplication", "comparison_rank", "differential",
     "koszul_cohomology_piece", "transition_cochain",
     "CohomologyTable", "StabilizationConfig", "StabilizedEntry",
-    "annihilator_is_irrelevant", "h0_via_saturation", "local_coh_piece",
-    "local_coh_table", "saturation_exponent",
+    "annihilator_is_irrelevant", "local_coh_piece", "local_coh_table",
     "AdmissibleSet", "DescentReport", "LocalH0Report", "Verdict",
     "degree_gap_check", "descent_verdict", "length_comparison_check",
     "local_h0_report", "quasi_buchsbaum_test", "stuckrad_test",

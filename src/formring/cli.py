@@ -1,6 +1,10 @@
 """Command-line entry point: parse an input session, run its commands, and
 emit a deterministic JSON or text report.
 
+`--char` and `--window` fill in a characteristic or a window that the
+session leaves unset.  The commands' `tmax=` and `margin=` options are only
+echoed in verdict scopes: every entry is read exactly at its settle power.
+
 Exit codes: 0 when every command ran (negative verdicts included); 1 on
 usage, parse, or per-command input errors; 2 when an internal guard tripped
 (saturation cap, an `r` range over its cap, a dense Koszul matrix over its
@@ -62,12 +66,6 @@ def build_parser() -> _ArgumentParser:
                              "declares none")
     parser.add_argument("--window", type=str, default=None, metavar="LO..HI",
                         help="default degree window for table commands")
-    parser.add_argument("--tmax", type=int, default=None,
-                        help="power bound echoed in report scopes; every "
-                             "entry is read exactly whatever it is")
-    parser.add_argument("--margin", type=int, default=None,
-                        help="run length echoed in report scopes; every "
-                             "entry is read exactly whatever it is")
     parser.add_argument("--format", choices=("json", "text"), default="json",
                         help="report format (default json)")
     parser.add_argument("--timing", action="store_true",
@@ -81,8 +79,6 @@ def build_parser() -> _ArgumentParser:
 @dataclasses.dataclass
 class RunConfig:
     window: tuple[int, int] | None = None
-    t_max: int | None = None
-    margin: int | None = None
     timing: bool = False
 
 
@@ -111,11 +107,10 @@ def _instance_command(cmd: Command, r: int | None) -> Command:
 
 def _stabilization_config(G: GradedQuotientRing, cmd: Command,
                           config: RunConfig) -> StabilizationConfig:
-    """The ring's defaults, overridden by each option the command or a flag
-    sets; the command's own option wins."""
+    """The ring's defaults, overridden by each option the command sets; the
+    `--window` flag fills a window the command leaves unset."""
     window = cmd.option("window", config.window) or (None, None)
-    overrides = {"t_max": cmd.option("tmax", config.t_max),
-                 "margin": cmd.option("margin", config.margin),
+    overrides = {"t_max": cmd.option("tmax"), "margin": cmd.option("margin"),
                  "n_lo": window[0], "n_hi": window[1]}
     return dataclasses.replace(
         StabilizationConfig.default_for(G),
@@ -305,10 +300,6 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise _UsageError(f"--char {exc}") from None
         window = _parse_window(args.window) if args.window else None
-        if args.tmax is not None and args.tmax < 2:
-            raise _UsageError("--tmax must be at least 2")
-        if args.margin is not None and args.margin < 1:
-            raise _UsageError("--margin must be at least 1")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -332,15 +323,12 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
 
-    config = RunConfig(window=window, t_max=args.tmax, margin=args.margin,
-                       timing=args.timing)
+    config = RunConfig(window=window, timing=args.timing)
     report = run_session(session, config)
     report["config"] = {
         "char": session.characteristic,
         "format": args.format,
-        "margin": args.margin,
         "timing": args.timing,
-        "tmax": args.tmax,
         "window": list(window) if window else None,
     }
 

@@ -13,7 +13,7 @@ Commands name a declared object and may carry key=value options:
 
     tangent_cone I r=3;
     table I imax=1 window=-4..8;
-    check cor41 I r=3..5;
+    cor41 I r=3..5;
 
 Exponents in ideal declarations are integers, the parameter `r`, or
 `(r+INT)` / `(r-INT)`; a command touching a parameterized ideal must supply
@@ -161,7 +161,6 @@ class Command:
     name: str
     target: str
     options: tuple[tuple[str, object], ...]  # by key; int or (lo, hi)
-    check: bool = False
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
@@ -169,8 +168,7 @@ class Command:
         return dict(self.options).get(key, default)
 
     def render(self) -> str:
-        head = ("check " if self.check else "") + self.name + " " + self.target
-        return " ".join([head] + [
+        return " ".join([self.name, self.target] + [
             f"{k}={v[0]}..{v[1]}" if isinstance(v, tuple) else f"{k}={v}"
             for k, v in self.options])
 
@@ -264,7 +262,7 @@ class _Parser:
             self.ideal_statement()
         elif word == "synthetic_table":
             self.table_statement()
-        elif word == "check" or word in COMMANDS:
+        elif word in COMMANDS:
             self.command_statement()
         else:
             self.fail(f"unknown statement or command {word!r}", tok)
@@ -346,17 +344,8 @@ class _Parser:
             self.fail(f"name {name!r} is a variable", tok)
 
     def command_statement(self):
-        check = False
-        tok = self.peek()
-        if tok.text == "check":
-            check = True
-            self.advance()
-            tok = self.peek()
-        if tok.kind != "ident" or tok.text not in COMMANDS:
-            known = ", ".join(COMMANDS)
-            self.fail(f"unknown command {tok.text!r} (expected one of {known})",
-                      tok)
-        name = self.advance().text
+        tok = self.advance()
+        name = tok.text
         target_tok = self.expect("ident", "target name")
         target = target_tok.text
         is_ideal = target in self.session.ideals
@@ -402,7 +391,7 @@ class _Parser:
             self.fail(f"ideal {target!r} has no parameter", tok)
         self.punct(";")
         self.session.commands = self.session.commands + (
-            Command(name, target, tuple(sorted(options.items())), check,
+            Command(name, target, tuple(sorted(options.items())),
                     tok.line, tok.col),)
 
     # polynomial templates

@@ -39,8 +39,7 @@ import itertools
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
-from .errors import (AmbientMismatchError, NotInIrrelevantError,
-                     SaturationLimitError)
+from .errors import AmbientMismatchError, NotInIrrelevantError
 from .poly import (DEGREVLEX, ELIM_LAST, Monomial, PolyRing, Polynomial,
                    TermOrder)
 
@@ -368,7 +367,7 @@ def _cone_by_elimination(ideal: Ideal) -> list[Polynomial]:
     return _reduce_basis([f.monic(DEGREVLEX) for f in forms], DEGREVLEX)
 
 
-# -- elimination, intersection, quotient, saturation ------------------------
+# -- elimination, intersection, saturation by a variable -------------------
 
 def _lift(f: Polynomial, ext: PolyRing) -> Polynomial:
     """f in the ring with the auxiliary last variable appended."""
@@ -412,65 +411,9 @@ def saturate_by_variable(a: Ideal, j: int) -> Ideal:
     return _eliminate_last(gens, ring)
 
 
-def _divide_exact(f: Polynomial, d: Polynomial, order: TermOrder) -> Polynomial:
-    """f / d for f in (d); division must be exact."""
-    ring = f.ring
-    p = ring.characteristic
-    ld = d.leading_monomial(order)
-    inv = pow(d.terms[ld], -1, p)
-    q: dict[Monomial, int] = {}
-    work = dict(f.terms)
-    while work:
-        mono = max(work, key=order.key)
-        if not _monomial_divides(ld, mono):
-            raise ValueError("inexact division")
-        shift = _monomial_quot(mono, ld)
-        c = work[mono] * inv % p
-        q[shift] = c
-        for de, dc in d.terms.items():
-            key = tuple(x + y for x, y in zip(de, shift))
-            val = (work.get(key, 0) - c * dc) % p
-            if val:
-                work[key] = val
-            elif key in work:
-                del work[key]
-    return Polynomial(ring, q)
-
-
-def _quotient_by_poly(a: Ideal, f: Polynomial) -> Ideal:
-    meet = intersect(a, Ideal(a.ring, (f,)))
-    order = a.ring.order
-    return Ideal(a.ring, [_divide_exact(g, f, order) for g in meet.generators])
-
-
-def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b) = {f : f*b ⊆ a}."""
-    if a.ring != b.ring:
-        raise AmbientMismatchError("ideals in different rings")
-    nonzero = [g for g in b.generators if not g.is_zero()]
-    if not nonzero:
-        return Ideal(a.ring, (a.ring.one(),))
-    result: Ideal | None = None
-    for f in nonzero:
-        q = _quotient_by_poly(a, f)
-        result = q if result is None else intersect(result, q)
-    return result
-
-
-# steps `saturate` may take, and the largest saturation exponent and order
-# `local_h0_report` accepts (its certificates stop at a0 + 1 below it)
+# the largest saturation exponent and torsion order `local_h0_report`
+# accepts (its certificates stop at a0 + 1 below it)
 SATURATION_CAP = 50
-
-
-def saturate(a: Ideal, b: Ideal) -> tuple[Ideal, int]:
-    """(a : b^inf) and the stabilization exponent s with (a:b^s) = (a:b^(s+1))."""
-    current = a
-    for s in range(SATURATION_CAP + 1):
-        nxt = ideal_quotient(current, b)
-        if nxt.equals(current):
-            return current, s
-        current = nxt
-    raise SaturationLimitError(SATURATION_CAP)
 
 
 # -- standard monomials ----------------------------------------------------

@@ -30,8 +30,6 @@ dense elimination, [H^i(x^T(n); G)]_n through `koszul_cohomology_piece`.
 The same bound gives whole rows (`CohomologyTable.row_length`): when row i
 of S/in(I) has finite length, G's row lives in its degrees (the engine's
 `row_support`), inside the window or not.  H^0 always has finite length.
-Only a cone that is not monomial, with an infinite row of S/in(I), reads
-its row off the window, as finite when both edge entries vanish.
 
 The stabilization controls t_max and margin of `StabilizationConfig` are
 accepted and echoed in report scopes, but they change no computed entry.
@@ -44,7 +42,6 @@ from dataclasses import dataclass
 from . import linalg, multigraded
 from .errors import FormringError
 from .graded import GradedQuotientRing
-from .groebner import Ideal, saturate, standard_monomials
 from .koszul import (KoszulComplexSpec, chain_multiplication, cochain_terms,
                      differential, koszul_cohomology_piece)
 
@@ -191,14 +188,11 @@ class CohomologyTable:
 
     def row_support(self, i: int) -> tuple[int, ...] | None:
         """Degrees outside which row i is zero, or None when it has no
-        proved finite length (module docstring)."""
+        proved finite length (module docstring); a synthetic table's rows
+        live in its window."""
         if self.G is not None:
-            support = multigraded.engine(self.G).row_support(i)
-            if support is not None or self.G.monomial:
-                return support
-        window = tuple(self.cfg.degrees())
-        edges = (self.dim(i, window[0]), self.dim(i, window[-1]))
-        return window if self.synthetic or edges == (0, 0) else None
+            return multigraded.engine(self.G).row_support(i)
+        return tuple(self.cfg.degrees()) if self.synthetic else None
 
     def row_length(self, i: int) -> int | None:
         """Sum of row i over `row_support`: the table's entries in the
@@ -231,32 +225,6 @@ def local_coh_table(G: GradedQuotientRing, i_max: int | None = None,
         for n in cfg.degrees():
             entries[(i, n)] = local_coh_piece(G, i, n)
     return CohomologyTable(entries, i_max, cfg, complete=(i_max == m), G=G)
-
-
-def h0_via_saturation(G: GradedQuotientRing) -> dict[int, int]:
-    """Graded dimensions of (I : M^inf)/I: the independent route to row 0.
-
-    Every generator g of the saturation satisfies M^s g inside I, so the
-    quotient lives in degrees at most maxdeg(saturation) + s - 1; scanning
-    through that bound sees the full support even across internal gaps.
-    """
-    if G.is_zero_ring():
-        return {}
-    irrelevant = Ideal(G.ring, G.ring.gens())
-    sat, s = saturate(G.ideal, irrelevant)
-    bound = sat.groebner_basis().max_degree() + max(s, 1)
-    dims: dict[int, int] = {}
-    for n in range(bound + 1):
-        diff = G.dim(n) - len(standard_monomials(sat, n))
-        if diff:
-            dims[n] = diff
-    return dims
-
-
-def saturation_exponent(G: GradedQuotientRing) -> int:
-    irrelevant = Ideal(G.ring, G.ring.gens())
-    _, s = saturate(G.ideal, irrelevant)
-    return s
 
 
 def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,

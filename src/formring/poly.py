@@ -326,13 +326,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        """Map degree -> homogeneous part, ascending degree, zero parts absent."""
-        buckets: dict[int, dict[Monomial, int]] = {}
-        for exps, c in self.terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = c
-        return {d: Polynomial(self.ring, buckets[d]) for d in sorted(buckets)}
-
     def initial_form(self) -> "Polynomial":
         """Lowest-degree homogeneous component (zero for zero input)."""
         if not self.terms:

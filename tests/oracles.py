@@ -89,6 +89,12 @@ tautology:
 * ``schenzel_buchsbaum`` decides whether a Stanley-Reisner ring is
   Buchsbaum by Schenzel's criterion on the complex's links, never reading a
   cohomology table or a comparison map.
+* ``ideal_quotient``, ``saturate``, ``h0_via_saturation`` and
+  ``saturation_exponent`` are the quotient chain: (a : b) is the
+  intersection over b's generators f of (a ∩ (f))/f, iterated until it
+  stops, never saturating by one variable at a time, certifying a
+  torsion ideal or reading the tangent cone.  ``h0_via_saturation`` is
+  the independent route to row 0 of a table.
 """
 
 from __future__ import annotations
@@ -103,16 +109,101 @@ import numpy as np
 
 from formring import (GradedQuotientRing, Ideal, KoszulComplexSpec,
                       StabilizedEntry, chain_multiplication, differential,
-                      ideal_quotient, intersect, koszul_cohomology_piece,
-                      normal_form, saturate_by_variable, standard_monomials,
+                      intersect, koszul_cohomology_piece, normal_form,
+                      saturate_by_variable, standard_monomials,
                       transition_cochain)
 from formring import groebner, koszul, linalg, multigraded
 from formring.descent import LocalH0Report, _coefficient_matrix
 from formring.dsl import Token
-from formring.errors import (NotInIrrelevantError, ParseError,
-                             SaturationLimitError)
-from formring.groebner import monomials_of_degree, saturate
-from formring.poly import Polynomial
+from formring.errors import (AmbientMismatchError, NotInIrrelevantError,
+                             ParseError, SaturationLimitError)
+from formring.groebner import (SATURATION_CAP, _monomial_divides,
+                               _monomial_quot, monomials_of_degree)
+from formring.poly import Monomial, Polynomial, TermOrder
+
+
+# -- the quotient chain ----------------------------------------------------
+
+def _divide_exact(f: Polynomial, d: Polynomial, order: TermOrder) -> Polynomial:
+    """f / d for f in (d); division must be exact."""
+    ring = f.ring
+    p = ring.characteristic
+    ld = d.leading_monomial(order)
+    inv = pow(d.terms[ld], -1, p)
+    q: dict[Monomial, int] = {}
+    work = dict(f.terms)
+    while work:
+        mono = max(work, key=order.key)
+        if not _monomial_divides(ld, mono):
+            raise ValueError("inexact division")
+        shift = _monomial_quot(mono, ld)
+        c = work[mono] * inv % p
+        q[shift] = c
+        for de, dc in d.terms.items():
+            key = tuple(x + y for x, y in zip(de, shift))
+            val = (work.get(key, 0) - c * dc) % p
+            if val:
+                work[key] = val
+            elif key in work:
+                del work[key]
+    return Polynomial(ring, q)
+
+
+def _quotient_by_poly(a: Ideal, f: Polynomial) -> Ideal:
+    meet = intersect(a, Ideal(a.ring, (f,)))
+    order = a.ring.order
+    return Ideal(a.ring, [_divide_exact(g, f, order) for g in meet.generators])
+
+
+def ideal_quotient(a: Ideal, b: Ideal) -> Ideal:
+    """(a : b) = {f : f*b ⊆ a}."""
+    if a.ring != b.ring:
+        raise AmbientMismatchError("ideals in different rings")
+    nonzero = [g for g in b.generators if not g.is_zero()]
+    if not nonzero:
+        return Ideal(a.ring, (a.ring.one(),))
+    result: Ideal | None = None
+    for f in nonzero:
+        q = _quotient_by_poly(a, f)
+        result = q if result is None else intersect(result, q)
+    return result
+
+
+def saturate(a: Ideal, b: Ideal) -> tuple[Ideal, int]:
+    """(a : b^inf) and the stabilization exponent s with (a:b^s) = (a:b^(s+1))."""
+    current = a
+    for s in range(SATURATION_CAP + 1):
+        nxt = ideal_quotient(current, b)
+        if nxt.equals(current):
+            return current, s
+        current = nxt
+    raise SaturationLimitError(SATURATION_CAP)
+
+
+def h0_via_saturation(G: GradedQuotientRing) -> dict[int, int]:
+    """Graded dimensions of (I : M^inf)/I: the independent route to row 0.
+
+    Every generator g of the saturation satisfies M^s g inside I, so the
+    quotient lives in degrees at most maxdeg(saturation) + s - 1; scanning
+    through that bound sees the full support even across internal gaps.
+    """
+    if G.is_zero_ring():
+        return {}
+    irrelevant = Ideal(G.ring, G.ring.gens())
+    sat, s = saturate(G.ideal, irrelevant)
+    bound = sat.groebner_basis().max_degree() + max(s, 1)
+    dims: dict[int, int] = {}
+    for n in range(bound + 1):
+        diff = G.dim(n) - len(standard_monomials(sat, n))
+        if diff:
+            dims[n] = diff
+    return dims
+
+
+def saturation_exponent(G: GradedQuotientRing) -> int:
+    irrelevant = Ideal(G.ring, G.ring.gens())
+    _, s = saturate(G.ideal, irrelevant)
+    return s
 
 
 def _degree_ideal(ideal: Ideal, k: int) -> Ideal:

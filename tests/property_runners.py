@@ -21,13 +21,12 @@ from formring import (
     buchberger,
     cochain_dim,
     differential,
-    ideal_quotient,
     koszul_cohomology_piece,
     linalg,
     normal_form,
     s_polynomial,
-    saturate,
 )
+from oracles import ideal_quotient, saturate
 
 PRIMES = (2, 3, 5, 32003)
 NAMES = ("x", "y", "z")

@@ -142,9 +142,9 @@ class TestExitCodes:
         # T(-6) = 6 > t_max 3 on (x*y), yet every entry is read at T(n):
         # these are the default configuration's values
         text = ("char 32003; vars x, y, z; ideal S = x*y;"
-                " table S window=-6..-4;")
-        code, out, _ = run_cli(capsys, ["--tmax", "3", "--margin", "1", "-"],
-                               stdin_text=text, monkeypatch=monkeypatch)
+                " table S window=-6..-4 tmax=3 margin=1;")
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
         assert code == 0
         (entry,) = json.loads(out)["results"]
         assert entry["status"] == "ok"
@@ -192,6 +192,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["--window", "apples", "-"])
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("flag", [["--tmax", "5"], ["--margin", "1"]])
+    def test_removed_power_flags_are_usage_errors(self, capsys, flag):
+        code, out, err = run_cli(capsys, [*flag, "-"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments")
+
+    def test_config_echoes_the_flags_there_are(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=FAMILY,
+                               monkeypatch=monkeypatch)
+        assert code == 0
+        assert sorted(json.loads(out)["config"]) == [
+            "char", "format", "timing", "window"]
 
     def test_usage_error_composite_char(self, capsys):
         code, _, err = run_cli(capsys, ["--char", "6", "-"])
@@ -338,15 +351,22 @@ class TestParameterExpansion:
             "r=1..3000 has 3000 values, more than the cap of 64")
 
     def test_check_prefix_echoed_not_semantic(self, capsys, monkeypatch):
+        # the command is echoed as written, and `check` is not a statement
         text = ("char 32003; vars x,y;"
                 " ideal I = x^2, x*y;"
-                " check stuckrad I;")
+                " stuckrad I;")
         code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
                                monkeypatch=monkeypatch)
         assert code == 0
         (entry,) = json.loads(out)["results"]
-        assert entry["command"].startswith("check stuckrad")
+        assert entry["command"] == "stuckrad I"
         assert entry["status"] == "satisfied"
+        code, out, err = run_cli(capsys, ["-"], monkeypatch=monkeypatch,
+                                 stdin_text=text.replace("stuckrad",
+                                                         "check stuckrad"))
+        assert (code, out) == (1, "")
+        assert err == ("<stdin>:1:43: error: unknown statement or command "
+                       "'check'\n")
 
 
 class TestReportShapes:
@@ -496,8 +516,7 @@ class TestSessionReuse:
     """Each (ideal, r) is built once per session and shared by its commands;
     a command's result must not depend on what ran before it."""
 
-    @pytest.mark.parametrize("flags", [[], ["--tmax", "5", "--margin", "1"],
-                                       ["--window=-3..2"]])
+    @pytest.mark.parametrize("flags", [[], ["--window=-3..2"]])
     def test_each_command_as_in_a_fresh_session(self, capsys, monkeypatch,
                                                 flags):
         wide = session_results(capsys, monkeypatch, flags, WIDE_COMMANDS)

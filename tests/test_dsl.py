@@ -13,7 +13,7 @@ from formring.dsl import Command, ExponentTemplate, Session, Token, tokenize
 
 FAMILY = ("char 32003; vars x,y,z;"
           " ideal I = x^2, x*y, x*z - y^3, y^4, x*z^2;"
-          " check cor41 I;")
+          " cor41 I;")
 
 
 class TestValidSessions:
@@ -23,7 +23,7 @@ class TestValidSessions:
         assert s.variables == ("x", "y", "z")
         assert list(s.ideals) == ["I"]
         cmd = s.commands[0]
-        assert (cmd.name, cmd.target, cmd.check) == ("cor41", "I", True)
+        assert (cmd.name, cmd.target) == ("cor41", "I")
 
     def test_comments_and_whitespace(self):
         s = parse_session("""
@@ -176,6 +176,11 @@ class TestDiagnostics:
         self.check_error("char 7; vars x; ideal I = x; frobnicate I;",
                          "frobnicate")
 
+    def test_check_prefix_is_unknown(self):
+        err = self.check_error("char 7; vars x; ideal I = x^2; check cor41 I;",
+                               "unknown statement or command 'check'")
+        assert (err.line, err.col) == (1, 32)
+
     def test_line_and_column_reported(self):
         err = self.check_error("char 7;\n  vars x, x;", "duplicate")
         assert err.line == 2
@@ -236,7 +241,7 @@ class TestRoundTrip:
         FAMILY,
         "char 7; vars x , y; ideal J = x^2, x*y; table J imax=1 window=-3..4;",
         "char 7; vars x; synthetic_table T = {(1,2): 10, (2,0): 1}; gap T t=5;",
-        "char 32003; vars x,y,z; ideal F = x^2, x*z - y^r; check cor41 F r=3..4;",
+        "char 32003; vars x,y,z; ideal F = x^2, x*z - y^r; cor41 F r=3..4;",
         "char 11; vars x,y; ideal I = 3*x^2 - 2*y^2 + x*y; koszul I i=1 n=0;",
     ]
 
@@ -265,8 +270,6 @@ class TestRoundTrip:
         assert (a.commands[0].line, a.commands[0].col) != \
             (b.commands[0].line, b.commands[0].col)
         assert a == b
-        assert a != parse_session(
-            "char 7; vars x; ideal I = x^2; check table I;")
 
     @pytest.mark.parametrize("body, printed", [
         ("0*x", "0*x"), ("x - 0*x", "x + 0*x"), ("-3", "-3"),

@@ -15,16 +15,15 @@ from formring import (
     PolyRing,
     Polynomial,
     buchberger,
-    ideal_quotient,
     initial_forms_ideal,
     intersect,
     normal_form,
     s_polynomial,
-    saturate,
     saturate_by_variable,
     standard_monomials,
 )
 from formring import groebner
+from oracles import ideal_quotient, saturate
 
 P = 32003
 

@@ -20,15 +20,14 @@ from formring import (
     ZeroRingError,
     annihilator_is_irrelevant,
     descent_verdict,
-    h0_via_saturation,
     initial_forms_ideal,
     local_coh_piece,
     local_coh_table,
     monomials_of_degree,
     quasi_buchsbaum_test,
-    saturation_exponent,
     stuckrad_test,
 )
+from oracles import h0_via_saturation, saturation_exponent
 
 P = 32003
 

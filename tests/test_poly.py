@@ -88,13 +88,6 @@ class TestArithmetic:
 
 
 class TestDegreesAndForms:
-    def test_homogeneous_components_single(self):
-        R = ring2()
-        x, _ = R.gens()
-        comps = (x**2).homogeneous_components()
-        assert set(comps) == {2}
-        assert comps[2] == x**2
-
     def test_initial_form_is_lowest_component(self):
         R = ring2()
         x, y = R.gens()
@@ -115,7 +108,6 @@ class TestDegreesAndForms:
         z = R.zero()
         assert z.degree() is None
         assert z.min_degree() is None
-        assert z.homogeneous_components() == {}
 
 
 class TestTermOrders:
@@ -214,19 +206,6 @@ def test_term_order_total_on_support(data, order):
                 assert order.greater(a, b) != order.greater(b, a)
             else:
                 assert not order.greater(a, b)
-
-
-@settings(max_examples=60, deadline=None)
-@given(ring_and_polys(1))
-def test_components_sum_back(data):
-    _, (f,) = data
-    comps = f.homogeneous_components()
-    total = f.ring.zero()
-    for d, part in comps.items():
-        assert part.is_homogeneous()
-        assert part.degree() == d
-        total = total + part
-    assert total == f
 
 
 @settings(max_examples=200, deadline=None)
