@@ -516,7 +516,8 @@ class TestSessionReuse:
     """Each (ideal, r) is built once per session and shared by its commands;
     a command's result must not depend on what ran before it."""
 
-    @pytest.mark.parametrize("flags", [[], ["--window=-3..2"]])
+    @pytest.mark.parametrize("flags", [[], ["--window=0..1"],
+                                       ["--window=-3..2"]])
     def test_each_command_as_in_a_fresh_session(self, capsys, monkeypatch,
                                                 flags):
         wide = session_results(capsys, monkeypatch, flags, WIDE_COMMANDS)
