@@ -22,10 +22,11 @@ class NotInIrrelevantError(FormringError):
 
 
 class SaturationLimitError(FormringError):
-    """Iterated ideal quotients did not stabilize within the cap."""
+    """A torsion order or an annihilating exponent of M exceeds the cap."""
 
     def __init__(self, cap: int):
-        super().__init__(f"saturation did not stabilize within {cap} quotient steps")
+        super().__init__(f"a torsion order or annihilating exponent exceeds "
+                         f"the cap of {cap}")
         self.cap = cap
 
 

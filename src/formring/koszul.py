@@ -11,7 +11,9 @@ piece at internal degree n is finite and exact linear algebra applies.
 The cochain map e_J -> (prod_{j in J} x_j)^s e_J from power t to power
 t + s commutes with both differentials (`transition_cochain`).  From t = 1
 to the power T(n) of an entry it induces the comparison map into the
-colimit, whose rank is Stueckrad's criterion (`comparison_rank`).
+colimit, whose rank is Stueckrad's criterion (`comparison_rank`); the
+annihilator test multiplies by each variable (`moved_classes`).  Both ask
+how the moved cocycles stand modulo the coboundaries (`linalg.modulo`).
 
 The cone alone picks one of two routes.  A monomial cone is computed by
 `multigraded`, one multidegree block at a time, and builds no dense matrix.
@@ -162,13 +164,18 @@ def _representatives(spec: KoszulComplexSpec, i: int, n: int) -> np.ndarray:
                    lambda: _dense_representatives(spec, i, n))
 
 
-def _dense_representatives(spec: KoszulComplexSpec, i: int,
-                           n: int) -> np.ndarray:
+def _check_size(spec: KoszulComplexSpec, i: int, n: int) -> None:
+    """Refuse a differential into or out of [K^i]_n over the cap."""
     for q in (i - 1, i):
         rows, cols = cochain_dim(spec, q + 1, n), cochain_dim(spec, q, n)
         if rows * cols > MAX_DENSE_CELLS:
             raise SizeLimitError(f"a {rows} x {cols} Koszul differential has "
                                  f"more than {MAX_DENSE_CELLS} cells")
+
+
+def _dense_representatives(spec: KoszulComplexSpec, i: int,
+                           n: int) -> np.ndarray:
+    _check_size(spec, i, n)
     p = spec.G.p
     d_out = differential(spec, i, n)
     d_in = differential(spec, i - 1, n)
@@ -215,25 +222,14 @@ def chain_multiplication(spec: KoszulComplexSpec, i: int, n: int,
                      [(G.ring.variable(var_index), places)])
 
 
-def express_in_cohomology(spec: KoszulComplexSpec, piece: CohomologyPiece,
-                          vecs: np.ndarray) -> np.ndarray | None:
-    """Coordinates of cocycle classes in the piece's representative basis.
-
-    `vecs` is one cocycle or a block of cocycle columns; the answer has the
-    same shape with one row per representative.  The coordinates are unique
-    because the representatives are independent modulo the coboundaries.
-    """
-    return linalg.coordinates(differential(spec, piece.i - 1, piece.n),
-                              piece.representatives, vecs, spec.G.p)
-
-
 def comparison_rank(G: GradedQuotientRing, i: int, n: int, power: int) -> int:
     """Rank of the comparison map [H^i(x; G)]_n -> [H^i(x^power; G)]_n.
 
     A monomial cone sums the ranks of its multidegree blocks
     (`multigraded._Engine.comparison_rank`).  Any other cone moves the
     power-1 representatives by the one cochain map e_J -> (prod_{j in J}
-    x_j)^(power - 1) e_J and ranks their coordinates at `power`.
+    x_j)^(power - 1) e_J and counts the rank of the moved cocycles modulo
+    the coboundaries at `power` (`linalg.modulo`).
     """
     if power < 1:
         raise ValueError("power must be >= 1")
@@ -243,8 +239,30 @@ def comparison_rank(G: GradedQuotientRing, i: int, n: int, power: int) -> int:
     src = koszul_cohomology_piece(spec, i, n)
     moved = linalg.matmul(transition_cochain(spec, i, n, power - 1),
                           src.representatives, G.p)
-    coords = express_in_cohomology(top, koszul_cohomology_piece(top, i, n),
-                                   moved)
-    if coords is None:
+    _check_size(top, i, n)
+    if linalg.matmul(differential(top, i, n), moved, G.p).any():
         raise FormringError("comparison image is not a cocycle class")
-    return linalg.rank(coords, G.p)
+    return linalg.modulo(differential(top, i - 1, n), moved, G.p).shape[0]
+
+
+def moved_classes(G: GradedQuotientRing, t: int, i: int,
+                  n: int) -> list[tuple]:
+    """(j, terms) for each class of [H^i(x^t; G)]_n that x_j does not move
+    into a coboundary of degree n + 1, in (variable, class) order.
+
+    A monomial cone asks block by block (`multigraded._Engine.moved_classes`);
+    any other cone moves the dense representatives, one `linalg.modulo` per
+    variable, and reads each class's terms with `cochain_terms`.
+    """
+    if G.monomial:
+        return multigraded.engine(G).moved_classes(t, i, n)
+    spec = KoszulComplexSpec(G, t)
+    reps = koszul_cohomology_piece(spec, i, n).representatives
+    d_in = differential(spec, i - 1, n + 1)
+    moved = []
+    for j in range(G.ring.nvars):
+        mult = chain_multiplication(spec, i, n, j)
+        images = linalg.modulo(d_in, linalg.matmul(mult, reps, G.p), G.p)
+        moved.extend((j, cochain_terms(spec, i, n, reps[:, col]))
+                     for col in range(reps.shape[1]) if images[:, col].any())
+    return moved

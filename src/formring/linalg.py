@@ -136,35 +136,16 @@ def cohomology(d_in: np.ndarray, d_out: np.ndarray, p: int) -> np.ndarray:
     return ker[:, [c - off for c in pivots if c >= off]]
 
 
-def coordinates(d_in: np.ndarray, reps: np.ndarray, vecs: np.ndarray,
-                p: int) -> np.ndarray | None:
-    """Coordinates of cocycles modulo im(d_in) in the basis `reps`.
+def modulo(d_in: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """The columns of `vecs` modulo im(d_in), in echelon form.
 
-    `reps` are the columns `cohomology` returns; `vecs` is one cocycle or a
-    block of cocycle columns, and the answer has the same shape with one row
-    per representative: the rows past d_in of a solution of
-    [d_in | reps] x = vecs.  They are unique, and all zero exactly when the
-    class is a coboundary.  None when some column is not a cocycle class.
+    The rows of rref([d_in | vecs]) whose pivots fall in the vecs block, cut
+    down to that block.  Their count is the rank of vecs modulo im(d_in),
+    and column k is zero exactly when vecs[:, k] lies in im(d_in): the kept
+    rows vanish on the d_in block, whose pivot columns span the others.
     """
-    if reps.shape[1] == 0 or vecs.size == 0:
-        return zeros(reps.shape[1], *vecs.shape[1:])
-    sol = solve(stack([d_in, reps]), vecs, p)
-    return None if sol is None else sol[d_in.shape[1]:]
-
-
-def solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution x of a @ x = b (columns of b solved jointly), or None."""
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
-        squeeze = True
-    else:
-        squeeze = False
-    aug = stack([a % p, b % p])
-    r, pivots = rref(aug, p)
-    ncols = a.shape[1]
-    if any(pc >= ncols for pc in pivots):
-        return None
-    x = zeros(ncols, b.shape[1])
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, ncols:]
-    return x[:, 0] if squeeze else x
+    if not vecs.shape[0] or not vecs.shape[1]:
+        return zeros(0, vecs.shape[1])
+    off = d_in.shape[1]
+    r, pivots = rref(stack([d_in, vecs]), p)
+    return r[[k for k, c in enumerate(pivots) if c >= off], off:]

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg, multigraded
+from . import multigraded
 from .errors import FormringError
 from .graded import GradedQuotientRing
-from .koszul import (KoszulComplexSpec, chain_multiplication, cochain_terms,
-                     differential, koszul_cohomology_piece)
+from .koszul import KoszulComplexSpec, koszul_cohomology_piece, moved_classes
 
 
 @dataclass(frozen=True)
@@ -218,6 +217,8 @@ def local_coh_table(G: GradedQuotientRing, i_max: int | None = None,
     m = G.ring.nvars
     if i_max is None:
         i_max = m
+    if i_max < 0:
+        raise ValueError("i_max must be >= 0")
     if i_max > m:
         raise ValueError(f"i_max {i_max} exceeds the number of variables {m}")
     entries = {}
@@ -236,44 +237,23 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
     coefficient] of the class's representative; the check multiplies
     the Koszul representatives of each nonzero entry by each variable and
     asks whether the image is a coboundary at the entry's power T(n), which
-    also settles the target degree n + 1.  A monomial cone asks it block by
-    block (`multigraded._Engine.moved_classes`); any other cone eliminates
-    the dense Koszul matrices.
+    also settles the target degree n + 1.  `koszul.moved_classes` picks the
+    route: block by block on a monomial cone, the dense Koszul matrices on
+    any other, both reading the moved classes modulo the coboundaries
+    (`linalg.modulo`).
     """
     witnesses = []
+    names = G.ring.variables
     for entry in table.row(i):
         if entry.dim == 0:
             continue
         target = table.entry(i, entry.n + 1)
         if target is not None and target.settled_by == ZERO_BOUND:
             continue  # every x_j maps into a piece proved zero
-        t = entry.power
-        moved = (multigraded.engine(G).moved_classes(t, i, entry.n)
-                 if G.monomial else _dense_moved_classes(G, t, i, entry.n))
-        names = G.ring.variables
         witnesses.extend((names[j], entry.n,
                           [[[names[l] for l in L], str(G.ring.monomial(b)), c]
                            for L, b, c in terms])
-                         for j, terms in moved)
+                         for j, terms in moved_classes(G, entry.power, i,
+                                                       entry.n))
     return not witnesses, witnesses
 
-
-def _dense_moved_classes(G: GradedQuotientRing, t: int, i: int, n: int):
-    """(j, terms) for each class of [H^i(x^t; G)]_n that x_j does not move
-    into a coboundary, from the dense Koszul matrices."""
-    spec = KoszulComplexSpec(G, t)
-    reps = koszul_cohomology_piece(spec, i, n).representatives
-    d_in = differential(spec, i - 1, n + 1)
-    off = d_in.shape[1]
-    moved = []
-    for j in range(G.ring.nvars):
-        mult = chain_multiplication(spec, i, n, j)
-        # a moved column is a coboundary exactly when its rref column
-        # vanishes in every row whose pivot lies in the moved block
-        r, pivots = linalg.rref(
-            linalg.stack([d_in, linalg.matmul(mult, reps, G.p)]), G.p)
-        rows = [k for k, c in enumerate(pivots) if c >= off]
-        moved.extend((j, cochain_terms(spec, i, n, reps[:, col]))
-                     for col in range(reps.shape[1])
-                     if r[rows, off + col].any())
-    return moved

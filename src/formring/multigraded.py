@@ -71,17 +71,20 @@ vectors, and each column sums over them alone: on the r-family's cone at
 r = 3, 5 of the 30 caps.
 
 The two Buchsbaum checks stay blockwise.  Every map they ask about keeps
-each basis subset L and moves a block to one block (`block_map`), so its
-rank is the sum of block ranks and a class maps to a coboundary exactly
-when its block image has zero coordinates.  Stueckrad's criterion ranks the
-map from power 1 to power T(n) (`comparison_rank`); the annihilator test
-sends block a to block a + e_j by x_j (`moved_classes`), and each witness
-is its class's nonzero terms (L, x^(a + t 1_L), coefficient), read off its
-block.  A map with a zero side has rank 0 and sends every class to a
-coboundary, so a block whose source or target has H^i = 0 is neither ranked
-nor mapped, nor are its classes listed.  A settled block, signature
-(c, rho), reads its dimensions off its cap (`dims`), so it is built only
-when its classes are needed.
+each basis subset L and moves a block to one block (`block_map`), where
+the moved representatives are reduced modulo the target block's
+coboundaries (`linalg.modulo`) and the target's own representatives are
+never eliminated.  So the map's rank is the sum of the blocks' row counts,
+and a class maps to a coboundary exactly when its column there is zero.
+Stueckrad's criterion counts the rank of the map from power 1 to power
+T(n) (`comparison_rank`); the annihilator test sends block a to block
+a + e_j by x_j (`moved_classes`), and each witness is its class's nonzero
+terms (L, x^(a + t 1_L), coefficient), read off its block.  A map with a
+zero side has rank 0 and sends every class to a coboundary, so a block
+whose source or target has H^i = 0 is neither ranked nor mapped, nor are
+its classes listed.  A settled block, signature (c, rho), reads its
+dimensions off its cap (`dims`), so it is built only when its classes are
+needed.
 """
 
 from __future__ import annotations
@@ -221,7 +224,9 @@ class _Engine:
 
     def block_map(self, q: int, src, tgt) -> np.ndarray:
         """Induced map on H^q from block `src` to block `tgt` of the cochain
-        map that keeps each basis subset L: (L, b) -> (L, b + c).
+        map that keeps each basis subset L: (L, b) -> (L, b + c), as
+        `linalg.modulo` of the moved representatives against the target's
+        coboundaries (the identity when a block maps to itself).
 
         The comparison map to a higher power (c = s 1_L) and
         multiplication by x_j (c = e_j, into multidegree a + e_j) both have
@@ -234,9 +239,6 @@ class _Engine:
         src_reps = src.cohomology(q)
         if src_sig == tgt_sig:
             return linalg.identity(src_reps.shape[1])
-        tgt_reps = tgt.cohomology(q)
-        if not src_reps.shape[1]:
-            return linalg.zeros(tgt_reps.shape[1], 0)
         # (L, b) -> (L, b + c): kept when it stays a standard monomial
         row = {L: k for k, L in enumerate(tgt.basis[q])}
         cochain = linalg.zeros(tgt.size(q), src.size(q))
@@ -244,11 +246,9 @@ class _Engine:
             if L in row:
                 cochain[row[L], c] = 1
         moved = linalg.matmul(cochain, src_reps, self.p)
-        mat = linalg.coordinates(tgt.differential(q - 1), tgt_reps, moved,
-                                 self.p)
-        if mat is None:
+        if linalg.matmul(tgt.differential(q), moved, self.p).any():
             raise FormringError("block map image is not a cocycle class")
-        return mat
+        return linalg.modulo(tgt.differential(q - 1), moved, self.p)
 
     def comparison_rank(self, i: int, n: int, power: int) -> int:
         """Rank of [H^i(x; G)]_n -> [H^i(x^power; G)]_n, summed over blocks.
@@ -262,7 +262,7 @@ class _Engine:
             for a in self.multidegrees(n, -1):
                 src, tgt = self.signature(a, 1), self.signature(a, power)
                 if self.dims(tgt)[i] and self.dims(src)[i]:
-                    rank += linalg.rank(self.block_map(i, src, tgt), self.p)
+                    rank += self.block_map(i, src, tgt).shape[0]
             return rank
         return self._memo(("rank", i, n, power), build)
 

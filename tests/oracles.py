@@ -20,6 +20,9 @@ tautology:
   ``arith_s_polynomial`` is built with ``Polynomial`` arithmetic (never one
   dict), and the basis is tail-reduced until a pass changes nothing (never
   a single pass).
+* ``solve`` and ``coordinates`` solve [d_in | reps] x = vecs for a class's
+  coordinates in a basis of representatives, never reading a class off the
+  rows of one [d_in | vecs] elimination as ``linalg.modulo`` does.
 * ``annihilator_witnesses_per_column`` solves against the coboundaries
   once per moved representative column of a dense piece, never sharing an
   elimination.
@@ -415,6 +418,40 @@ def naive_buchberger(generators, order, max_spolys=None):
     return basis
 
 
+def solve(a: np.ndarray, b: np.ndarray, p: int):
+    """One solution x of a @ x = b (columns of b solved jointly), or None."""
+    if b.ndim == 1:
+        b = b.reshape(-1, 1)
+        squeeze = True
+    else:
+        squeeze = False
+    aug = linalg.stack([a % p, b % p])
+    r, pivots = linalg.rref(aug, p)
+    ncols = a.shape[1]
+    if any(pc >= ncols for pc in pivots):
+        return None
+    x = linalg.zeros(ncols, b.shape[1])
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, ncols:]
+    return x[:, 0] if squeeze else x
+
+
+def coordinates(d_in: np.ndarray, reps: np.ndarray, vecs: np.ndarray,
+                p: int) -> np.ndarray | None:
+    """Coordinates of cocycles modulo im(d_in) in the basis `reps`.
+
+    `reps` are the columns `cohomology` returns; `vecs` is one cocycle or a
+    block of cocycle columns, and the answer has the same shape with one row
+    per representative: the rows past d_in of a solution of
+    [d_in | reps] x = vecs.  They are unique, and all zero exactly when the
+    class is a coboundary.  None when some column is not a cocycle class.
+    """
+    if reps.shape[1] == 0 or vecs.size == 0:
+        return linalg.zeros(reps.shape[1], *vecs.shape[1:])
+    sol = solve(linalg.stack([d_in, reps]), vecs, p)
+    return None if sol is None else sol[d_in.shape[1]:]
+
+
 def annihilator_witnesses_per_column(G, i, table):
     """The witnesses of ``annihilator_is_irrelevant``, one solve per column,
     each the nonzero entries of its dense column labelled by
@@ -438,7 +475,7 @@ def annihilator_witnesses_per_column(G, i, table):
             for col in range(piece.dim):
                 vec = piece.representatives[:, col]
                 moved = linalg.matmul(mult, vec.reshape(-1, 1), G.p)[:, 0]
-                if linalg.solve(d_in, moved, G.p) is None:
+                if solve(d_in, moved, G.p) is None:
                     witnesses.append((name, entry.n, [
                         [[G.ring.variables[l] for l in J],
                          str(G.ring.monomial(mono)), c]
@@ -470,7 +507,7 @@ def dense_transition_matrix(G, t, i, n):
     src, tgt = dense_piece(G, t, i, n), dense_piece(G, t + 1, i, n)
     moved = linalg.matmul(transition_cochain(KoszulComplexSpec(G, t), i, n),
                           src.representatives, G.p)
-    mat = linalg.coordinates(
+    mat = coordinates(
         differential(KoszulComplexSpec(G, t + 1), i - 1, n),
         tgt.representatives, moved, G.p)
     assert mat is not None, "transition image is not a cocycle class"

@@ -153,7 +153,8 @@ class TestExitCodes:
         assert entry["data"]["unstable"] == []
 
     def test_saturation_cap_is_guard_two(self, capsys, monkeypatch):
-        # saturating (x^51) by (x) takes 51 quotient steps, one past the cap
+        # M^51 is the least power of M that kills the torsion of (x^51): an
+        # annihilating exponent one past the cap
         text = "char 7; vars x; ideal I = x^51; localh0 I;"
         code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
                                monkeypatch=monkeypatch)
@@ -180,6 +181,16 @@ class TestExitCodes:
         assert {r["data"]["message"] for r in results} == {
             "row bound t=-1 is negative"}
         assert all(r["window"] is None for r in results)
+
+    def test_negative_imax_is_error(self, capsys, monkeypatch):
+        text = "char 7; vars x, y; ideal I = x*y; table I imax=-1;"
+        code, out, _ = run_cli(capsys, ["-"], stdin_text=text,
+                               monkeypatch=monkeypatch)
+        assert code == 1
+        (entry,) = json.loads(out)["results"]
+        assert entry["status"] == "error"
+        assert entry["data"] == {"kind": "ValueError",
+                                 "message": "i_max must be >= 0"}
 
     def test_char_after_vars_is_parse_error(self, capsys, monkeypatch):
         text = "vars x, y; char 7; ideal I = x^2, y; table I;"

@@ -303,7 +303,8 @@ class TestLocalH0Report:
             local_h0_report(Ideal(R, [R.one() + R.variable("x")]))
 
     def test_order_filtration_cap(self, monkeypatch):
-        message = "saturation did not stabilize within 1 quotient steps"
+        message = ("a torsion order or annihilating exponent exceeds the "
+                   "cap of 1")
         family = A_ideal(("x", "y", "z"),
                          lambda x, y, z: [x**2, x * y, x * z - y**3, y**4,
                                           x * z**2])

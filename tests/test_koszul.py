@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import oracles
 
 from formring import (
@@ -22,7 +23,7 @@ from formring import (
 )
 from formring import koszul, transition_cochain
 from formring.errors import SizeLimitError
-from formring.koszul import chain_multiplication, express_in_cohomology
+from formring.koszul import chain_multiplication
 
 P = 32003
 
@@ -37,7 +38,14 @@ def free(names):
 
 
 def is_coboundary(spec, i, n, vec):
-    return linalg.solve(differential(spec, i - 1, n), vec, P) is not None
+    return oracles.solve(differential(spec, i - 1, n), vec, P) is not None
+
+
+def express_in_cohomology(spec, piece, vecs):
+    """Coordinates of cocycle classes in the piece's representative basis,
+    one solve against [d_in | representatives]."""
+    return oracles.coordinates(differential(spec, piece.i - 1, piece.n),
+                               piece.representatives, vecs, P)
 
 
 def piece_dim(G, i, n, t):
@@ -152,6 +160,12 @@ class TestCohomology:
                    for v in (shifted, other)]
         assert block.tolist() == np.column_stack(singles).tolist()
         assert block.tolist() == [[1, 2], [0, 1]]
+        # modulo the coboundaries the two classes keep rank 2, and a
+        # coboundary column reads zero
+        mod = linalg.modulo(d0, np.column_stack([shifted, other, d0[:, 0]]),
+                            P)
+        assert mod.shape == (2, 3)
+        assert mod[:, :2].any(axis=0).all() and not mod[:, 2].any()
 
 
 class TestComparisonMaps:
@@ -297,3 +311,18 @@ def test_dense_elimination_over_the_cap_raises(monkeypatch):
     assert differential(spec, 1, 0).shape == (15, 9)
     assert chain_multiplication(spec, 1, 0, 0).shape == (15, 9)
     assert koszul_cohomology_piece(spec, 0, 0).dim == 0
+
+
+def test_dense_comparison_guards_both_differentials_at_the_power(monkeypatch):
+    # the generic skew lines: the power-1 piece's differentials (at most
+    # 36 x 16) fit under the cap, but at T(0) = 2 the comparison reads the
+    # 24 x 1 differential into [K^1]_0 and checks its image against the
+    # 60 x 24 one out of it, which is over the cap
+    R = PolyRing(("x", "y", "z", "w"), P)
+    x, y, z, w = corpus.generic_forms(R, 3)
+    G = GradedQuotientRing(Ideal(R, [x * z, x * w, y * z, y * w]))
+    assert not G.monomial
+    monkeypatch.setattr(koszul, "MAX_DENSE_CELLS", 1000)
+    with pytest.raises(SizeLimitError, match="^a 60 x 24 Koszul differential "
+                       "has more than 1000 cells$"):
+        comparison_rank(G, 1, 0, 2)

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formring import linalg
-from oracles import greedy_quotient_columns, loop_kernel
+from oracles import coordinates, greedy_quotient_columns, loop_kernel, solve
 
 PRIMES = [2, 3, 5, 32003]
 
@@ -104,14 +104,14 @@ class TestMatmulSolve:
             a = random_matrix(rng, 5, 4, p)
             x = random_matrix(rng, 4, 1, p)
             b = linalg.matmul(a, x, p)
-            got = linalg.solve(a, b, p)
+            got = solve(a, b, p)
             assert got is not None
             assert np.array_equal(linalg.matmul(a, got, p), b)
 
     def test_solve_inconsistent_returns_none(self):
         a = np.array([[1, 0], [0, 0]], dtype=np.int64)
         b = np.array([0, 1], dtype=np.int64)
-        assert linalg.solve(a, b, 5) is None
+        assert solve(a, b, 5) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,6 +141,29 @@ def test_pivots_match_greedy_rank_loop(rows, nsub, nvecs, data):
     _, pivots = linalg.rref(a, p)
     picked = [c - nsub for c in pivots if c >= nsub]
     assert picked == greedy_quotient_columns(sub, vecs, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 4),
+       st.sampled_from([2, 5, 97]), st.integers(0, 2**32 - 1))
+@example(rows=3, nin=0, nvecs=2, p=5, seed=1)  # no coboundaries
+@example(rows=3, nin=2, nvecs=0, p=5, seed=1)  # no vectors
+@example(rows=0, nin=2, nvecs=3, p=2, seed=1)  # the zero space
+def test_modulo_matches_per_column_solves(rows, nin, nvecs, p, seed):
+    # about half the columns are coboundaries, so both answers occur
+    rng = np.random.default_rng(seed)
+    d_in = random_matrix(rng, rows, nin, p)
+    vecs = random_matrix(rng, rows, nvecs, p)
+    hit = rng.integers(0, 2, size=nvecs).astype(bool)
+    vecs[:, hit] = linalg.matmul(d_in, random_matrix(rng, nin, nvecs, p),
+                                 p)[:, hit]
+    got = linalg.modulo(d_in, vecs, p)
+    assert got.shape == (linalg.rank(np.hstack([d_in, vecs]), p)
+                         - linalg.rank(d_in, p), nvecs)
+    assert linalg.rank(got, p) == got.shape[0]
+    for k in range(nvecs):
+        assert (not got[:, k].any()) == (solve(d_in, vecs[:, k], p)
+                                         is not None)
 
 
 def _complex(rng, nin, mid, nout, r, p):
@@ -202,20 +225,20 @@ def test_coordinates_recover_a_combination(nin, mid, nout, r, p, seed):
     shift = random_matrix(rng, d_in.shape[1], 3, p)
     vecs = (linalg.matmul(reps, coeffs, p)
             + linalg.matmul(d_in, shift, p)) % p
-    assert np.array_equal(linalg.coordinates(d_in, reps, vecs, p), coeffs)
-    assert not linalg.coordinates(
+    assert np.array_equal(coordinates(d_in, reps, vecs, p), coeffs)
+    assert not coordinates(
         d_in, reps, linalg.matmul(d_in, shift, p), p).any()
 
 
 def test_coordinates_outside_the_span_and_with_no_classes():
     d_in = np.array([[1], [0], [0]], dtype=np.int64)
     reps = np.array([[0], [1], [0]], dtype=np.int64)
-    assert linalg.coordinates(d_in, reps, np.array([0, 0, 1]), 5) is None
-    assert linalg.coordinates(d_in, reps, np.array([3, 2, 0]), 5).tolist() \
+    assert coordinates(d_in, reps, np.array([0, 0, 1]), 5) is None
+    assert coordinates(d_in, reps, np.array([3, 2, 0]), 5).tolist() \
         == [2]
     # no classes: an empty answer of the vectors' shape, nothing eliminated
     empty = linalg.zeros(3, 0)
-    assert linalg.coordinates(d_in, empty, np.array([0, 0, 1]), 5).shape \
+    assert coordinates(d_in, empty, np.array([0, 0, 1]), 5).shape \
         == (0,)
-    assert linalg.coordinates(d_in, empty, linalg.zeros(3, 2), 5).shape \
+    assert coordinates(d_in, empty, linalg.zeros(3, 2), 5).shape \
         == (0, 2)

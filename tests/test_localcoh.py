@@ -221,6 +221,10 @@ class TestTables:
         with pytest.raises(ValueError):
             local_coh_table(free(("x",)), i_max=2, cfg=cfg(-2, 1))
 
+    def test_negative_i_max_rejected(self):
+        with pytest.raises(ValueError, match="^i_max must be >= 0$"):
+            local_coh_table(free(("x",)), i_max=-1, cfg=cfg(-2, 1))
+
     def test_complete_flag(self):
         G = quotient(("x",), lambda x: [x**2])
         full = local_coh_table(G, cfg=cfg(-2, 2))
