@@ -184,7 +184,7 @@ def stuckrad_test(G: GradedQuotientRing, table: CohomologyTable) -> Verdict:
             if entry.dim == 0:
                 surjectivity.append([i, entry.n, 1])
                 continue
-            rank = comparison_rank(G, i, entry.n, entry.power)
+            rank = comparison_rank(G, i, entry.n)
             ok = rank == entry.dim
             surjectivity.append([i, entry.n, 1 if ok else 0])
             if not ok:

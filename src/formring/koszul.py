@@ -12,8 +12,9 @@ The cochain map e_J -> (prod_{j in J} x_j)^s e_J from power t to power
 t + s commutes with both differentials (`transition_cochain`).  From t = 1
 to the power T(n) of an entry it induces the comparison map into the
 colimit, whose rank is Stueckrad's criterion (`comparison_rank`); the
-annihilator test multiplies by each variable (`moved_classes`).  Both ask
-how the moved cocycles stand modulo the coboundaries (`linalg.modulo`).
+annihilator test multiplies by each variable (`moved_classes`).  Both read
+T(n) off the block engine and ask how the moved cocycles stand modulo the
+coboundaries (`linalg.modulo`).
 
 The cone alone picks one of two routes.  A monomial cone is computed by
 `multigraded`, one multidegree block at a time, and builds no dense matrix.
@@ -222,19 +223,19 @@ def chain_multiplication(spec: KoszulComplexSpec, i: int, n: int,
                      [(G.ring.variable(var_index), places)])
 
 
-def comparison_rank(G: GradedQuotientRing, i: int, n: int, power: int) -> int:
-    """Rank of the comparison map [H^i(x; G)]_n -> [H^i(x^power; G)]_n.
+def comparison_rank(G: GradedQuotientRing, i: int, n: int) -> int:
+    """Rank of the comparison map [H^i(x; G)]_n -> [H^i(x^T(n); G)]_n.
 
-    A monomial cone sums the ranks of its multidegree blocks
+    A monomial cone sums the ranks of its live caps' blocks
     (`multigraded._Engine.comparison_rank`).  Any other cone moves the
     power-1 representatives by the one cochain map e_J -> (prod_{j in J}
-    x_j)^(power - 1) e_J and counts the rank of the moved cocycles modulo
-    the coboundaries at `power` (`linalg.modulo`).
+    x_j)^(T(n) - 1) e_J and counts the rank of the moved cocycles modulo
+    the coboundaries at T(n) (`linalg.modulo`).
     """
-    if power < 1:
-        raise ValueError("power must be >= 1")
+    eng = multigraded.engine(G)
     if G.monomial:
-        return multigraded.engine(G).comparison_rank(i, n, power)
+        return eng.comparison_rank(i, n)
+    power = eng.settle_power(n)
     spec, top = KoszulComplexSpec(G, 1), KoszulComplexSpec(G, power)
     src = koszul_cohomology_piece(spec, i, n)
     moved = linalg.matmul(transition_cochain(spec, i, n, power - 1),
@@ -245,18 +246,18 @@ def comparison_rank(G: GradedQuotientRing, i: int, n: int, power: int) -> int:
     return linalg.modulo(differential(top, i - 1, n), moved, G.p).shape[0]
 
 
-def moved_classes(G: GradedQuotientRing, t: int, i: int,
-                  n: int) -> list[tuple]:
-    """(j, terms) for each class of [H^i(x^t; G)]_n that x_j does not move
-    into a coboundary of degree n + 1, in (variable, class) order.
+def moved_classes(G: GradedQuotientRing, i: int, n: int) -> list[tuple]:
+    """(j, terms) for each class of [H^i(x^T(n); G)]_n that x_j does not
+    move into a coboundary of degree n + 1, in (variable, class) order.
 
     A monomial cone asks block by block (`multigraded._Engine.moved_classes`);
     any other cone moves the dense representatives, one `linalg.modulo` per
     variable, and reads each class's terms with `cochain_terms`.
     """
+    eng = multigraded.engine(G)
     if G.monomial:
-        return multigraded.engine(G).moved_classes(t, i, n)
-    spec = KoszulComplexSpec(G, t)
+        return eng.moved_classes(i, n)
+    spec = KoszulComplexSpec(G, eng.settle_power(n))
     reps = koszul_cohomology_piece(spec, i, n).representatives
     d_in = differential(spec, i - 1, n + 1)
     moved = []

@@ -253,7 +253,6 @@ def annihilator_is_irrelevant(G: GradedQuotientRing, i: int,
         witnesses.extend((names[j], entry.n,
                           [[[names[l] for l in L], str(G.ring.monomial(b)), c]
                            for L, b, c in terms])
-                         for j, terms in moved_classes(G, entry.power, i,
-                                                       entry.n))
+                         for j, terms in moved_classes(G, i, entry.n))
     return not witnesses, witnesses
 

@@ -70,25 +70,27 @@ caps, those whose settled block has some nonzero H^i, with their dimension
 vectors, and each column sums over them alone: on the r-family's cone at
 r = 3, 5 of the 30 caps.
 
-The two Buchsbaum checks stay blockwise.  Every map they ask about keeps
-each basis subset L and moves a block to one block (`block_map`), where
-the moved representatives are reduced modulo the target block's
-coboundaries (`linalg.modulo`) and the target's own representatives are
-never eliminated.  So the map's rank is the sum of the blocks' row counts,
-and a class maps to a coboundary exactly when its column there is zero.
-Stueckrad's criterion counts the rank of the map from power 1 to power
-T(n) (`comparison_rank`); the annihilator test sends block a to block
-a + e_j by x_j (`moved_classes`), and each witness is its class's nonzero
-terms (L, x^(a + t 1_L), coefficient), read off its block.  A map with a
-zero side has rank 0 and sends every class to a coboundary, so a block
-whose source or target has H^i = 0 is neither ranked nor mapped, nor are
-its classes listed.  A settled block, signature (c, rho), reads its
-dimensions off its cap (`dims`), so it is built only when its classes are
-needed.
+The two Buchsbaum checks read at T(n) off the live caps and list no
+multidegree.  Every map they ask about keeps each basis subset L and moves
+a block to one block (`block_map`): the moved representatives modulo the
+target block's coboundaries (`linalg.modulo`), with the target's own
+representatives never eliminated.  So the map's rank is the sum of the
+blocks' row counts, and a class maps to a coboundary exactly when its
+column there is zero.  At power 1 every a_j >= -1, so a multidegree is its
+own cap, and Stueckrad's criterion sums one map to T(n) per live cap of
+degree n (`comparison_rank`).  The classes lie in the multidegrees of the
+live caps, one per way of writing s above (`classes`); each witness is its
+class's nonzero terms (L, x^(a + T(n) 1_L), coefficient), read off its
+block.  The annihilator test sends block a to block a + e_j by x_j, settled
+as T(n) >= T(n + 1) (`moved_classes`).  A map with a zero side has rank 0
+and sends every class to a coboundary, so only blocks with H^i != 0 at both
+ends are ranked or mapped, and a settled block reads its dimensions off its
+cap (`dims`), so it is built only when its classes are needed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -213,9 +215,7 @@ class _Engine:
                 yield (x,) + tail
 
     def signature(self, a: tuple[int, ...], t: int):
-        """The block of multidegree a at power t, or None when it is empty."""
-        if t < -min(a):
-            return None
+        """The block of multidegree a at a power t >= -min(a)."""
         return (tuple(x if x >= 0 else -1 for x in a),
                 tuple(min(x + t, r) for x, r in zip(a, self.rho)))
 
@@ -250,63 +250,60 @@ class _Engine:
             raise FormringError("block map image is not a cocycle class")
         return linalg.modulo(tgt.differential(q - 1), moved, self.p)
 
-    def comparison_rank(self, i: int, n: int, power: int) -> int:
-        """Rank of [H^i(x; G)]_n -> [H^i(x^power; G)]_n, summed over blocks.
-
-        From block signature(a, 1) to signature(a, power) the cochain map
-        is (L, b) -> (L, b + (power - 1) 1_L).  At power 1 only
-        multidegrees with every a_j >= -1 occur.
+    def comparison_rank(self, i: int, n: int) -> int:
+        """Rank of [H^i(x; G)]_n -> [H^i_M(G)]_n at T(n): one block map per
+        live cap c of degree n with H^i != 0.  At power 1 a multidegree has
+        every a_j >= -1, so it is its own cap, and its block signature(c, 1)
+        maps to (c, rho) by (L, b) -> (L, b + (T(n) - 1) 1_L).
         """
         def build():
             rank = 0
-            for a in self.multidegrees(n, -1):
-                src, tgt = self.signature(a, 1), self.signature(a, power)
-                if self.dims(tgt)[i] and self.dims(src)[i]:
-                    rank += self.block_map(i, src, tgt).shape[0]
+            for c, dims in self.caps().items():
+                src = self.signature(c, 1)
+                if sum(c) == n and dims[i] and self.dims(src)[i]:
+                    rank += self.block_map(i, src, (c, self.rho)).shape[0]
             return rank
-        return self._memo(("rank", i, n, power), build)
+        return self._memo(("rank", i, n), build)
 
     def dim(self, t: int, i: int, n: int) -> int:
         """dim [H^i(x^t; G)]_n, summed over its blocks."""
         return sum(self.dims(self.signature(a, t))[i]
                    for a in self.multidegrees(n, -t))
 
-    def classes(self, t: int, i: int, n: int) -> list[tuple]:
+    def classes(self, i: int, n: int) -> list[tuple]:
         """(a, k, terms) for column k of block a's representatives of
-        [H^i(x^t; G)]_n, with its nonzero terms (L, b, c), c e_L x^b for
-        b = a + t 1_L, in block order.  A class's last term is its kernel
-        vector's free one; the classes are sorted by it in the dense order
-        (`koszul`): by L, then by reversed b, which is DEGREVLEX descending.
-        """
+        [H^i(x^T(n); G)]_n, a running over its live caps' compositions, with
+        its nonzero terms (L, b, c), c e_L x^b for b = a + T(n) 1_L, in block
+        order.  A class's last term is its kernel vector's free one; the
+        classes are sorted by it in the dense order (`koszul`): by L, then
+        by reversed b, which is DEGREVLEX descending."""
         def build():
-            found = []
-            for a in self.multidegrees(n, -t):
-                sig = self.signature(a, t)
-                # a settled block's cap tells, with no block built, when it
-                # has no class
-                if sig[1] == self.rho and not self.dims(sig)[i]:
-                    continue
-                blk = self.block(sig)
-                reps = blk.cohomology(i)
-                for k in range(reps.shape[1]):
-                    found.append((a, k, [
-                        (L, tuple(x + t * (j in L) for j, x in enumerate(a)),
-                         int(c))
-                        for L, c in zip(blk.basis[i], reps[:, k]) if c]))
+            t, found = self.settle_power(n), []
+            for c in [c for c, dims in self.caps().items() if dims[i]]:
+                k = c.count(-1)
+                for part in _compositions(sum(c) + k - n, k):
+                    rest = iter(part)
+                    a = tuple(x if x >= 0 else -next(rest) for x in c)
+                    blk = self.block((c, self.rho))
+                    for col, rep in enumerate(blk.cohomology(i).T):
+                        found.append((a, col, [
+                            (L, tuple(x + t * (j in L) for j, x in
+                                      enumerate(a)), int(v))
+                            for L, v in zip(blk.basis[i], rep) if v]))
             return sorted(found, key=lambda cls: (cls[2][-1][0],
                                                   cls[2][-1][1][::-1]))
-        return self._memo(("classes", t, i, n), build)
+        return self._memo(("classes", i, n), build)
 
-    def moved_classes(self, t: int, i: int, n: int) -> list[tuple]:
-        """(j, terms) for each class of `classes(t, i, n)` that x_j does not
+    def moved_classes(self, i: int, n: int) -> list[tuple]:
+        """(j, terms) for each class of `classes(i, n)` that x_j does not
         move into a coboundary of degree n + 1, in (variable, class) order.
 
-        x_j keeps L and sends block signature(a, t) to signature(a + e_j,
-        t), which is acyclic once a_j + 1 >= rho_j.
+        x_j keeps L and sends block (cap(a), rho) to (cap(a + e_j), rho), as
+        T(n) >= T(n + 1); the target is acyclic once a_j + 1 >= rho_j.
         """
-        moved = []
+        t, moved = self.settle_power(n), []
         for j in range(self.m):
-            for a, k, terms in self.classes(t, i, n):
+            for a, k, terms in self.classes(i, n):
                 if a[j] + 1 >= self.rho[j]:
                     continue
                 up = a[:j] + (a[j] + 1,) + a[j + 1:]
@@ -426,6 +423,14 @@ class _Engine:
 
 def _mask(subset) -> int:
     return sum(1 << j for j in subset)
+
+
+def _compositions(s: int, k: int) -> list[tuple[int, ...]]:
+    """The ways of writing s as k positive parts (module docstring)."""
+    if k == 0 or s < k:
+        return [()] if k == s == 0 else []
+    return [tuple(b - a for a, b in zip((0,) + cut, cut + (s,)))
+            for cut in itertools.combinations(range(1, s), k - 1)]
 
 
 def engine(G) -> _Engine:

@@ -35,6 +35,10 @@ tautology:
   entry at the settle power T(n) alone.  ``dense_f_map`` composes the
   transition maps one power at a time, never moving a class by one
   cochain map.
+* ``walk_comparison_rank`` and ``walk_classes`` walk every multidegree of
+  degree n at any power, never reading a multidegree off a live cap or
+  composing the -1 coordinates of one.  They are the block engine's
+  earlier readers of the two Buchsbaum checks.
 * ``block_local_coh_piece`` runs the same detector on a monomial cone's
   multidegree blocks, for cones too large for the dense matrices: it ranks
   each transition t -> t + 1 block by block, never reading an entry at
@@ -584,6 +588,52 @@ def block_local_coh_piece(G, i, n, cfg):
                    for a in eng.multidegrees(n, -t))
         iso.append(dims[t - 1] == dims[t] == rank)
     return _trailing_run(i, n, dims, iso, cfg)
+
+
+def walk_comparison_rank(G, i, n, power):
+    """Rank of [H^i(x; G)]_n -> [H^i(x^power; G)]_n on a monomial cone,
+    summed over blocks.
+
+    From block signature(a, 1) to signature(a, power) the cochain map
+    is (L, b) -> (L, b + (power - 1) 1_L).  At power 1 only
+    multidegrees with every a_j >= -1 occur.
+    """
+
+    eng = multigraded.engine(G)
+    rank = 0
+    for a in eng.multidegrees(n, -1):
+        src, tgt = eng.signature(a, 1), eng.signature(a, power)
+        if eng.dims(tgt)[i] and eng.dims(src)[i]:
+            rank += eng.block_map(i, src, tgt).shape[0]
+    return rank
+
+
+def walk_classes(G, t, i, n):
+    """(a, k, terms) for column k of block a's representatives of
+    [H^i(x^t; G)]_n on a monomial cone, with its nonzero terms (L, b, c),
+    c e_L x^b for b = a + t 1_L, in block order.  A class's last term is its
+    kernel vector's free one; the classes are sorted by it in the dense
+    order (`koszul`): by L, then by reversed b, which is DEGREVLEX
+    descending.
+    """
+
+    eng = multigraded.engine(G)
+    found = []
+    for a in eng.multidegrees(n, -t):
+        sig = eng.signature(a, t)
+        # a settled block's cap tells, with no block built, when it
+        # has no class
+        if sig[1] == eng.rho and not eng.dims(sig)[i]:
+            continue
+        blk = eng.block(sig)
+        reps = blk.cohomology(i)
+        for k in range(reps.shape[1]):
+            found.append((a, k, [
+                (L, tuple(x + t * (j in L) for j, x in enumerate(a)),
+                 int(c))
+                for L, c in zip(blk.basis[i], reps[:, k]) if c]))
+    return sorted(found, key=lambda cls: (cls[2][-1][0],
+                                          cls[2][-1][1][::-1]))
 
 
 def char_loop_tokenize(text: str) -> list[Token]:

@@ -66,7 +66,7 @@ def f_surjective(G, table, i, n):
     entry = table.entry(i, n)
     if entry.dim == 0:
         return True
-    return comparison_rank(G, i, n, entry.power) == entry.dim
+    return comparison_rank(G, i, n) == entry.dim
 
 
 @criterion(1, "one-parameter family end-to-end, r = 3, 4, 5, each < 30 s")

@@ -830,6 +830,29 @@ def test_verdict_bytes_without_elimination(monkeypatch, case):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the same digest for the seeded complex (14): its Buchsbaum checks read
+# 128 live caps, where a walk lists 38,760 multidegrees for the classes and
+# 6,476 for the comparison ranks
+SEEDED_COMPLEX_14_DIGEST = ("a701734545b6f844ba41d2d1f70a6041"
+                            "09f6b89b2a9311d160bf0fbf6e6d3d83")
+
+
+def _refuse_walk(*args, **kwargs):
+    raise AssertionError("a multidegree was listed")
+
+
+def test_verdicts_list_no_multidegree(monkeypatch):
+    # both Buchsbaum checks read their blocks off the live caps at T(n)
+    monkeypatch.setattr(multigraded._Engine, "multidegrees", _refuse_walk)
+    torus = descent_verdict(corpus.build_ideal(corpus.by_name("torus")))
+    assert torus.g_buchsbaum.status == "satisfied"
+    assert torus.g_quasi_buchsbaum.status == "satisfied"
+    text = json.dumps(descent_verdict(_seeded_complex(14)).to_dict(),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SEEDED_COMPLEX_14_DIGEST
+
+
 def test_bowtie_terms_expand_to_the_dense_witnesses():
     # written back into the dense cochain order, the bowtie's witness terms
     # give the report as it was when each witness was a dense vector

@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -65,13 +65,15 @@ def test_blocks_match_dense_oracle(cone):
     # detector run to T(n) + margin settles it by T(n) at the same value.
     # At every power the dense route reaches (all of them: three variables
     # stay under the cap), the blocks give its dimension, and each class's
-    # block terms are the nonzero entries of its dense column, in order
+    # block terms are the nonzero entries of its dense column, in order:
+    # the engine's at T(n), the multidegree walk's at every power
     G, cfg = cone
     assert G.monomial
+    eng = multigraded.engine(G)
     try:
         table = local_coh_table(G, cfg=cfg)
         for (i, n), entry in table.entries.items():
-            settle = multigraded.engine(G).settle_power(n)
+            settle = eng.settle_power(n)
             assert (entry.power, entry.stabilized, entry.history,
                     entry.settled_by) == (settle, True, (),
                                           localcoh.SETTLE_POWER)
@@ -80,17 +82,22 @@ def test_blocks_match_dense_oracle(cone):
             assert dense.stabilized and dense.power <= settle
             assert entry.dim == dense.dim
             t_max = len(dense.history)
+            assert settle <= t_max
             for t in range(1, t_max + 1):
                 spec = KoszulComplexSpec(G, t)
                 reps = oracles.dense_piece(G, t, i, n).representatives
                 assert koszul_cohomology_piece(spec, i, n).dim == \
                     reps.shape[1]
+                dense_terms = [oracles.dense_terms(spec, i, n, col)
+                               for col in reps.T]
                 assert [terms for _, _, terms in
-                        multigraded.engine(G).classes(t, i, n)] == [
-                    oracles.dense_terms(spec, i, n, col) for col in reps.T]
-                # at every power, not only at entry.power <= t_max
-                assert koszul.comparison_rank(G, i, n, t) == \
-                    linalg.rank(oracles.dense_f_map(G, i, n, t), G.p)
+                        oracles.walk_classes(G, t, i, n)] == dense_terms
+                rank = linalg.rank(oracles.dense_f_map(G, i, n, t), G.p)
+                assert oracles.walk_comparison_rank(G, i, n, t) == rank
+                if t == settle:
+                    assert [terms for _, _, terms in
+                            eng.classes(i, n)] == dense_terms
+                    assert koszul.comparison_rank(G, i, n) == rank
         if G.is_zero_ring():
             return
         for i in range(min(G.krull_dimension(), table.i_max + 1)):
@@ -101,6 +108,43 @@ def test_blocks_match_dense_oracle(cone):
     finally:
         oracles.dense_piece.cache_clear()
         oracles.dense_transition_matrix.cache_clear()
+
+
+def _bowtie_ring():
+    R = PolyRing(tuple("abcde"), 32003)
+    _, b, c, d, e = R.gens()
+    return GradedQuotientRing(Ideal(R, [b * d, b * e, c * d, c * e]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_cones())
+@example((_bowtie_ring(), None))
+def test_cap_readers_match_the_walk_at_the_settle_power(cone):
+    # a cap c with k coordinates at -1 holds the multidegrees of degree n
+    # given by the compositions of s = sum(c) + k - n into k positive
+    # parts: none when s < k, as for the bowtie's cap (-1, 0, 0, 0, 0),
+    # which carries H^2, at every n >= 0
+    G, _ = cone
+    if G.is_zero_ring():
+        return
+    eng = multigraded.engine(G)
+    for n in StabilizationConfig.default_for(G).degrees():
+        t = eng.settle_power(n)
+        for i in range(G.krull_dimension()):
+            assert eng.comparison_rank(i, n) == \
+                oracles.walk_comparison_rank(G, i, n, t)
+            assert eng.classes(i, n) == oracles.walk_classes(G, t, i, n)
+
+
+def test_compositions_have_positive_parts():
+    for s in range(-2, 7):
+        for k in range(5):
+            parts = multigraded._compositions(s, k)
+            expected = (math.comb(s - 1, k - 1) if s >= k >= 1
+                        else int(k == s == 0))
+            assert len(parts) == len(set(parts)) == expected
+            assert all(len(p) == k and sum(p) == s and min(p, default=1) >= 1
+                       for p in parts)
 
 
 @settings(max_examples=40, deadline=None)
