@@ -39,7 +39,8 @@ class RangeLimitError(FormringError):
 
 
 class SizeLimitError(FormringError):
-    """A dense Koszul matrix would hold more cells than the cap allows."""
+    """A dense Koszul matrix would hold more cells, or one degree more
+    monomials, than the cap allows."""
 
 
 class ParseError(FormringError):

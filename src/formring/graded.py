@@ -13,10 +13,9 @@ under the interpreter lock.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
-from . import linalg
+from . import linalg, multigraded
 from .errors import NotHomogeneousError, ZeroRingError
 from .groebner import (DEGREVLEX, GroebnerBasis, Ideal, _monomial_divides,
                        _monomials_of_degree, standard_monomials)
@@ -52,7 +51,6 @@ class GradedQuotientRing:
         self._index_cache: dict[int, dict[Monomial, int]] = {}
         self._nf_cache: dict[int, tuple[dict[Monomial, int], np.ndarray]] = {}
         self._mult_cache: dict = {}
-        self._dim_cache: int | None = None
         self._koszul_cache: dict = {}
 
     @classmethod
@@ -165,31 +163,20 @@ class GradedQuotientRing:
         return self.gb.max_degree()
 
     def krull_dimension(self) -> int:
-        """dim S/in(I), which equals dim S/I: the size of a largest set of
-        variables that contains the support of no lead monomial."""
-        if self._dim_cache is not None:
-            return self._dim_cache
+        """d = dim S/I = dim S/in(I), the largest i with H^i_M(G) != 0
+        (Grothendieck's vanishing and non-vanishing theorems; Bruns-Herzog
+        3.5.7): the largest i some live cap of the block engine carries."""
         if self.is_zero_ring():
             raise ZeroRingError("the zero ring has no Krull dimension")
-        nvars = self.ring.nvars
-        supports = [{v for v, e in enumerate(lead) if e}
-                    for lead in self.gb.leading_monomials()]
-        self._dim_cache = max(
-            size for size in range(nvars + 1)
-            for free in itertools.combinations(range(nvars), size)
-            if not any(s <= set(free) for s in supports))
-        return self._dim_cache
+        return max(i for dims in multigraded.engine(self).caps().values()
+                   for i, x in enumerate(dims) if x)
 
     def top_degree(self) -> int:
-        """Largest n with [G]_n != 0 (only for 0-dimensional rings)."""
+        """Largest n with [G]_n != 0 (only for 0-dimensional rings): such a G
+        is its own H^0_M and has the Hilbert function of S/in(I)."""
         if self.krull_dimension() != 0:
             raise ValueError("top_degree needs a 0-dimensional ring")
-        n = 0
-        last = -1
-        while self.dim(n) != 0:
-            last = n
-            n += 1
-        return last
+        return max(multigraded.engine(self).row_support(0))
 
     def __repr__(self) -> str:
         return f"GradedQuotientRing({self.ring} / {self.ideal!r})"

@@ -36,10 +36,11 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from operator import add, le, mul, sub
 from typing import Iterable, Sequence
 
-from .errors import AmbientMismatchError, NotInIrrelevantError
+from .errors import AmbientMismatchError, NotInIrrelevantError, SizeLimitError
 from .poly import (DEGREVLEX, ELIM_LAST, Monomial, PolyRing, Polynomial,
                    TermOrder)
 
@@ -418,6 +419,10 @@ SATURATION_CAP = 50
 
 # -- standard monomials ----------------------------------------------------
 
+# the most monomials one degree may list: a larger degree ends in a guard
+MAX_MONOMIALS = 1_000_000
+
+
 def monomials_of_degree(ring: PolyRing, n: int) -> tuple[Monomial, ...]:
     """All degree-n exponent tuples, sorted descending by the ring order."""
     return _monomials_of_degree(ring.nvars, ring.order, n)
@@ -428,6 +433,9 @@ def _monomials_of_degree(v: int, order: TermOrder,
                          n: int) -> tuple[Monomial, ...]:
     if n < 0:
         return ()
+    if math.comb(n + v - 1, v - 1) > MAX_MONOMIALS:
+        raise SizeLimitError(f"degree {n} in {v} variables has more than "
+                             f"{MAX_MONOMIALS} monomials")
     out: list[Monomial] = []
     for bars in itertools.combinations(range(n + v - 1), v - 1):
         exps = []

@@ -68,7 +68,8 @@ block spans three or more degrees (RP^2, the torus) builds its block, and
 only its inner differentials are eliminated.  The engine keeps the live
 caps, those whose settled block has some nonzero H^i, with their dimension
 vectors, and each column sums over them alone: on the r-family's cone at
-r = 3, 5 of the 30 caps.
+r = 3, 5 of the 30 caps.  They also give d = dim S/in(I), the largest i a
+live cap carries, and an Artinian ring's top degree, row 0's largest.
 
 The two Buchsbaum checks read at T(n) off the live caps and list no
 multidegree.  Every map they ask about keeps each basis subset L and moves

@@ -90,6 +90,11 @@ tautology:
   ``scanned_block_basis`` and its dimensions from ranks of the signed
   differentials mod p in plain Python, never searching the box or reading
   a dimension off basis sizes.
+* ``subset_scan_dimension`` is the largest set of variables that contains
+  the support of no lead monomial, found by scanning every subset, and
+  ``degree_loop_top_degree`` counts ``dim(n)`` up from 0 until it
+  vanishes; neither reads the block engine's live caps.  They are
+  ``GradedQuotientRing``'s earlier ``krull_dimension`` and ``top_degree``.
 * ``hochster_table`` reads the local cohomology table of a Stanley-Reisner
   ring off Hochster's formula, from simplicial boundary ranks mod p in
   plain Python, never building a Koszul complex or a multidegree block.
@@ -991,6 +996,28 @@ def scanned_caps(eng):
         if any(dims):
             live[c] = dims
     return live
+
+
+def subset_scan_dimension(G):
+    """dim S/in(I): the size of a largest set of variables that contains
+    the support of no lead monomial."""
+    nvars = G.ring.nvars
+    supports = [{v for v, e in enumerate(lead) if e}
+                for lead in G.gb.leading_monomials()]
+    return max(
+        size for size in range(nvars + 1)
+        for free in itertools.combinations(range(nvars), size)
+        if not any(s <= set(free) for s in supports))
+
+
+def degree_loop_top_degree(G):
+    """Largest n with [G]_n != 0, for a 0-dimensional G."""
+    n = 0
+    last = -1
+    while G.dim(n) != 0:
+        last = n
+        n += 1
+    return last
 
 
 def _rank_mod_p(rows, p):

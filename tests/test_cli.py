@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, report shape, determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -346,6 +347,28 @@ class TestParameterExpansion:
         assert entry["data"]["kind"] == "SizeLimitError"
         assert entry["data"]["message"].startswith(
             "a 4300 x 710 Koszul differential")
+
+    def test_degree_over_monomial_cap_is_guard(self):
+        # t=400 puts the cochains of degree 2 in ring degree 800, with
+        # C(803, 3) monomials; the child's address space is capped (it loads
+        # no numpy), so an unguarded listing ends in MemoryError, not in the
+        # machine's memory
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "formring.cli", "-"],
+            input="char 32003; vars x, y, z, w; ideal S = x*y;"
+                  " koszul S i=2 n=0 t=400;",
+            capture_output=True, text=True, timeout=30,
+            preexec_fn=cap_memory)
+        assert proc.returncode == 2
+        (entry,) = json.loads(proc.stdout)["results"]
+        assert entry["status"] == "guard"
+        assert entry["data"] == {
+            "kind": "SizeLimitError",
+            "message": "degree 800 in 4 variables has more than 1000000 "
+                       "monomials"}
 
     def test_huge_range_ends_in_guard(self):
         # a subprocess with a timeout: a range that runs every instance

@@ -1,8 +1,11 @@
 """Graded quotient rings and degreewise linear maps."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -156,6 +159,18 @@ class TestInvariants:
         G = quotient(("x", "y"), lambda x, y: [x**2, x * y, y**3])
         assert G.top_degree() == 2
 
+    def test_dimension_of_many_variables_reads_the_caps(self):
+        # (x_i x_j : i < j) in 24 variables: d = 1 from its 25 live caps; a
+        # scan of the 2^24 variable subsets would not end within the timeout
+        code = ("import itertools; from formring import GradedQuotientRing,"
+                " Ideal, PolyRing; R = PolyRing(tuple(f'x{j}' for j in"
+                " range(24)), 32003); x = R.gens(); print(GradedQuotientRing("
+                "Ideal(R, [a * b for a, b in itertools.combinations(x, 2)]))"
+                ".krull_dimension())")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (0, "1\n")
+
     def test_max_generator_degree(self):
         G = quotient(("x", "y"), lambda x, y: [x**2, y**3])
         assert G.max_generator_degree() == 3
@@ -168,6 +183,24 @@ def _homogeneous(draw, R, degree, max_terms):
         mono = draw(st.sampled_from(monos))
         terms[mono] = draw(st.integers(1, R.characteristic - 1))
     return R.from_terms(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dimension_and_top_degree_match_the_scans(data):
+    # read off the live caps, against the subset scan and the degree loop
+    draw = data.draw
+    nv = draw(st.integers(2, 6))
+    R = PolyRing(tuple(f"x{j}" for j in range(nv)),
+                 draw(st.sampled_from([2, 3, 32003])))
+    gens = [_homogeneous(draw, R, draw(st.integers(1, 3)), 2)
+            for _ in range(draw(st.integers(1, nv + 1)))]
+    G = GradedQuotientRing(Ideal(R, gens))
+    assume(not G.is_zero_ring())
+    d = oracles.subset_scan_dimension(G)
+    assert G.krull_dimension() == d
+    if d == 0:
+        assert G.top_degree() == oracles.degree_loop_top_degree(G)
 
 
 def _graded_quotient(draw):
