@@ -18,8 +18,8 @@ from .koszul import (CohomologyPiece, KoszulComplexSpec, cochain_dim,
 from .localcoh import (CohomologyTable, StabilizationConfig, StabilizedEntry,
                        annihilator_is_irrelevant, local_coh_piece,
                        local_coh_table)
-from .descent import (AdmissibleSet, DescentReport, LocalH0Report, Verdict,
-                      degree_gap_check, descent_verdict, length_comparison_check,
+from .descent import (DescentReport, LocalH0Report, Verdict, degree_gap_check,
+                      descent_verdict, length_comparison_check,
                       local_h0_report, quasi_buchsbaum_test, stuckrad_test,
                       two_diagonal_check)
 from .dsl import Session, parse_session, pretty_print
@@ -42,7 +42,7 @@ __all__ = [
     "koszul_cohomology_piece", "transition_cochain",
     "CohomologyTable", "StabilizationConfig", "StabilizedEntry",
     "annihilator_is_irrelevant", "local_coh_piece", "local_coh_table",
-    "AdmissibleSet", "DescentReport", "LocalH0Report", "Verdict",
+    "DescentReport", "LocalH0Report", "Verdict",
     "degree_gap_check", "descent_verdict", "length_comparison_check",
     "local_h0_report", "quasi_buchsbaum_test", "stuckrad_test",
     "two_diagonal_check",

@@ -65,46 +65,15 @@ def _scope(table: CohomologyTable) -> dict:
     }
 
 
-@dataclass
-class AdmissibleSet:
-    """Solutions k of the two-diagonal conditions.
-
-    kind "finite": exactly `values`; kind "all_at_least": every k >= lower;
-    kind "all": unconstrained.  Finite and empty means the conditions are
-    unsatisfiable no matter how the table extends beyond the window.
-    """
-
-    kind: str
-    values: tuple[int, ...] = ()
-    lower: int | None = None
-
-    @property
-    def empty(self) -> bool:
-        return self.kind == "finite" and not self.values
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind == "finite":
-            out["values"] = list(self.values)
-        if self.kind == "all_at_least":
-            out["lower"] = self.lower
-        return out
-
-    def describe(self) -> str:
-        if self.kind == "all":
-            return "all k"
-        if self.kind == "all_at_least":
-            return f"k >= {self.lower}"
-        return "[" + ", ".join(str(v) for v in self.values) + "]"
-
-
 def two_diagonal_check(table: CohomologyTable, t: int) -> Verdict:
     """Is the table concentrated on two adjacent diagonals below row t?
 
     A nonzero entry of row i < t at diagonal position p = n + i forces the
     diagonal index k into {p, p + 1}; a nonzero entry of row t at position p
-    forces k >= p.  The verdict carries the set of k satisfying everything.
-    An empty set is final: more table would only shrink it.
+    forces k >= p.  The verdict carries the set of k satisfying everything,
+    of one of three kinds: "finite", exactly `values`; "all_at_least", every
+    k >= `lower`; "all", unconstrained.  A finite empty set is final: more
+    table would only shrink it.
     """
     if t < 0 or (t > table.i_max and not table.complete):
         raise ValueError(f"row index t={t} outside table rows 0..{table.i_max}")
@@ -118,26 +87,26 @@ def two_diagonal_check(table: CohomologyTable, t: int) -> Verdict:
             candidate = allowed if candidate is None else candidate & allowed
     tail = table.positions_row(t) if t <= table.i_max else []
     tail_lower = max((p for p, _ in tail), default=None)
-    if candidate is None:
-        if tail_lower is None:
-            admissible = AdmissibleSet("all")
-        else:
-            admissible = AdmissibleSet("all_at_least", lower=tail_lower)
+    if candidate is not None:
+        values = sorted(k for k in candidate
+                        if tail_lower is None or k >= tail_lower)
+        admissible = {"kind": "finite", "values": values}
+        text = str(values)  # "[3, 4]"
+    elif tail_lower is not None:
+        admissible = {"kind": "all_at_least", "lower": tail_lower}
+        text = f"k >= {tail_lower}"
     else:
-        vals = candidate
-        if tail_lower is not None:
-            vals = {k for k in vals if k >= tail_lower}
-        admissible = AdmissibleSet("finite", values=tuple(sorted(vals)))
-    data = {"admissible_k": admissible.to_dict(),
-            "admissible_k_text": admissible.describe(),
+        admissible, text = {"kind": "all"}, "all k"
+    data = {"admissible_k": admissible,
+            "admissible_k_text": text,
             "row_constraints": constraints,
             "tail_row": t,
             "tail_min_allowed": tail_lower}
-    if admissible.empty:
+    if admissible == {"kind": "finite", "values": []}:
         return Verdict("violated", witnesses=constraints,
                        detail="no diagonal index satisfies every constraint",
                        data=data, scope=_scope(table))
-    return Verdict("satisfied", detail=f"admissible k: {admissible.describe()}",
+    return Verdict("satisfied", detail=f"admissible k: {text}",
                    data=data, scope=_scope(table))
 
 

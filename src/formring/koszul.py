@@ -149,10 +149,6 @@ def koszul_cohomology_piece(spec: KoszulComplexSpec, i: int, n: int) -> Cohomolo
     """[H^i]_n as kernel mod image, with representative cocycle columns."""
     if i < 0 or i > spec.m:
         raise FormringError(f"cohomology index {i} outside [0, {spec.m}]")
-    return _cached(spec, "piece", (i, n), lambda: _build_piece(spec, i, n))
-
-
-def _build_piece(spec: KoszulComplexSpec, i: int, n: int) -> CohomologyPiece:
     if spec.G.monomial:
         dim = multigraded.engine(spec.G).dim(spec.t, i, n)
     else:
@@ -198,12 +194,6 @@ def transition_cochain(spec: KoszulComplexSpec, pdeg: int, n: int,
                        step: int = 1) -> np.ndarray:
     """Cochain-level map [K^pdeg(x^t)]_n -> [K^pdeg(x^(t+step))]_n,
     e_J -> (prod_{j in J} x_j)^step e_J."""
-    return _cached(spec, "trans", (pdeg, n, step),
-                   lambda: _build_transition(spec, pdeg, n, step))
-
-
-def _build_transition(spec: KoszulComplexSpec, pdeg: int, n: int,
-                      step: int) -> np.ndarray:
     G, m = spec.G, spec.m
     subsets = _subsets(m, pdeg)
     blocks = [(G.ring.monomial([step * (k in J) for k in range(m)]),

@@ -95,8 +95,8 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from . import linalg
-from .errors import FormringError
+from . import groebner, linalg
+from .errors import FormringError, SizeLimitError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -200,18 +200,14 @@ class _Engine:
             hit = self._cache[key] = build()
         return hit
 
-    def multidegrees(self, n: int, lowest: int) -> tuple:
+    def multidegrees(self, n: int, lowest: int, j: int = 0):
         """Multidegrees of total degree n with lowest <= a_j < rho_j, in
-        lexicographic order."""
-        return self._memo(("multidegrees", n, lowest),
-                          lambda: tuple(self._multidegrees(n, lowest, 0)))
-
-    def _multidegrees(self, n: int, lowest: int, j: int):
+        lexicographic order, one at a time (from coordinate j on)."""
         # coordinates j + 1.. can still add up to anything in [low, high]
         rest = self.rho[j + 1:]
         low, high = lowest * len(rest), sum(rest) - len(rest)
         for x in range(max(lowest, n - high), min(self.rho[j], n - low + 1)):
-            tails = self._multidegrees(n - x, lowest, j + 1) if rest else [()]
+            tails = self.multidegrees(n - x, lowest, j + 1) if rest else [()]
             for tail in tails:
                 yield (x,) + tail
 
@@ -257,19 +253,24 @@ class _Engine:
         every a_j >= -1, so it is its own cap, and its block signature(c, 1)
         maps to (c, rho) by (L, b) -> (L, b + (T(n) - 1) 1_L).
         """
-        def build():
-            rank = 0
-            for c, dims in self.caps().items():
-                src = self.signature(c, 1)
-                if sum(c) == n and dims[i] and self.dims(src)[i]:
-                    rank += self.block_map(i, src, (c, self.rho)).shape[0]
-            return rank
-        return self._memo(("rank", i, n), build)
+        rank = 0
+        for c, dims in self.caps().items():
+            src = self.signature(c, 1)
+            if sum(c) == n and dims[i] and self.dims(src)[i]:
+                rank += self.block_map(i, src, (c, self.rho)).shape[0]
+        return rank
 
     def dim(self, t: int, i: int, n: int) -> int:
-        """dim [H^i(x^t; G)]_n, summed over its blocks."""
-        return sum(self.dims(self.signature(a, t))[i]
-                   for a in self.multidegrees(n, -t))
+        """dim [H^i(x^t; G)]_n, summed over its blocks as the walk lists
+        them; past `groebner.MAX_MONOMIALS` multidegrees it raises
+        `SizeLimitError`."""
+        cap, total = groebner.MAX_MONOMIALS, 0
+        for count, a in enumerate(self.multidegrees(n, -t), 1):
+            if count > cap:
+                raise SizeLimitError(f"degree {n} at power {t} has more than "
+                                     f"{cap} multidegrees")
+            total += self.dims(self.signature(a, t))[i]
+        return total
 
     def classes(self, i: int, n: int) -> list[tuple]:
         """(a, k, terms) for column k of block a's representatives of

@@ -370,6 +370,43 @@ class TestParameterExpansion:
             "message": "degree 800 in 4 variables has more than 1000000 "
                        "monomials"}
 
+    # an explicit power walks the multidegrees of degree n one at a time; at
+    # t=400 those of degree -600 in four variables number tens of millions
+    WALK_SESSION = ("char 32003; vars x, y, z, w; ideal S = x*y*z*w;"
+                    " koszul S i=0 n=-600 t=400;")
+
+    def test_walk_over_cap_is_guard(self, capsys, monkeypatch):
+        # 6,181 multidegrees at t=20, so an uncapped walk ends at once in
+        # dim 0, exit 0; the cap is read when the walk runs
+        monkeypatch.setattr("formring.groebner.MAX_MONOMIALS", 1000)
+        text = self.WALK_SESSION.replace("n=-600 t=400", "n=-40 t=20")
+        code, out, _ = run_cli(capsys, ["-"], text, monkeypatch)
+        assert code == 2
+        (entry,) = json.loads(out)["results"]
+        assert entry["status"] == "guard"
+        assert entry["data"] == {
+            "kind": "SizeLimitError",
+            "message": "degree -40 at power 20 has more than 1000 "
+                       "multidegrees"}
+
+    def test_large_explicit_power_is_guard(self):
+        # the child's address space is capped, so a walk held in memory
+        # ends in MemoryError, not in the machine's memory
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "formring.cli", "-"],
+            input=self.WALK_SESSION, capture_output=True, text=True,
+            timeout=60, preexec_fn=cap_memory)
+        assert proc.returncode == 2
+        (entry,) = json.loads(proc.stdout)["results"]
+        assert entry["status"] == "guard"
+        assert entry["data"] == {
+            "kind": "SizeLimitError",
+            "message": "degree -600 at power 400 has more than 1000000 "
+                       "multidegrees"}
+
     def test_huge_range_ends_in_guard(self):
         # a subprocess with a timeout: a range that runs every instance
         # (3,000 of them here) fails instead of hanging the suite

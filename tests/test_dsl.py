@@ -38,6 +38,14 @@ class TestValidSessions:
         assert cmd.option("imax") == 1
         assert cmd.option("window") == (-3, 4)
 
+    def test_integer_factor_term(self):
+        # term := [ INT [ "*" ] ] factor { "*" factor }: the "*" is optional
+        s = parse_session("char 5; vars x, y; ideal I = 3 x*y;")
+        R = PolyRing(s.variables, 5)
+        x, y = R.gens()
+        (gen,) = s.ideals["I"].polynomials
+        assert gen.materialize(R) == 3 * x * y
+
     def test_synthetic_table_declaration(self):
         s = parse_session(
             "char 7; vars x; synthetic_table T = {(1,2): 10, (2,0): 1};"
@@ -202,6 +210,26 @@ class TestDiagnostics:
     def test_prime_characteristic_above_bound(self):
         err = self.check_error("char 1073741827; vars x;", "2**30")
         assert (err.line, err.col) == (1, 1)
+
+    @pytest.mark.parametrize("text, col, message", [
+        ("char 5; vars x; vars y;", 17, "variables already declared"),
+        ("synthetic_table T = {(0, 1): 1, (0, 1): 2};", 33,
+         "duplicate table entry (0, 1)"),
+        ("char 5; vars x; ideal x = x;", 23, "name 'x' is a variable"),
+        ("char 5; vars x; ideal I = x; table I window=3..1;", 38,
+         "empty range 3..1"),
+        ("synthetic_table T = {(0, 1): 1}; gap T r=2;", 34,
+         "option 'r' does not apply to a synthetic table"),
+        ("char 5; vars x; ideal I = x, ;", 30, "expected a term, found ';'"),
+        ("char 5; vars x; ideal I = x^(s+1);", 30, "unknown parameter 's'"),
+        ("char 5; vars x; ideal I = x^(r*1);", 31,
+         "expected '+' or '-' in parameterized exponent"),
+    ])
+    def test_message_line_and_column(self, text, col, message):
+        with pytest.raises(ParseError) as err:
+            parse_session(text)
+        assert (err.value.message, err.value.line, err.value.col) == \
+            (message, 1, col)
 
     def test_eof_column_after_trailing_comment(self):
         # one past the comment's end; the character loop reported col 16

@@ -378,7 +378,7 @@ class TestInitialIdealRoute:
             raise AssertionError("a Koszul piece was computed")
 
         monkeypatch.setattr(localcoh, "koszul_cohomology_piece", refuse)
-        monkeypatch.setattr(koszul, "_build_piece", refuse)
+        monkeypatch.setattr(koszul, "koszul_cohomology_piece", refuse)
         report = descent_verdict(A, cfg=cfg(-3, 1, t_max=5))
         assert report.table.nonzero_rows() == [[2, -3, 5], [2, -2, 3],
                                                [2, -1, 1]]
